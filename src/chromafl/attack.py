@@ -14,7 +14,7 @@ comparable perceptual strength but with no model in the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,24 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Count of calls that had to clamp out-of-range input instead of failing.
-_clamp_events = 0
-
-
-def clamp_warning_count() -> int:
-    """Number of conversion calls that received out-of-[0,1] input."""
-    return _clamp_events
-
-
-def reset_clamp_warnings() -> None:
-    global _clamp_events
-    _clamp_events = 0
-
-
 def _clamped01(x: np.ndarray) -> np.ndarray:
-    global _clamp_events
+    """Clamp out-of-[0,1] input instead of failing; in-range input passes as is."""
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
-        _clamp_events += 1
         return np.clip(x, 0.0, 1.0)
     return x
 
@@ -280,19 +265,6 @@ def mean_delta_e(x, y) -> float:
     if a.shape != b.shape:
         raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
     return float(delta_e2000_lab(srgb_to_lab(a), srgb_to_lab(b)).mean())
-
-
-def fg_bg_contrast(x, mask) -> np.ndarray:
-    """Per-channel |mean(foreground) - mean(background)| for a boolean mask."""
-    arr = _check_rgb(x)
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != arr.shape[:-1]:
-        raise ValueError(f"mask shape {m.shape} does not match image {arr.shape[:-1]}")
-    if not m.any() or m.all():
-        raise ValueError("foreground and background must both be non-empty")
-    fg = arr[m].mean(axis=0, dtype=np.float64)
-    bg = arr[~m].mean(axis=0, dtype=np.float64)
-    return np.abs(fg - bg)
 
 
 # ------------------------------------------------------------------ PPM I/O

@@ -29,7 +29,6 @@ CIFAR10 = "cifar10"
 class DatasetConfig:
     kind: str = SHAPES
     path: str | None = None
-    limit: int | None = None
     n_train: int = 400
     n_test: int = 120
     classes: int = 10
@@ -41,8 +40,6 @@ class DatasetConfig:
                               f"got {self.kind!r}")
         if self.kind == CIFAR10 and not self.path:
             raise ConfigError("dataset.path is required for cifar10")
-        if self.limit is not None and self.limit < 1:
-            raise ConfigError("dataset.limit must be >= 1")
         if self.n_train < 1 or self.n_test < 1:
             raise ConfigError("dataset.n_train and n_test must be >= 1")
 
@@ -130,16 +127,10 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class MetricsConfig:
-    tau: float = 0.2
-    k_fraction: float = 0.1
     probe_size: int = 100
     heatmap_dumps: int = 4
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError("metrics.tau must be in (0, 1]")
-        if not 0.0 < self.k_fraction <= 1.0:
-            raise ConfigError("metrics.k_fraction must be in (0, 1]")
         if self.probe_size < 1:
             raise ConfigError("metrics.probe_size must be >= 1")
         if self.heatmap_dumps < 0:
@@ -245,8 +236,7 @@ def override(cfg: ExperimentConfig, seed: int | None = None,
     if limit is not None:
         if limit < 1:
             raise ConfigError("--limit must be >= 1")
-        ds = dataclasses.replace(cfg.dataset, limit=limit,
-                                 n_train=min(cfg.dataset.n_train, limit))
+        ds = dataclasses.replace(cfg.dataset, n_train=min(cfg.dataset.n_train, limit))
         atk = dataclasses.replace(cfg.attack,
                                   n_samples=min(cfg.attack.n_samples, limit),
                                   compare_samples=min(cfg.attack.compare_samples, limit))

@@ -1,6 +1,6 @@
-"""Datasets: CIFAR binary readers, a synthetic shapes generator, partitioning.
+"""Datasets: a CIFAR-10 binary reader, a synthetic shapes generator, partitioning.
 
-Images are float32 in [0, 1], channel-last.  The CIFAR readers consume the
+Images are float32 in [0, 1], channel-last.  The CIFAR-10 reader consumes the
 standard binary batch layout (label byte followed by three 1024-byte color
 planes per record) and refuse anything structurally off; the shapes
 generator builds class-colored geometric figures whose foreground color is
@@ -10,14 +10,13 @@ guaranteed perceptually distinct from the background.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import color as C
 
 CIFAR10_RECORD = 3073  # 1 label byte + 3 * 32 * 32
-CIFAR100_RECORD = 3074  # coarse + fine label bytes + 3 * 32 * 32
 
 IID = "iid"
 LABEL_SKEW = "label_skew"
@@ -101,30 +100,6 @@ def load_cifar10(path, limit: int | None = None) -> LabeledDataset:
     labels = recs[:, 0].astype(np.int64)
     images = _decode_cifar_planes(recs[:, 1:])
     return LabeledDataset(images, labels, classes=10, name="cifar10")
-
-
-def load_cifar100(path, limit: int | None = None, labels: str = "fine") -> LabeledDataset:
-    """Read CIFAR-100 binary batches; ``labels`` picks 'fine' or 'coarse'."""
-    if labels not in ("fine", "coarse"):
-        raise DataError(f"labels must be 'fine' or 'coarse', got {labels!r}")
-    recs = []
-    for f in _cifar_files(path):
-        part = _read_records(f, CIFAR100_RECORD)
-        if part[:, 0].max() > 19:
-            raise DataError(f"{f}: coarse label byte exceeds 19")
-        if part[:, 1].max() > 99:
-            raise DataError(f"{f}: fine label byte exceeds 99")
-        recs.append(part)
-    recs = np.concatenate(recs, axis=0)
-    if limit is not None:
-        if limit < 1:
-            raise DataError(f"limit must be >= 1, got {limit}")
-        recs = recs[:limit]
-    col = 1 if labels == "fine" else 0
-    out_labels = recs[:, col].astype(np.int64)
-    images = _decode_cifar_planes(recs[:, 2:])
-    classes = 100 if labels == "fine" else 20
-    return LabeledDataset(images, out_labels, classes=classes, name="cifar100")
 
 
 def write_cifar10(path, dataset: LabeledDataset) -> None:

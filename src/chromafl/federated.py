@@ -282,7 +282,7 @@ def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
 
 def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
                           probe_images, test: D.LabeledDataset | None = None,
-                          k_fraction: float = 0.1, round_index: int = 0,
+                          round_index: int = 0,
                           adv_ratio: float = 0.0) -> RoundMetrics:
     """Compare the current global against a reference on fixed probe images.
 
@@ -294,14 +294,12 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
     probe = np.asarray(probe_images)
     ref_labels, _ = M.predict_batch(spec, reference_weights, probe)
 
-    gc_ref = S.grad_cam(spec, reference_weights, probe, ref_labels)
-    gc_cur = S.grad_cam(spec, current_weights, probe, ref_labels)
-    gpp_ref = S.grad_cam_pp(spec, reference_weights, probe, ref_labels)
-    gpp_cur = S.grad_cam_pp(spec, current_weights, probe, ref_labels)
+    gc_ref, gpp_ref = S.grad_cams(spec, reference_weights, probe, ref_labels)
+    gc_cur, gpp_cur = S.grad_cams(spec, current_weights, probe, ref_labels)
 
     ssim_gc = S.ssim(gc_ref, gc_cur)
     ssim_gpp = S.ssim(gpp_ref, gpp_cur)
-    peaks = np.array([S.peak_overlap(gc_ref[i], gc_cur[i], k_fraction)
+    peaks = np.array([S.peak_overlap(gc_ref[i], gc_cur[i])
                       for i in range(probe.shape[0])])
     l1 = S.l1_distance(gc_ref, gc_cur)
 
@@ -324,16 +322,6 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
         peak_pct_mean=float(peaks.mean()),
         l1_mean=float(np.asarray(l1).mean()),
     )
-
-
-def saliency_drift(spec: M.ModelSpec, weights_reference, weights_current,
-                   probe_images) -> float:
-    """Mean (1 - SSIM) between the two models' CAMs over probe images."""
-    probe = np.asarray(probe_images)
-    labels, _ = M.predict_batch(spec, weights_reference, probe)
-    cams_ref = S.grad_cam(spec, weights_reference, probe, labels)
-    cams_cur = S.grad_cam(spec, weights_current, probe, labels)
-    return float((1.0 - S.ssim(cams_ref, cams_cur)).mean())
 
 
 def fit_drift_slope(series) -> float:

@@ -21,7 +21,7 @@ from . import federated as F
 from . import models as M
 from . import saliency as S
 from . import tensor as T
-from .config import CIFAR10, SHAPES, ConfigError, ExperimentConfig
+from .config import SHAPES, ConfigError, ExperimentConfig
 
 # sub-seed tags for the independent random streams a command may open
 _TAG_TRAIN = 0xD5E7
@@ -80,8 +80,7 @@ def prepare_data(cfg: ExperimentConfig) -> tuple[D.LabeledDataset, D.LabeledData
     """Build (train, test, server-root) splits for the configured dataset."""
     d = cfg.dataset
     if d.kind == SHAPES:
-        n_train = min(d.n_train, d.limit) if d.limit else d.n_train
-        train = D.generate_shapes(n_train, classes=d.classes, size=d.size,
+        train = D.generate_shapes(d.n_train, classes=d.classes, size=d.size,
                                   seed=_sub_seed(cfg.seed, _TAG_TRAIN))
         test = D.generate_shapes(d.n_test, classes=d.classes, size=d.size,
                                  seed=_sub_seed(cfg.seed, _TAG_TEST))
@@ -89,16 +88,15 @@ def prepare_data(cfg: ExperimentConfig) -> tuple[D.LabeledDataset, D.LabeledData
                                  seed=_sub_seed(cfg.seed, _TAG_ROOT))
         return train, test, root
     full = D.load_cifar10(d.path)
-    n_train = min(d.n_train, d.limit) if d.limit else d.n_train
-    need = n_train + d.n_test + cfg.fl.root_size
+    need = d.n_train + d.n_test + cfg.fl.root_size
     if len(full) < need:
         raise D.DataError(f"{d.path}: need {need} records "
-                          f"(train {n_train} + test {d.n_test} + root "
+                          f"(train {d.n_train} + test {d.n_test} + root "
                           f"{cfg.fl.root_size}), found {len(full)}")
     idx = np.arange(len(full))
-    train = full.subset(idx[:n_train], name="cifar10-train")
-    test = full.subset(idx[n_train:n_train + d.n_test], name="cifar10-test")
-    root = full.subset(idx[n_train + d.n_test:need], name="cifar10-root")
+    train = full.subset(idx[:d.n_train], name="cifar10-train")
+    test = full.subset(idx[d.n_train:d.n_train + d.n_test], name="cifar10-test")
+    root = full.subset(idx[d.n_train + d.n_test:need], name="cifar10-root")
     return train, test, root
 
 
@@ -123,8 +121,18 @@ def train_model(cfg: ExperimentConfig, train_ds: D.LabeledDataset,
     return spec, weights
 
 
-def _attack_set(cfg: ExperimentConfig, test: D.LabeledDataset, n: int) -> D.LabeledDataset:
+def _attack_set(test: D.LabeledDataset, n: int) -> D.LabeledDataset:
     return test.subset(np.arange(min(n, len(test))))
+
+
+def _attack_images(spec: M.ModelSpec, weights, images, grid: A.GridSpec):
+    """Grid-attack each image; returns (perturbed, outcomes, base_preds, pert_preds)."""
+    results = [A.cpm_perturb(spec, weights, x, grid) for x in images]
+    perturbed = np.stack([img for img, _ in results])
+    outcomes = [o for _, o in results]
+    base_preds, _ = M.predict_batch(spec, weights, images)
+    pert_preds, _ = M.predict_batch(spec, weights, perturbed)
+    return perturbed, outcomes, base_preds, pert_preds
 
 
 def _dump_pair(out_dir: str, stem: str, image: np.ndarray, cam: np.ndarray) -> None:
@@ -140,14 +148,9 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
     out = _outdir(cfg, "baseline")
     train, test, _ = prepare_data(cfg)
     spec, weights = train_model(cfg, train)
-    subset = _attack_set(cfg, test, cfg.attack.n_samples)
-    grid = cfg.grid.to_grid()
-
-    results = [A.cpm_perturb(spec, weights, x, grid) for x in subset.images]
-    perturbed = np.stack([img for img, _ in results])
-    outcomes = [o for _, o in results]
-    base_preds, _ = M.predict_batch(spec, weights, subset.images)
-    pert_preds, _ = M.predict_batch(spec, weights, perturbed)
+    subset = _attack_set(test, cfg.attack.n_samples)
+    perturbed, outcomes, base_preds, pert_preds = _attack_images(
+        spec, weights, subset.images, cfg.grid.to_grid())
     attack_acc = 100.0 * float((base_preds == pert_preds).mean())
 
     sample_rows = []
@@ -201,6 +204,9 @@ def run_fl_streams(cfg: ExperimentConfig, heatmap_dir: str | None = None) -> dic
     streams, differing only in that no client poisons its shard; at
     adv_ratio = 0 the two streams are the same computation bit for bit.
     """
+    if cfg.fl.n_clients > cfg.dataset.n_train:
+        raise ConfigError(f"fl.n_clients={cfg.fl.n_clients} exceeds "
+                          f"dataset.n_train={cfg.dataset.n_train} (after --limit)")
     train, test, root = prepare_data(cfg)
     size, classes = _dataset_geometry(cfg)
     try:
@@ -297,7 +303,7 @@ def cmd_ablation(cfg: ExperimentConfig) -> dict:
     out = _outdir(cfg, "ablation")
     train, test, _ = prepare_data(cfg)
     spec, weights = train_model(cfg, train)
-    subset = _attack_set(cfg, test, cfg.attack.n_samples)
+    subset = _attack_set(test, cfg.attack.n_samples)
 
     grids = (("hue", A.GridSpec.hue_only(cfg.grid.hue)),
              ("rescale", A.GridSpec.rescale_only(cfg.grid.alpha,
@@ -349,15 +355,10 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     out = _outdir(cfg, "compare")
     train, test, _ = prepare_data(cfg)
     spec, weights = train_model(cfg, train)
-    subset = _attack_set(cfg, test, cfg.attack.compare_samples)
+    subset = _attack_set(test, cfg.attack.compare_samples)
     images = subset.images
-    grid = cfg.grid.to_grid()
-
-    results = [A.cpm_perturb(spec, weights, x, grid) for x in images]
-    perturbed = np.stack([img for img, _ in results])
-    outcomes = [o for _, o in results]
-    base_preds, _ = M.predict_batch(spec, weights, images)
-    pert_preds, _ = M.predict_batch(spec, weights, perturbed)
+    _, outcomes, base_preds, pert_preds = _attack_images(spec, weights, images,
+                                                         cfg.grid.to_grid())
     cpm = {"scale": float("nan"),
            "flips": int((pert_preds != base_preds).sum()),
            "preserved_pct": 100.0 * float((pert_preds == base_preds).mean()),
@@ -413,16 +414,10 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
     train, test, _ = prepare_data(cfg)
     spec_a, w_a = train_model(cfg, train, cfg.model, tag=_TAG_MODEL)
     spec_b, w_b = train_model(cfg, train, cfg.transfer_model, tag=_TAG_MODEL_B)
-    subset = _attack_set(cfg, test, cfg.attack.n_samples)
+    subset = _attack_set(test, cfg.attack.n_samples)
     images = subset.images
-    grid = cfg.grid.to_grid()
-
-    results = [A.cpm_perturb(spec_a, w_a, x, grid) for x in images]
-    perturbed = np.stack([img for img, _ in results])
-    outcomes = [o for _, o in results]
-
-    preds_a, _ = M.predict_batch(spec_a, w_a, images)
-    pert_a, _ = M.predict_batch(spec_a, w_a, perturbed)
+    perturbed, outcomes, preds_a, pert_a = _attack_images(spec_a, w_a, images,
+                                                          cfg.grid.to_grid())
     same_row = ("same_arch", spec_a.arch,
                 100.0 * float((pert_a == preds_a).mean()),
                 float(np.mean([o.ssim for o in outcomes])))
@@ -475,8 +470,7 @@ def cmd_gen_data(cfg: ExperimentConfig) -> dict:
     """Generate the synthetic shapes dataset and dump it as PPM + labels CSV."""
     out = _outdir(cfg, "gen_data")
     d = cfg.dataset
-    n = min(d.n_train, d.limit) if d.limit else d.n_train
-    ds = D.generate_shapes(n, classes=d.classes, size=d.size,
+    ds = D.generate_shapes(d.n_train, classes=d.classes, size=d.size,
                            seed=_sub_seed(cfg.seed, _TAG_TRAIN))
     D.dump_ppm_dir(ds, out)
     return {"out_dir": out, "count": len(ds), "classes": d.classes}

@@ -14,7 +14,7 @@ capture stage of either architecture produces an 8x8 feature map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -73,17 +73,23 @@ def upsample_bilinear(m, out_h: int, out_w: int):
     return _unbatch(out, single)
 
 
-def _postprocess(cam: np.ndarray, size: int) -> np.ndarray:
-    up = upsample_bilinear(cam, size, size)
-    return normalize_map(up)
-
-
-def _class_ids(class_id, n: int) -> np.ndarray:
-    ids = np.asarray(class_id, dtype=np.int64)
-    return np.broadcast_to(ids, (n,))
-
-
 # ---------------------------------------------------------------- producers
+
+def _capture_grads(spec: M.ModelSpec, weights, xb, class_id):
+    """One taped pass: d(logit_class)/d(capture activation) and the activation."""
+    tape = T.Tape()
+    logits, captured, _ = M.forward(spec, weights, xb, tape=tape)
+    ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), (xb.shape[0],))
+    score = T.class_score(tape, logits, ids)
+    g = T.grad_wrt(tape, score, captured).astype(np.float64)  # (B, h, w, K)
+    return g, captured.data.astype(np.float64)
+
+
+def _weighted_cam(w_k: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:
+    """ReLU of the channel-weighted activations, upsampled and normalized."""
+    cam = np.maximum(np.einsum("bk,bhwk->bhw", w_k, acts), 0.0)
+    return normalize_map(upsample_bilinear(cam, size, size))
+
 
 def grad_cam(spec: M.ModelSpec, weights, x, class_id):
     """Grad-CAM at the capture stage, upsampled and min-max normalized.
@@ -92,83 +98,28 @@ def grad_cam(spec: M.ModelSpec, weights, x, class_id):
     the weighted activation sum passes through a ReLU before upsampling.
     """
     xb, single = M._batched(x)
-    tape = T.Tape()
-    logits, captured, _ = M.forward(spec, weights, xb, tape=tape)
-    ids = _class_ids(class_id, xb.shape[0])
-    score = T.class_score(tape, logits, ids)
-    g = T.grad_wrt(tape, score, captured).astype(np.float64)  # (B, h, w, K)
-    acts = captured.data.astype(np.float64)
-    w_k = g.mean(axis=(1, 2))  # (B, K)
-    cam = np.maximum(np.einsum("bk,bhwk->bhw", w_k, acts), 0.0)
-    return _unbatch(_postprocess(cam, spec.input_size), single)
+    g, acts = _capture_grads(spec, weights, xb, class_id)
+    return _unbatch(_weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size), single)
 
 
-def grad_cam_pp(spec: M.ModelSpec, weights, x, class_id):
-    """Grad-CAM++ at the capture stage, upsampled and min-max normalized.
+def grad_cams(spec: M.ModelSpec, weights, x, class_id):
+    """Grad-CAM and Grad-CAM++ maps from one taped pass, as a pair.
 
-    Pixel weights a = g^2 / (2 g^2 + sum(A) * g^3) with the convention that
-    a is zero wherever the denominator is smaller than 1e-12; channel weights
-    are sum(a * relu(g)).
+    The Grad-CAM map equals :func:`grad_cam`'s.  Grad-CAM++ pixel weights are
+    a = g^2 / (2 g^2 + sum(A) * g^3), zero wherever the denominator is
+    smaller than 1e-12; its channel weights are sum(a * relu(g)).
     """
     xb, single = M._batched(x)
-    tape = T.Tape()
-    logits, captured, _ = M.forward(spec, weights, xb, tape=tape)
-    ids = _class_ids(class_id, xb.shape[0])
-    score = T.class_score(tape, logits, ids)
-    g = T.grad_wrt(tape, score, captured).astype(np.float64)
-    acts = captured.data.astype(np.float64)
+    g, acts = _capture_grads(spec, weights, xb, class_id)
+    gc = _weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size)
     g2 = g * g
     g3 = g2 * g
     chan_sum = acts.sum(axis=(1, 2))  # (B, K)
     denom = 2.0 * g2 + chan_sum[:, None, None, :] * g3
     a = np.where(np.abs(denom) < 1e-12, 0.0, g2 / np.where(np.abs(denom) < 1e-12, 1.0, denom))
     w_k = (a * np.maximum(g, 0.0)).sum(axis=(1, 2))  # (B, K)
-    cam = np.maximum(np.einsum("bk,bhwk->bhw", w_k, acts), 0.0)
-    return _unbatch(_postprocess(cam, spec.input_size), single)
-
-
-def vanilla_saliency(spec: M.ModelSpec, weights, x, class_id):
-    """Channel-max absolute input gradient of the class logit, normalized."""
-    xb, single = M._batched(x)
-    tape = T.Tape()
-    xt = T.Tensor(xb)
-    ws = M._check_weights(spec, weights)
-    params = [T.Tensor(w) for w in ws]
-    logits, _ = M._run_stages(spec, params, xt, tape, spec.capture)
-    ids = _class_ids(class_id, xb.shape[0])
-    score = T.class_score(tape, logits, ids)
-    g = T.grad_wrt(tape, score, xt).astype(np.float64)
-    return _unbatch(normalize_map(np.abs(g).max(axis=3)), single)
-
-
-def integrated_gradients(spec: M.ModelSpec, weights, x, class_id, steps: int = 16,
-                         return_raw: bool = False):
-    """Integrated gradients from a zero baseline via midpoint Riemann sums.
-
-    One image at a time.  The attribution is x times the path-averaged input
-    gradient; the returned map is its channel max, min-max normalized.  With
-    ``return_raw`` the (H, W, 3) attribution comes back too.
-    """
-    arr = np.asarray(x)
-    if arr.ndim != 3:
-        raise ValueError(f"integrated_gradients takes one (H, W, 3) image, got {arr.shape}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    ts = (np.arange(steps, dtype=np.float64) + 0.5) / steps
-    path = (ts[:, None, None, None] * arr.astype(np.float64)).astype(arr.dtype)
-    tape = T.Tape()
-    xt = T.Tensor(path)
-    ws = M._check_weights(spec, weights)
-    params = [T.Tensor(w) for w in ws]
-    logits, _ = M._run_stages(spec, params, xt, tape, spec.capture)
-    ids = np.full(steps, int(class_id), dtype=np.int64)
-    score = T.class_score(tape, logits, ids)
-    g = T.grad_wrt(tape, score, xt).astype(np.float64)  # (steps, H, W, 3)
-    raw = arr.astype(np.float64) * g.mean(axis=0)
-    out = normalize_map(raw.max(axis=2))
-    if return_raw:
-        return out, raw
-    return out
+    gcpp = _weighted_cam(w_k, acts, spec.input_size)
+    return _unbatch(gc, single), _unbatch(gcpp, single)
 
 
 # ---------------------------------------------------------------- metrics
@@ -245,26 +196,6 @@ def peak_overlap(a, b, k_fraction: float = 0.1) -> float:
     tb = _topk_indices(bm[0], k)
     inter = np.intersect1d(ta, tb, assume_unique=True).size
     return 100.0 * inter / k
-
-
-def foreground_mask(m, tau: float = 0.2):
-    """Boolean mask of the map's top tau fraction, with its threshold.
-
-    The threshold is the K-th largest value where K = max(1, floor(tau*n + 0.5));
-    every cell >= threshold is foreground, so ties can only grow the region.
-    """
-    maps, single = _as_maps(m)
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    b, h, w = maps.shape
-    n = h * w
-    k = max(1, int(np.floor(tau * n + 0.5)))
-    flat = maps.reshape(b, n)
-    thresh = np.sort(flat, axis=1)[:, n - k]
-    mask = maps >= thresh[:, None, None]
-    if single:
-        return mask[0], float(thresh[0])
-    return mask, thresh
 
 
 def save_pgm(path, m) -> None:

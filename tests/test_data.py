@@ -77,34 +77,6 @@ def test_cifar10_decode_encode_roundtrip_is_byte_exact(tmp_path):
     assert dst.read_bytes() == blob
 
 
-def test_cifar100_reader_fine_and_coarse(tmp_path):
-    rng = np.random.default_rng(5)
-    coarse = rng.integers(0, 20, size=4, dtype=np.uint8)
-    fine = rng.integers(0, 100, size=4, dtype=np.uint8)
-    planes = rng.integers(0, 256, size=(4, 3072), dtype=np.uint8)
-    recs = np.concatenate([coarse[:, None], fine[:, None], planes], axis=1)
-    path = tmp_path / "train.bin"
-    path.write_bytes(recs.tobytes())
-    ds_fine = D.load_cifar100(path)
-    assert ds_fine.classes == 100
-    assert np.array_equal(ds_fine.labels, fine.astype(np.int64))
-    ds_coarse = D.load_cifar100(path, labels="coarse")
-    assert ds_coarse.classes == 20
-    assert np.array_equal(ds_coarse.labels, coarse.astype(np.int64))
-    assert np.array_equal(ds_fine.images, ds_coarse.images)
-    with pytest.raises(D.DataError, match="fine.*coarse|'fine' or 'coarse'"):
-        D.load_cifar100(path, labels="other")
-
-
-def test_cifar100_reader_rejects_bad_records(tmp_path):
-    path = tmp_path / "bad.bin"
-    rec = bytearray(3074)
-    rec[0] = 25  # coarse label out of range
-    path.write_bytes(bytes(rec))
-    with pytest.raises(D.DataError, match="coarse"):
-        D.load_cifar100(path)
-
-
 # ---------------------------------------------------------------- shapes
 
 def test_shapes_generator_is_deterministic():

@@ -73,6 +73,10 @@ def test_value_validation():
         parse_config({"seed": -1})
     with pytest.raises(ConfigError, match="tau"):
         parse_config({"metrics": {"tau": 0.0}})
+    with pytest.raises(ConfigError, match="unknown key.*k_fraction"):
+        parse_config({"metrics": {"k_fraction": 0.1}})
+    with pytest.raises(ConfigError, match="unknown key.*limit"):
+        parse_config({"dataset": {"limit": 5}})
 
 
 def test_json_lists_become_grid_tuples(tmp_path):
@@ -377,6 +381,11 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
                                              "path": str(tmp_path / "nodir")}}))
     assert cli.main(["baseline", "--config", str(cifar)]) == 3
     assert "data error" in capsys.readouterr().err
+    # fewer training samples than clients: caught before any data is built
+    assert cli.main(["fl", "--limit", "5", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n_clients" in err
+    assert "Traceback" not in err
 
 
 def test_cli_seed_and_out_flags_override_config(tmp_path):

@@ -162,36 +162,6 @@ def test_peak_overlap_validates_k():
         S.peak_overlap(a, a, 1.5)
 
 
-# ---------------------------------------------------------------- masks
-
-def test_foreground_mask_distinct_values_example():
-    m = np.arange(1, 17, dtype=np.float64).reshape(4, 4)
-    mask, thresh = S.foreground_mask(m, tau=0.25)
-    assert thresh == 13.0
-    assert sorted(m[mask].tolist()) == [13.0, 14.0, 15.0, 16.0]
-
-
-def test_foreground_mask_constant_map_selects_everything():
-    m = np.full((4, 4), 0.7)
-    mask, thresh = S.foreground_mask(m, tau=0.25)
-    assert mask.all()
-    assert thresh == 0.7
-
-
-def test_foreground_mask_ties_only_grow_the_region():
-    m = np.zeros((4, 4))
-    m.flat[:8] = 1.0  # eight tied maxima, tau selects four
-    mask, _ = S.foreground_mask(m, tau=0.25)
-    assert mask.sum() == 8
-
-
-def test_foreground_mask_validates_tau():
-    with pytest.raises(ValueError, match="tau"):
-        S.foreground_mask(np.zeros((4, 4)), tau=0.0)
-    with pytest.raises(ValueError, match="tau"):
-        S.foreground_mask(np.zeros((4, 4)), tau=1.0)
-
-
 # ---------------------------------------------------------------- resize
 
 def test_upsample_matches_bruteforce():
@@ -279,7 +249,7 @@ def test_grad_cam_pp_matches_closed_form_oracle():
     for trial in range(3):
         x = rng.uniform(0, 1, size=(16, 16, 3)).astype(np.float32)
         for cls in range(spec.classes):
-            got = S.grad_cam_pp(spec, ws, x, cls)
+            got = S.grad_cams(spec, ws, x, cls)[1]
             assert np.abs(got - grad_cam_pp_oracle(spec, ws, x, cls)).max() < 1e-5
 
 
@@ -292,6 +262,7 @@ def test_grad_cam_batch_agrees_with_singles():
     assert batch.shape == (4, 16, 16)
     for i in range(4):
         assert np.abs(batch[i] - S.grad_cam(spec, ws, xs[i], ids[i])).max() < 1e-6
+    assert np.array_equal(S.grad_cams(spec, ws, xs, ids)[0], batch)
 
 
 def test_grad_cam_zero_model_yields_zero_map():
@@ -307,61 +278,6 @@ def test_grad_cam_values_in_unit_range():
     m = S.grad_cam(spec, ws, x, 1)
     assert m.shape == (16, 16)
     assert m.min() >= 0.0 and m.max() <= 1.0
-
-
-# ---------------------------------------------------------------- input-space
-
-def test_vanilla_saliency_matches_finite_differences():
-    spec = M.ModelSpec("ARCH_A", input_size=8, classes=2)
-    ws = M.build(spec, seed=50)
-    rng = np.random.default_rng(51)
-    x = rng.uniform(0.1, 0.9, size=(8, 8, 3)).astype(np.float64)
-    cls = 1
-
-    def logit(v):
-        logits, _, _ = M.forward(spec, ws, v.astype(np.float64))
-        return float(logits.data[0, cls])
-
-    fd = np.zeros_like(x)
-    h = 1e-5
-    for idx in np.ndindex(x.shape):
-        xp = x.copy(); xp[idx] += h
-        xm = x.copy(); xm[idx] -= h
-        fd[idx] = (logit(xp) - logit(xm)) / (2 * h)
-    expect = np.abs(fd).max(axis=2)
-    lo, hi = expect.min(), expect.max()
-    expect = np.zeros_like(expect) if hi == lo else (expect - lo) / (hi - lo)
-    got = S.vanilla_saliency(spec, ws, x, cls)
-    assert np.abs(got - expect).max() < 1e-3
-
-
-def test_integrated_gradients_completeness():
-    spec = M.ModelSpec("ARCH_A", input_size=8, classes=2)
-    ws = M.build(spec, seed=52)
-    rng = np.random.default_rng(53)
-    x = rng.uniform(0, 1, size=(8, 8, 3)).astype(np.float32)
-    cls = 0
-    logits_x, _, _ = M.forward(spec, ws, x)
-    logits_0, _, _ = M.forward(spec, ws, np.zeros_like(x))
-    gap = float(logits_x.data[0, cls] - logits_0.data[0, cls])
-    _, raw = S.integrated_gradients(spec, ws, x, cls, steps=256, return_raw=True)
-    assert raw.sum() == pytest.approx(gap, rel=0.05, abs=5e-3)
-
-
-def test_integrated_gradients_zero_input_is_zero_map():
-    spec = M.ModelSpec("ARCH_A", input_size=8, classes=2)
-    ws = M.build(spec, seed=54)
-    out = S.integrated_gradients(spec, ws, np.zeros((8, 8, 3), dtype=np.float32), 0)
-    assert np.array_equal(out, np.zeros((8, 8)))
-
-
-def test_integrated_gradients_validates_arguments():
-    spec = M.ModelSpec("ARCH_A", input_size=8, classes=2)
-    ws = M.build(spec, seed=55)
-    with pytest.raises(ValueError, match="one"):
-        S.integrated_gradients(spec, ws, np.zeros((2, 8, 8, 3), dtype=np.float32), 0)
-    with pytest.raises(ValueError, match="steps"):
-        S.integrated_gradients(spec, ws, np.zeros((8, 8, 3), dtype=np.float32), 0, steps=0)
 
 
 # ---------------------------------------------------------------- export
