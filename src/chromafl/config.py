@@ -3,6 +3,12 @@
 Every key is optional (defaults reproduce the stock desk-scale setup) but
 unknown keys are hard errors, so a typo like "adversarail_ratio" aborts the
 run instead of silently configuring nothing.
+
+The ``grid`` and ``fl`` sections are the library's own parameter objects,
+``attack.GridSpec`` and ``federated.FLConfig``, so each setting has one
+definition and one set of checks.  Every section is built by ``_build``,
+which rejects values of the wrong JSON type (a field's default names the
+type) and turns a section's ``ValueError`` into ``ConfigError("<section>: …")``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 from . import attack as A
-from . import data as D
 from . import federated as F
 from . import models as M
 
@@ -36,12 +41,12 @@ class DatasetConfig:
 
     def __post_init__(self):
         if self.kind not in (SHAPES, CIFAR10):
-            raise ConfigError(f"dataset.kind must be {SHAPES!r} or {CIFAR10!r}, "
-                              f"got {self.kind!r}")
+            raise ValueError(f"kind must be {SHAPES!r} or {CIFAR10!r}, "
+                             f"got {self.kind!r}")
         if self.kind == CIFAR10 and not self.path:
-            raise ConfigError("dataset.path is required for cifar10")
+            raise ValueError("path is required for cifar10")
         if self.n_train < 1 or self.n_test < 1:
-            raise ConfigError("dataset.n_train and n_test must be >= 1")
+            raise ValueError("n_train and n_test must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -62,67 +67,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise ConfigError("train.epochs must be >= 0")
+            raise ValueError("epochs must be >= 0")
         if self.lr <= 0:
-            raise ConfigError("train.lr must be > 0")
+            raise ValueError("lr must be > 0")
         if self.batch < 1:
-            raise ConfigError("train.batch must be >= 1")
-
-
-@dataclass(frozen=True)
-class FLSection:
-    n_clients: int = 10
-    select_k: int = 5
-    local_epochs: int = 1
-    lr: float = 0.05
-    batch: int = 32
-    rounds: int = 15
-    adv_ratio: float = 0.3
-    aggregator: str = F.FEDAVG
-    trim_k: int = 1
-    partition: str = D.IID
-    root_size: int = 32
-    pretrain_epochs: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.adv_ratio <= 1.0:
-            raise ConfigError("fl.adv_ratio must be in [0, 1]")
-        if self.rounds < 1:
-            raise ConfigError("fl.rounds must be >= 1")
-        if self.select_k < 1 or self.select_k > self.n_clients:
-            raise ConfigError("fl.select_k must be in 1..n_clients")
-        if self.aggregator not in F.AGGREGATORS:
-            raise ConfigError(f"fl.aggregator must be one of {F.AGGREGATORS}")
-        if self.aggregator == F.TRIMMED_MEAN and self.select_k <= 2 * self.trim_k:
-            raise ConfigError(f"fl.select_k={self.select_k} must exceed "
-                              f"2*trim_k={2 * self.trim_k} for trimmed_mean")
-        if self.partition not in (D.IID, D.LABEL_SKEW):
-            raise ConfigError(f"fl.partition must be {D.IID!r} or {D.LABEL_SKEW!r}")
-        if self.root_size < 1:
-            raise ConfigError("fl.root_size must be >= 1")
-        if self.pretrain_epochs < 0:
-            raise ConfigError("fl.pretrain_epochs must be >= 0")
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    hue: tuple = (0.0, 0.05, -0.05, 0.10, -0.10, 0.15, -0.15)
-    alpha: tuple = (0.6, 0.8, 1.0, 1.2, 1.4)
-    per_channel: bool = True
-    gamma: tuple = (0.8, 1.0, 1.2)
-    beta: tuple = (-0.1, 0.0, 0.1)
-    composites: bool = True
-    max_candidates: int = 500
-
-    def to_grid(self) -> A.GridSpec:
-        try:
-            return A.GridSpec(hue=tuple(self.hue), alpha=tuple(self.alpha),
-                              per_channel=self.per_channel,
-                              gamma=tuple(self.gamma), beta=tuple(self.beta),
-                              composites=self.composites,
-                              max_candidates=self.max_candidates)
-        except ValueError as e:
-            raise ConfigError(f"grid: {e}") from e
+            raise ValueError("batch must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,9 +81,9 @@ class MetricsConfig:
 
     def __post_init__(self):
         if self.probe_size < 1:
-            raise ConfigError("metrics.probe_size must be >= 1")
+            raise ValueError("probe_size must be >= 1")
         if self.heatmap_dumps < 0:
-            raise ConfigError("metrics.heatmap_dumps must be >= 0")
+            raise ValueError("heatmap_dumps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -145,9 +94,9 @@ class AttackSection:
 
     def __post_init__(self):
         if self.n_samples < 1 or self.compare_samples < 1:
-            raise ConfigError("attack sample counts must be >= 1")
+            raise ValueError("n_samples and compare_samples must be >= 1")
         if self.delta_e_tol <= 0:
-            raise ConfigError("attack.delta_e_tol must be > 0")
+            raise ValueError("delta_e_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -156,8 +105,8 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     transfer_model: ModelConfig = field(default_factory=lambda: ModelConfig(arch="ARCH_B"))
     train: TrainConfig = field(default_factory=TrainConfig)
-    fl: FLSection = field(default_factory=FLSection)
-    grid: GridConfig = field(default_factory=GridConfig)
+    fl: F.FLConfig = field(default_factory=F.FLConfig)
+    grid: A.GridSpec = field(default_factory=A.GridSpec)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     attack: AttackSection = field(default_factory=AttackSection)
     seed: int = 0
@@ -169,22 +118,52 @@ _SECTIONS = {
     "model": ModelConfig,
     "transfer_model": ModelConfig,
     "train": TrainConfig,
-    "fl": FLSection,
-    "grid": GridConfig,
+    "fl": F.FLConfig,
+    "grid": A.GridSpec,
     "metrics": MetricsConfig,
     "attack": AttackSection,
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# a field's default names the JSON type it accepts
+_JSON_TYPES = (
+    (bool, "true or false", lambda v: isinstance(v, bool)),
+    (int, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    (float, "a number", _is_number),
+    (str, "a string", lambda v: isinstance(v, str)),
+    (type(None), "a string or null", lambda v: v is None or isinstance(v, str)),
+    (tuple, "a list of numbers",
+     lambda v: isinstance(v, list) and all(_is_number(x) for x in v)),
+)
+
+
+def _check_type(key: str, value, default) -> None:
+    for kind, expected, accepts in _JSON_TYPES:
+        if isinstance(default, kind):
+            if not accepts(value):
+                raise ValueError(f"{key} must be {expected}, got {value!r}")
+            return
+
+
 def _build(cls, section, where: str):
+    """Build one section; its own checks turn into ``ConfigError("<where>: …")``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected an object, got {type(section).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - names)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(section) - set(defaults))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s): {', '.join(unknown)}")
-    fixed = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
-    return cls(**fixed)
+    try:
+        for key, value in section.items():
+            _check_type(key, value, defaults[key])
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in section.items()})
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def parse_config(doc: dict) -> ExperimentConfig:

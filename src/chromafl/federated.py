@@ -7,6 +7,12 @@ and aggregates.  All randomness flows from per-purpose seed sequences of
 all-benign twin run shares every selection and shuffle with its attacked
 counterpart.
 
+``FLConfig`` is both the knob set of a run and the ``fl`` section of the
+experiment config, so its checks are the config's checks.  The attack grid
+and the seed live in their own config entries and reach ``run_round`` as
+arguments; the round metrics are computed by the caller, which holds the
+probe set and the reference weights.
+
 Drift is measured against a reference model (normally the twin at the same
 round): Delta = mean over probe images of (1 - SSIM(reference CAM, current
 CAM)), each CAM taken for the reference model's predicted class.
@@ -57,25 +63,42 @@ class ClientState:
 
 @dataclass(frozen=True)
 class FLConfig:
-    """Knobs for one federated run."""
+    """Knobs for one federated run; also the ``fl`` section of the config."""
 
+    n_clients: int = 10
     select_k: int = 5
     local_epochs: int = 1
     lr: float = 0.05
     batch: int = 32
+    rounds: int = 15
+    adv_ratio: float = 0.3
     aggregator: str = FEDAVG
     trim_k: int = 1
-    seed: int = 0
-    grid: A.GridSpec = A.GridSpec()
+    partition: str = D.IID
+    root_size: int = 32
+    pretrain_epochs: int = 0
 
     def __post_init__(self):
+        if not 0.0 <= self.adv_ratio <= 1.0:
+            raise ValueError("adv_ratio must be in [0, 1]")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if self.select_k < 1 or self.select_k > self.n_clients:
+            raise ValueError("select_k must be in 1..n_clients")
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {self.aggregator!r}; "
                              f"choose from {AGGREGATORS}")
-        if self.select_k < 1:
-            raise ValueError("select_k must be >= 1")
         if self.trim_k < 0:
             raise ValueError("trim_k must be >= 0")
+        if self.aggregator == TRIMMED_MEAN and self.select_k <= 2 * self.trim_k:
+            raise ValueError(f"select_k={self.select_k} must exceed "
+                             f"2*trim_k={2 * self.trim_k} for trimmed_mean")
+        if self.partition not in (D.IID, D.LABEL_SKEW):
+            raise ValueError(f"partition must be {D.IID!r} or {D.LABEL_SKEW!r}")
+        if self.root_size < 1:
+            raise ValueError("root_size must be >= 1")
+        if self.pretrain_epochs < 0:
+            raise ValueError("pretrain_epochs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -232,52 +255,38 @@ def assign_roles(n_clients: int, adv_ratio: float, seed: int) -> list[str]:
 
 
 def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
-              cfg: FLConfig, round_index: int,
-              server_root: D.LabeledDataset | None = None,
-              probe_images=None, reference_weights=None,
-              test: D.LabeledDataset | None = None,
-              ) -> tuple[list[np.ndarray], RoundMetrics | None]:
-    """One federated round; returns the new global plus optional metrics.
+              fl: FLConfig, grid: A.GridSpec, seed: int, round_index: int,
+              server_root: D.LabeledDataset | None = None) -> list[np.ndarray]:
+    """One federated round; returns the new global weights.
 
-    Adversarial clients re-poison their shard against the incoming global
-    every round, so the attack tracks the model as it drifts.  When
-    ``probe_images`` is given the new global is scored against
-    ``reference_weights`` (normally the vanilla twin at the same round).
+    Adversarial clients re-poison their shard with ``grid`` against the
+    incoming global every round, so the attack tracks the model as it drifts.
     """
-    selected = select_clients(len(clients), cfg.select_k, cfg.seed, round_index)
+    selected = select_clients(len(clients), fl.select_k, seed, round_index)
     updates: list[tuple[list[np.ndarray], int]] = []
     for cid in selected:
         client = clients[cid]
         shard = client.data
         if client.role == ADVERSARIAL:
-            shard, _ = A.poison_dataset(spec, global_weights, shard, cfg.grid)
-        local_seed = _child_seed(cfg.seed, _TAG_LOCAL, round_index, int(cid))
-        w_i = M.train(spec, global_weights, shard, cfg.local_epochs,
-                      lr=cfg.lr, batch=cfg.batch, seed=local_seed)
+            shard, _ = A.poison_dataset(spec, global_weights, shard, grid)
+        local_seed = _child_seed(seed, _TAG_LOCAL, round_index, int(cid))
+        w_i = M.train(spec, global_weights, shard, fl.local_epochs,
+                      lr=fl.lr, batch=fl.batch, seed=local_seed)
         updates.append((w_i, len(shard)))
 
-    if cfg.aggregator == FEDAVG:
-        new_global = fedavg(updates)
-    elif cfg.aggregator == TRIMMED_MEAN:
-        new_global = trimmed_mean([w for w, _ in updates], cfg.trim_k)
-    elif cfg.aggregator == MEDIAN:
-        new_global = median([w for w, _ in updates])
-    else:  # FLTRUST
-        if server_root is None:
-            raise ValueError("fltrust aggregation needs a server_root dataset")
-        server_seed = _child_seed(cfg.seed, _TAG_SERVER, round_index)
-        server_w = M.train(spec, global_weights, server_root, cfg.local_epochs,
-                           lr=cfg.lr, batch=cfg.batch, seed=server_seed)
-        new_global = fltrust(global_weights, [w for w, _ in updates], server_w)
-
-    metrics = None
-    if probe_images is not None:
-        reference = reference_weights if reference_weights is not None else new_global
-        adv_ratio = sum(c.role == ADVERSARIAL for c in clients) / len(clients)
-        metrics = compute_round_metrics(spec, reference, new_global, probe_images,
-                                        test=test, round_index=round_index,
-                                        adv_ratio=adv_ratio)
-    return new_global, metrics
+    if fl.aggregator == FEDAVG:
+        return fedavg(updates)
+    if fl.aggregator == TRIMMED_MEAN:
+        return trimmed_mean([w for w, _ in updates], fl.trim_k)
+    if fl.aggregator == MEDIAN:
+        return median([w for w, _ in updates])
+    # FLTRUST
+    if server_root is None:
+        raise ValueError("fltrust aggregation needs a server_root dataset")
+    server_seed = _child_seed(seed, _TAG_SERVER, round_index)
+    server_w = M.train(spec, global_weights, server_root, fl.local_epochs,
+                       lr=fl.lr, batch=fl.batch, seed=server_seed)
+    return fltrust(global_weights, [w for w, _ in updates], server_w)
 
 
 def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,

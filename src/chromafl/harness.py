@@ -87,8 +87,8 @@ def prepare_data(cfg: ExperimentConfig) -> tuple[D.LabeledDataset, D.LabeledData
         root = D.generate_shapes(cfg.fl.root_size, classes=d.classes, size=d.size,
                                  seed=_sub_seed(cfg.seed, _TAG_ROOT))
         return train, test, root
-    full = D.load_cifar10(d.path)
     need = d.n_train + d.n_test + cfg.fl.root_size
+    full = D.load_cifar10(d.path, limit=need)
     if len(full) < need:
         raise D.DataError(f"{d.path}: need {need} records "
                           f"(train {d.n_train} + test {d.n_test} + root "
@@ -100,21 +100,20 @@ def prepare_data(cfg: ExperimentConfig) -> tuple[D.LabeledDataset, D.LabeledData
     return train, test, root
 
 
-def _dataset_geometry(cfg: ExperimentConfig) -> tuple[int, int]:
-    if cfg.dataset.kind == SHAPES:
-        return cfg.dataset.size, cfg.dataset.classes
-    return 32, 10
+def _model_spec(cfg: ExperimentConfig, model_cfg) -> M.ModelSpec:
+    """The model section's spec at the dataset's image size and class count."""
+    d = cfg.dataset
+    size, classes = (d.size, d.classes) if d.kind == SHAPES else (32, 10)
+    try:
+        return model_cfg.to_spec(size, classes)
+    except ValueError as e:
+        raise ConfigError(f"model: {e}") from e
 
 
 def train_model(cfg: ExperimentConfig, train_ds: D.LabeledDataset,
                 model_cfg=None, tag: int = _TAG_MODEL):
     """Train a fresh model for this config; returns (spec, weights)."""
-    size, classes = _dataset_geometry(cfg)
-    mc = model_cfg if model_cfg is not None else cfg.model
-    try:
-        spec = mc.to_spec(size, classes)
-    except ValueError as e:
-        raise ConfigError(f"model: {e}") from e
+    spec = _model_spec(cfg, model_cfg if model_cfg is not None else cfg.model)
     init = M.build(spec, seed=_sub_seed(cfg.seed, tag))
     weights = M.train(spec, init, train_ds, cfg.train.epochs, lr=cfg.train.lr,
                       batch=cfg.train.batch, seed=_sub_seed(cfg.seed, tag, 1))
@@ -150,7 +149,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.n_samples)
     perturbed, outcomes, base_preds, pert_preds = _attack_images(
-        spec, weights, subset.images, cfg.grid.to_grid())
+        spec, weights, subset.images, cfg.grid)
     attack_acc = 100.0 * float((base_preds == pert_preds).mean())
 
     sample_rows = []
@@ -203,25 +202,15 @@ def run_fl_streams(cfg: ExperimentConfig, heatmap_dir: str | None = None) -> dic
     The twin shares the seed, partition, selection, and local-training
     streams, differing only in that no client poisons its shard; at
     adv_ratio = 0 the two streams are the same computation bit for bit.
+    Callers check first that every client gets a sample (``_check_clients_fit``).
     """
-    if cfg.fl.n_clients > cfg.dataset.n_train:
-        raise ConfigError(f"fl.n_clients={cfg.fl.n_clients} exceeds "
-                          f"dataset.n_train={cfg.dataset.n_train} (after --limit)")
     train, test, root = prepare_data(cfg)
-    size, classes = _dataset_geometry(cfg)
-    try:
-        spec = cfg.model.to_spec(size, classes)
-    except ValueError as e:
-        raise ConfigError(f"model: {e}") from e
+    spec = _model_spec(cfg, cfg.model)
 
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
+    adv_share = roles.count(F.ADVERSARIAL) / len(roles)
     clients = _build_clients(train, cfg, roles)
     twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
-
-    flcfg = F.FLConfig(select_k=cfg.fl.select_k, local_epochs=cfg.fl.local_epochs,
-                       lr=cfg.fl.lr, batch=cfg.fl.batch,
-                       aggregator=cfg.fl.aggregator, trim_k=cfg.fl.trim_k,
-                       seed=cfg.seed, grid=cfg.grid.to_grid())
     server_root = root if cfg.fl.aggregator == F.FLTRUST else None
     probe = test.images[:min(cfg.metrics.probe_size, len(test))]
 
@@ -235,12 +224,12 @@ def run_fl_streams(cfg: ExperimentConfig, heatmap_dir: str | None = None) -> dic
     rounds: list[F.RoundMetrics] = []
     drift_rows = []
     for t in range(1, cfg.fl.rounds + 1):
-        w_twin, _ = F.run_round(spec, w_twin, twin_clients, flcfg, t,
-                                server_root=server_root)
-        w_main, metrics = F.run_round(spec, w_main, clients, flcfg, t,
-                                      server_root=server_root,
-                                      probe_images=probe,
-                                      reference_weights=w_twin, test=test)
+        w_twin = F.run_round(spec, w_twin, twin_clients, cfg.fl, cfg.grid,
+                             cfg.seed, t, server_root=server_root)
+        w_main = F.run_round(spec, w_main, clients, cfg.fl, cfg.grid,
+                             cfg.seed, t, server_root=server_root)
+        metrics = F.compute_round_metrics(spec, w_twin, w_main, probe, test=test,
+                                          round_index=t, adv_ratio=adv_share)
         rounds.append(metrics)
         twin_acc = 100.0 * M.accuracy(spec, w_twin, test)
         drift_rows.append((t, cfg.fl.adv_ratio, 1.0 - metrics.ssim_gc_mean,
@@ -264,8 +253,15 @@ def run_fl_streams(cfg: ExperimentConfig, heatmap_dir: str | None = None) -> dic
             "r_squared": r_squared, "probe": probe, "test": test}
 
 
+def _check_clients_fit(cfg: ExperimentConfig) -> None:
+    if cfg.fl.n_clients > cfg.dataset.n_train:
+        raise ConfigError(f"fl.n_clients={cfg.fl.n_clients} exceeds "
+                          f"dataset.n_train={cfg.dataset.n_train} (after --limit)")
+
+
 def cmd_fl(cfg: ExperimentConfig) -> dict:
     """Federated attack run plus its vanilla twin; per-round CSV reports."""
+    _check_clients_fit(cfg)
     out = _outdir(cfg, "fl")
     heat = os.path.join(out, "heatmaps")
     if cfg.metrics.heatmap_dumps:
@@ -309,7 +305,7 @@ def cmd_ablation(cfg: ExperimentConfig) -> dict:
              ("rescale", A.GridSpec.rescale_only(cfg.grid.alpha,
                                                  cfg.grid.per_channel)),
              ("jitter", A.GridSpec.jitter_only(cfg.grid.gamma, cfg.grid.beta)),
-             ("combined", cfg.grid.to_grid()))
+             ("combined", cfg.grid))
     rows = []
     by_operator = {}
     for name, grid in grids:
@@ -357,8 +353,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.compare_samples)
     images = subset.images
-    _, outcomes, base_preds, pert_preds = _attack_images(spec, weights, images,
-                                                         cfg.grid.to_grid())
+    _, outcomes, base_preds, pert_preds = _attack_images(spec, weights, images, cfg.grid)
     cpm = {"scale": float("nan"),
            "flips": int((pert_preds != base_preds).sum()),
            "preserved_pct": 100.0 * float((pert_preds == base_preds).mean()),
@@ -416,8 +411,7 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
     spec_b, w_b = train_model(cfg, train, cfg.transfer_model, tag=_TAG_MODEL_B)
     subset = _attack_set(test, cfg.attack.n_samples)
     images = subset.images
-    perturbed, outcomes, preds_a, pert_a = _attack_images(spec_a, w_a, images,
-                                                          cfg.grid.to_grid())
+    perturbed, outcomes, preds_a, pert_a = _attack_images(spec_a, w_a, images, cfg.grid)
     same_row = ("same_arch", spec_a.arch,
                 100.0 * float((pert_a == preds_a).mean()),
                 float(np.mean([o.ssim for o in outcomes])))
@@ -443,10 +437,11 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
 
 def cmd_robust(cfg: ExperimentConfig) -> dict:
     """Rerun the federated attack under each aggregator with shared seeds."""
-    out = _outdir(cfg, "robust")
+    _check_clients_fit(cfg)
     if cfg.fl.select_k <= 2 * cfg.fl.trim_k:
         raise ConfigError(f"fl.select_k={cfg.fl.select_k} must exceed "
                           f"2*trim_k={2 * cfg.fl.trim_k} for trimmed_mean")
+    out = _outdir(cfg, "robust")
     rows = []
     runs = {}
     for agg in F.AGGREGATORS:
@@ -485,7 +480,7 @@ def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
                           f"(0..{len(test) - 1})")
     spec, weights = train_model(cfg, train)
     x = test.images[sample_id]
-    pert, outcome = A.cpm_perturb(spec, weights, x, cfg.grid.to_grid())
+    pert, outcome = A.cpm_perturb(spec, weights, x, cfg.grid)
     cam_orig = S.grad_cam(spec, weights, x, outcome.label)
     cam_pert = S.grad_cam(spec, weights, pert, outcome.label)
     _dump_pair(out, f"sample_{sample_id:05d}_orig", x, cam_orig)

@@ -18,7 +18,6 @@ import time
 import numpy as np
 import pytest
 
-import chromafl.attack as A
 import chromafl.data as D
 import chromafl.federated as F
 import chromafl.harness as H

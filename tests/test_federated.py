@@ -172,9 +172,9 @@ def fl_setup():
 
 def test_run_round_is_deterministic(fl_setup):
     spec, weights, clients, _ = fl_setup
-    cfg = F.FLConfig(select_k=2, local_epochs=1, seed=3, grid=SMALL_GRID)
-    w1, _ = F.run_round(spec, weights, clients, cfg, 1)
-    w2, _ = F.run_round(spec, weights, clients, cfg, 1)
+    cfg = F.FLConfig(select_k=2, local_epochs=1)
+    w1 = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
+    w2 = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
     for a, b in zip(w1, w2):
         np.testing.assert_array_equal(a, b)
     assert any(not np.array_equal(a, b) for a, b in zip(w1, weights))
@@ -182,25 +182,25 @@ def test_run_round_is_deterministic(fl_setup):
 
 def test_run_round_with_adversaries_diverges_from_benign_round(fl_setup):
     spec, weights, clients, _ = fl_setup
-    cfg = F.FLConfig(select_k=2, local_epochs=1, seed=3, grid=SMALL_GRID)
+    cfg = F.FLConfig(select_k=2, local_epochs=1)
     attacked = [F.ClientState(c.cid, F.ADVERSARIAL, c.data) for c in clients]
-    w_benign, _ = F.run_round(spec, weights, clients, cfg, 1)
-    w_adv, _ = F.run_round(spec, weights, attacked, cfg, 1)
+    w_benign = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
+    w_adv = F.run_round(spec, weights, attacked, cfg, SMALL_GRID, 3, 1)
     assert any(not np.array_equal(a, b) for a, b in zip(w_benign, w_adv))
 
 
 def test_run_round_zero_epochs_leaves_global_unchanged(fl_setup):
     spec, weights, clients, _ = fl_setup
-    cfg = F.FLConfig(select_k=3, local_epochs=0, seed=3, grid=SMALL_GRID)
-    w, _ = F.run_round(spec, weights, clients, cfg, 1)
+    cfg = F.FLConfig(select_k=3, local_epochs=0)
+    w = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
     for a, b in zip(w, weights):
         np.testing.assert_array_equal(a, b)
 
 
 def test_run_round_single_client_returns_its_local_weights(fl_setup):
     spec, weights, clients, _ = fl_setup
-    cfg = F.FLConfig(select_k=1, local_epochs=1, seed=6, grid=SMALL_GRID)
-    w, _ = F.run_round(spec, weights, clients, cfg, 2)
+    cfg = F.FLConfig(select_k=1, local_epochs=1)
+    w = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 6, 2)
     cid = int(F.select_clients(len(clients), 1, 6, 2)[0])
     local_seed = F._child_seed(6, F._TAG_LOCAL, 2, cid)
     expect = M.train(spec, weights, clients[cid].data, 1,
@@ -211,11 +211,10 @@ def test_run_round_single_client_returns_its_local_weights(fl_setup):
 
 def test_run_round_emits_metrics_against_reference(fl_setup):
     spec, weights, clients, train = fl_setup
-    cfg = F.FLConfig(select_k=2, local_epochs=1, seed=3, grid=SMALL_GRID)
-    w, metrics = F.run_round(spec, weights, clients, cfg, 1,
-                             probe_images=train.images[:8],
-                             reference_weights=weights)
-    assert metrics is not None
+    cfg = F.FLConfig(select_k=2, local_epochs=1)
+    w = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
+    metrics = F.compute_round_metrics(spec, weights, w, train.images[:8],
+                                      round_index=1)
     assert metrics.round == 1
     assert metrics.adv_ratio == 0.0
     assert 0.0 <= metrics.fidelity_pct <= 100.0
@@ -224,11 +223,11 @@ def test_run_round_emits_metrics_against_reference(fl_setup):
 
 def test_run_round_fltrust_requires_root(fl_setup):
     spec, weights, clients, train = fl_setup
-    cfg = F.FLConfig(select_k=2, aggregator=F.FLTRUST, seed=3, grid=SMALL_GRID)
+    cfg = F.FLConfig(select_k=2, aggregator=F.FLTRUST)
     with pytest.raises(ValueError, match="server_root"):
-        F.run_round(spec, weights, clients, cfg, 1)
+        F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
     root = train.subset(range(16))
-    w, _ = F.run_round(spec, weights, clients, cfg, 1, server_root=root)
+    w = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1, server_root=root)
     assert any(not np.array_equal(a, b) for a, b in zip(w, weights))
 
 
@@ -251,8 +250,8 @@ def test_round_metrics_are_exact_for_identical_models(fl_setup):
 
 def test_round_metrics_detect_weight_change(fl_setup):
     spec, weights, clients, train = fl_setup
-    cfg = F.FLConfig(select_k=2, local_epochs=1, lr=0.2, seed=9, grid=SMALL_GRID)
-    moved, _ = F.run_round(spec, weights, clients, cfg, 1)
+    cfg = F.FLConfig(select_k=2, local_epochs=1, lr=0.2)
+    moved = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 9, 1)
     m = F.compute_round_metrics(spec, weights, moved, train.images[:12])
     assert m.ssim_gc_mean < 1.0
     assert m.l1_mean > 0.0
@@ -304,3 +303,9 @@ def test_flconfig_validation():
         F.FLConfig(aggregator="krum")
     with pytest.raises(ValueError, match="select_k"):
         F.FLConfig(select_k=0)
+    with pytest.raises(ValueError, match="select_k"):
+        F.FLConfig(n_clients=4, select_k=5)
+    with pytest.raises(ValueError, match="trim_k"):
+        F.FLConfig(trim_k=-1)
+    with pytest.raises(ValueError, match="trim_k"):
+        F.FLConfig(aggregator=F.TRIMMED_MEAN, select_k=2, trim_k=1)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import chromafl.attack as A
 import chromafl.cli as cli
 import chromafl.data as D
 import chromafl.federated as F
@@ -45,7 +46,33 @@ def test_defaults_config_is_valid():
     cfg = ExperimentConfig()
     assert cfg.dataset.kind == "shapes"
     assert cfg.fl.aggregator == "fedavg"
-    assert cfg.grid.to_grid().max_candidates == 500
+    assert cfg.grid.max_candidates == 500
+    assert isinstance(cfg.grid, A.GridSpec)
+    assert isinstance(cfg.fl, F.FLConfig)
+
+
+def _readme_defaults() -> dict:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Configuration", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_readme_defaults_block_is_the_default_config():
+    doc = _readme_defaults()
+    assert parse_config(doc) == ExperimentConfig()
+    named = set()
+    for key, value in doc.items():
+        named |= {f"{key}.{k}" for k in value} if isinstance(value, dict) else {key}
+    defaults = ExperimentConfig()
+    settable = set()
+    for f in dataclasses.fields(defaults):
+        value = getattr(defaults, f.name)
+        settable |= ({f"{f.name}.{g.name}" for g in dataclasses.fields(value)}
+                     if dataclasses.is_dataclass(value) else {f.name})
+    assert len(settable) == 39
+    assert named == settable
 
 
 def test_unknown_keys_fail_fast():
@@ -77,11 +104,33 @@ def test_value_validation():
         parse_config({"metrics": {"k_fraction": 0.1}})
     with pytest.raises(ConfigError, match="unknown key.*limit"):
         parse_config({"dataset": {"limit": 5}})
+    with pytest.raises(ConfigError, match="fl: trim_k must be >= 0"):
+        parse_config({"fl": {"trim_k": -1}})
+    with pytest.raises(ConfigError, match="grid: alpha grid value 2.0"):
+        parse_config({"grid": {"alpha": [1.0, 2.0]}})
+    # a value must have the JSON type of its field's default
+    for section, key, value, expected in [
+            ("train", "lr", "x", "a number"),
+            ("train", "lr", True, "a number"),
+            ("train", "epochs", 2.5, "an integer"),
+            ("fl", "select_k", False, "an integer"),
+            ("fl", "aggregator", 3, "a string"),
+            ("grid", "composites", 1, "true or false"),
+            ("grid", "hue", "abc", "a list of numbers"),
+            ("grid", "alpha", [1.0, "x"], "a list of numbers"),
+            ("grid", "gamma", [True], "a list of numbers"),
+            ("dataset", "path", 7, "a string or null"),
+            ("dataset", "n_train", None, "an integer")]:
+        with pytest.raises(ConfigError, match=f"^{section}: {key} must be {expected}"):
+            parse_config({section: {key: value}})
+    cfg = parse_config({"train": {"lr": 1}, "grid": {"alpha": [1, 1.2]},
+                        "dataset": {"path": None}})
+    assert cfg.train.lr == 1 and cfg.grid.alpha == (1, 1.2)
 
 
 def test_json_lists_become_grid_tuples(tmp_path):
     cfg = tiny_cfg(tmp_path)
-    grid = cfg.grid.to_grid()
+    grid = cfg.grid
     assert grid.hue == (0.0, 0.1, -0.1)
     assert grid.per_channel is False
 
@@ -158,6 +207,25 @@ def test_prepare_data_cifar_splits_are_disjoint_slices(tmp_path):
     doc["dataset"]["n_train"] = 60
     with pytest.raises(D.DataError, match="need"):
         H.prepare_data(parse_config(doc))
+
+
+def test_prepare_data_cifar_decodes_only_needed_records(tmp_path, monkeypatch):
+    ds = D.generate_shapes(50, classes=4, size=32, seed=6)
+    D.write_cifar10(str(tmp_path / "batch_0.bin"), ds)
+    full = D.load_cifar10(str(tmp_path))
+    decoded = []
+    decode = D._decode_cifar_planes
+    monkeypatch.setattr(D, "_decode_cifar_planes",
+                        lambda raw: decoded.append(len(raw)) or decode(raw))
+    doc = tiny_doc(tmp_path)
+    doc["dataset"] = {"kind": "cifar10", "path": str(tmp_path),
+                      "n_train": 20, "n_test": 10}
+    doc["fl"]["root_size"] = 4
+    train, test, root = H.prepare_data(parse_config(doc))
+    assert decoded == [34]
+    np.testing.assert_array_equal(train.images, full.images[:20])
+    np.testing.assert_array_equal(test.labels, full.labels[20:30])
+    np.testing.assert_array_equal(root.images, full.images[30:34])
 
 
 # ---------------------------------------------------------------- baseline
@@ -386,6 +454,22 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "n_clients" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "fl").exists()
+    # robust always runs trimmed_mean, which needs select_k > 2*trim_k
+    untrimmable = tmp_path / "untrimmable.json"
+    untrimmable.write_text(json.dumps({"fl": {"select_k": 2, "trim_k": 1},
+                                       "out": str(tmp_path)}))
+    assert cli.main(["robust", "--config", str(untrimmable)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "robust").exists()
+    # a value FLConfig rejects is a config error at parse time
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({"fl": {"trim_k": -1}, "out": str(tmp_path)}))
+    assert cli.main(["fl", "--config", str(negative)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "trim_k" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "fl").exists()
 
 
 def test_cli_seed_and_out_flags_override_config(tmp_path):

@@ -13,7 +13,6 @@ import pytest
 
 from chromafl import models as M
 from chromafl import saliency as S
-from chromafl import tensor as T
 
 
 # ---------------------------------------------------------------- oracles
