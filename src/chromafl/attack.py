@@ -22,6 +22,7 @@ from . import color as C
 from . import data as D
 from . import models as M
 from . import saliency as S
+from . import tensor as T
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,16 @@ def cpm_perturb(spec: M.ModelSpec, weights, x, grid: GridSpec
     if arr.ndim != 3:
         raise ValueError(f"cpm_perturb takes one (H, W, 3) image, got shape {arr.shape}")
     thetas = grid.candidates()
-    imgs = np.stack([C.apply(t, arr) for t in thetas])
-    labels, _ = M.predict_batch(spec, weights, imgs)
+    imgs = C.apply_each(thetas, arr)
+    # one taped pass gives the labels and every candidate's Grad-CAM gradient
+    logits, captured, tape = M.forward(spec, weights, imgs, tape=T.Tape())
+    labels = logits.data.argmax(axis=1)
     base_label = int(labels[0])  # candidate 0 is the untouched image
-    feasible = np.flatnonzero(labels == base_label)
-    cams = S.grad_cam(spec, weights, imgs[feasible], base_label)
-    base_pos = int(np.flatnonzero(feasible == 0)[0])
-    scores = S.ssim(np.broadcast_to(cams[base_pos], cams.shape), cams)
+    feasible = np.flatnonzero(labels == base_label)  # starts with candidate 0
+    g, acts = S._capture_grads(logits, captured, tape, base_label)
+    g, acts = g[feasible], acts[feasible]
+    cams = S._weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size)
+    scores = S.ssim(np.broadcast_to(cams[0], cams.shape), cams)
 
     best_pos = 0
     for pos in range(len(feasible)):

@@ -12,7 +12,7 @@ map and a partial parameter set equal to the lone active operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,6 +170,15 @@ def apply(theta: PerturbationParams, x) -> np.ndarray:
     if theta.gamma != 1.0 or theta.beta != 0.0:
         out = contrast_jitter(out, theta.gamma, theta.beta)
     return arr.copy() if out is arr else out
+
+
+def apply_each(thetas, x) -> np.ndarray:
+    """``np.stack([apply(t, x) for t in thetas])``, hue-shifting ``x`` once
+    per distinct non-zero delta and applying the other operators on top."""
+    arr = _check_rgb(x)
+    hued = {d: hue_shift(arr, d) for d in {t.delta for t in thetas} if d != 0.0}
+    return np.stack([apply(replace(t, delta=0.0), hued.get(t.delta, arr))
+                     for t in thetas])
 
 
 # ------------------------------------------------------------------ CIEDE2000

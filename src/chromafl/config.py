@@ -8,13 +8,16 @@ The ``grid`` and ``fl`` sections are the library's own parameter objects,
 ``attack.GridSpec`` and ``federated.FLConfig``, so each setting has one
 definition and one set of checks.  Every section is built by ``_build``,
 which rejects values of the wrong JSON type (a field's default names the
-type) and turns a section's ``ValueError`` into ``ConfigError("<section>: …")``.
+type) and non-finite numbers, stores numbers given for float fields as
+floats, and turns a section's ``ValueError`` into
+``ConfigError("<section>: …")``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import attack as A
@@ -129,24 +132,39 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# a field's default names the JSON type it accepts
+def _as_float(key: str, v) -> float:
+    """A JSON number as a float; ``NaN``, ``±Infinity`` and overflow are errors."""
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"{key} must be finite, got {v!r}")
+    return f
+
+
+# a field's default names the JSON type it accepts and how the value is
+# stored: numbers for float fields become finite floats, lists become tuples
 _JSON_TYPES = (
-    (bool, "true or false", lambda v: isinstance(v, bool)),
-    (int, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    (float, "a number", _is_number),
-    (str, "a string", lambda v: isinstance(v, str)),
-    (type(None), "a string or null", lambda v: v is None or isinstance(v, str)),
+    (bool, "true or false", lambda v: isinstance(v, bool), None),
+    (int, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), None),
+    (float, "a number", _is_number, _as_float),
+    (str, "a string", lambda v: isinstance(v, str), None),
+    (type(None), "a string or null", lambda v: v is None or isinstance(v, str), None),
     (tuple, "a list of numbers",
-     lambda v: isinstance(v, list) and all(_is_number(x) for x in v)),
+     lambda v: isinstance(v, list) and all(_is_number(x) for x in v),
+     lambda key, v: tuple(_as_float(key, x) for x in v)),
 )
 
 
-def _check_type(key: str, value, default) -> None:
-    for kind, expected, accepts in _JSON_TYPES:
+def _checked(key: str, value, default):
+    """``value`` as its field stores it, if it has the JSON type of ``default``."""
+    for kind, expected, accepts, convert in _JSON_TYPES:
         if isinstance(default, kind):
             if not accepts(value):
                 raise ValueError(f"{key} must be {expected}, got {value!r}")
-            return
+            return convert(key, value) if convert else value
+    return value
 
 
 def _build(cls, section, where: str):
@@ -158,10 +176,7 @@ def _build(cls, section, where: str):
     if unknown:
         raise ConfigError(f"{where}: unknown key(s): {', '.join(unknown)}")
     try:
-        for key, value in section.items():
-            _check_type(key, value, defaults[key])
-        return cls(**{k: tuple(v) if isinstance(v, list) else v
-                      for k, v in section.items()})
+        return cls(**{k: _checked(k, v, defaults[k]) for k, v in section.items()})
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -198,7 +213,7 @@ def load_config(path: str | None) -> ExperimentConfig:
             doc = json.load(fh)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad syntax, bad UTF-8, an integer too long to parse
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     return parse_config(doc)
 

@@ -83,6 +83,12 @@ class FLConfig:
             raise ValueError("adv_ratio must be in [0, 1]")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.local_epochs < 0:
+            raise ValueError("local_epochs must be >= 0")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
         if self.select_k < 1 or self.select_k > self.n_clients:
             raise ValueError("select_k must be in 1..n_clients")
         if self.aggregator not in AGGREGATORS:

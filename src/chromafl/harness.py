@@ -68,6 +68,8 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 def _outdir(cfg: ExperimentConfig, command: str) -> str:
+    """Make ``<out>/<command>``; commands call it once their data has loaded,
+    so a config or data error leaves no empty directory behind."""
     path = os.path.join(cfg.out, command)
     os.makedirs(path, exist_ok=True)
     return path
@@ -144,8 +146,8 @@ def _dump_pair(out_dir: str, stem: str, image: np.ndarray, cam: np.ndarray) -> N
 
 def cmd_baseline(cfg: ExperimentConfig) -> dict:
     """Single-model attack: perturb test samples, report SSIM degradation."""
-    out = _outdir(cfg, "baseline")
     train, test, _ = prepare_data(cfg)
+    out = _outdir(cfg, "baseline")
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.n_samples)
     perturbed, outcomes, base_preds, pert_preds = _attack_images(
@@ -203,9 +205,12 @@ def run_fl_streams(cfg: ExperimentConfig, heatmap_dir: str | None = None) -> dic
     streams, differing only in that no client poisons its shard; at
     adv_ratio = 0 the two streams are the same computation bit for bit.
     Callers check first that every client gets a sample (``_check_clients_fit``).
+    ``heatmap_dir`` is made once the data has loaded.
     """
     train, test, root = prepare_data(cfg)
     spec = _model_spec(cfg, cfg.model)
+    if heatmap_dir:
+        os.makedirs(heatmap_dir, exist_ok=True)
 
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
     adv_share = roles.count(F.ADVERSARIAL) / len(roles)
@@ -262,11 +267,9 @@ def _check_clients_fit(cfg: ExperimentConfig) -> None:
 def cmd_fl(cfg: ExperimentConfig) -> dict:
     """Federated attack run plus its vanilla twin; per-round CSV reports."""
     _check_clients_fit(cfg)
+    heat = os.path.join(cfg.out, "fl", "heatmaps") if cfg.metrics.heatmap_dumps else None
+    res = run_fl_streams(cfg, heatmap_dir=heat)
     out = _outdir(cfg, "fl")
-    heat = os.path.join(out, "heatmaps")
-    if cfg.metrics.heatmap_dumps:
-        os.makedirs(heat, exist_ok=True)
-    res = run_fl_streams(cfg, heatmap_dir=heat if cfg.metrics.heatmap_dumps else None)
 
     rounds_csv = write_csv(os.path.join(out, "rounds.csv"),
                            F.RoundMetrics.FIELDS,
@@ -296,8 +299,8 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
 
 def cmd_ablation(cfg: ExperimentConfig) -> dict:
     """Attack the same samples with single-operator grids and the full grid."""
-    out = _outdir(cfg, "ablation")
     train, test, _ = prepare_data(cfg)
+    out = _outdir(cfg, "ablation")
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.n_samples)
 
@@ -348,8 +351,8 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     bisection on its strength knob) until its mean ΔE00 matches the grid
     attack's within the configured tolerance.
     """
-    out = _outdir(cfg, "compare")
     train, test, _ = prepare_data(cfg)
+    out = _outdir(cfg, "compare")
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.compare_samples)
     images = subset.images
@@ -405,8 +408,8 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 
 def cmd_transfer(cfg: ExperimentConfig) -> dict:
     """Craft attacks on one architecture, replay them on another."""
-    out = _outdir(cfg, "transfer")
     train, test, _ = prepare_data(cfg)
+    out = _outdir(cfg, "transfer")
     spec_a, w_a = train_model(cfg, train, cfg.model, tag=_TAG_MODEL)
     spec_b, w_b = train_model(cfg, train, cfg.transfer_model, tag=_TAG_MODEL_B)
     subset = _attack_set(test, cfg.attack.n_samples)
@@ -441,7 +444,6 @@ def cmd_robust(cfg: ExperimentConfig) -> dict:
     if cfg.fl.select_k <= 2 * cfg.fl.trim_k:
         raise ConfigError(f"fl.select_k={cfg.fl.select_k} must exceed "
                           f"2*trim_k={2 * cfg.fl.trim_k} for trimmed_mean")
-    out = _outdir(cfg, "robust")
     rows = []
     runs = {}
     for agg in F.AGGREGATORS:
@@ -452,6 +454,7 @@ def cmd_robust(cfg: ExperimentConfig) -> dict:
                      final.ssim_gc_mean, final.ssim_gcpp_mean,
                      final.peak_pct_mean, final.l1_mean))
         runs[agg] = res
+    out = _outdir(cfg, "robust")
     robust_csv = write_csv(os.path.join(out, "robust.csv"),
                            ("aggregator", "accuracy", "fidelity_pct", "ssim_gc",
                             "ssim_gcpp", "peak_pct", "l1"), rows)
@@ -473,11 +476,11 @@ def cmd_gen_data(cfg: ExperimentConfig) -> dict:
 
 def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
     """Attack one test sample and dump its image/heatmap pair."""
-    out = _outdir(cfg, "inspect")
     train, test, _ = prepare_data(cfg)
     if not 0 <= sample_id < len(test):
         raise ConfigError(f"sample id {sample_id} outside test set "
                           f"(0..{len(test) - 1})")
+    out = _outdir(cfg, "inspect")
     spec, weights = train_model(cfg, train)
     x = test.images[sample_id]
     pert, outcome = A.cpm_perturb(spec, weights, x, cfg.grid)

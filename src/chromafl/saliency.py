@@ -75,11 +75,11 @@ def upsample_bilinear(m, out_h: int, out_w: int):
 
 # ---------------------------------------------------------------- producers
 
-def _capture_grads(spec: M.ModelSpec, weights, xb, class_id):
-    """One taped pass: d(logit_class)/d(capture activation) and the activation."""
-    tape = T.Tape()
-    logits, captured, _ = M.forward(spec, weights, xb, tape=tape)
-    ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), (xb.shape[0],))
+def _capture_grads(logits: T.Tensor, captured: T.Tensor, tape: T.Tape, class_id):
+    """d(logit_class)/d(capture activation) and the activation, from the
+    result of a taped :func:`models.forward`; the tape replays only the
+    layers after the capture stage."""
+    ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), (logits.shape[0],))
     score = T.class_score(tape, logits, ids)
     g = T.grad_wrt(tape, score, captured).astype(np.float64)  # (B, h, w, K)
     return g, captured.data.astype(np.float64)
@@ -98,7 +98,7 @@ def grad_cam(spec: M.ModelSpec, weights, x, class_id):
     the weighted activation sum passes through a ReLU before upsampling.
     """
     xb, single = M._batched(x)
-    g, acts = _capture_grads(spec, weights, xb, class_id)
+    g, acts = _capture_grads(*M.forward(spec, weights, xb, tape=T.Tape()), class_id)
     return _unbatch(_weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size), single)
 
 
@@ -110,7 +110,7 @@ def grad_cams(spec: M.ModelSpec, weights, x, class_id):
     smaller than 1e-12; its channel weights are sum(a * relu(g)).
     """
     xb, single = M._batched(x)
-    g, acts = _capture_grads(spec, weights, xb, class_id)
+    g, acts = _capture_grads(*M.forward(spec, weights, xb, tape=T.Tape()), class_id)
     gc = _weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size)
     g2 = g * g
     g3 = g2 * g

@@ -85,12 +85,14 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._seen: set[int] = set()
+        self._made_by: dict[int, int] = {}  # id of a node's output -> node index
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...],
                backward: Callable[[np.ndarray], tuple]) -> None:
+        self._made_by[id(out)] = len(self._nodes)
         self._nodes.append(_Node(out, inputs, backward))
         self._seen.add(id(out))
         for t in inputs:
@@ -105,6 +107,11 @@ class Tape:
         A recorded target that the output genuinely does not depend on gets a
         zero adjoint; an unrecorded target is an error (it was never part of
         this computation, so asking for its gradient is a bug).
+
+        Only the nodes recorded after the earliest node that produced a target
+        are replayed: the nodes before it cannot reach any target, so every
+        adjoint keeps its value and summation order.  If a target is a leaf
+        (no node produced it, like a weight), the whole tape is replayed.
         """
         if output.size != 1:
             raise ValueError("gradients() expects a scalar output tensor")
@@ -116,7 +123,9 @@ class Tape:
         table: dict[int, np.ndarray] = {
             id(output): np.ones_like(output.data)
         }
-        for node in reversed(self._nodes):
+        start = min((self._made_by.get(id(t), -1) for t in targets),
+                    default=len(self._nodes)) + 1
+        for node in reversed(self._nodes[start:]):
             g = table.get(id(node.out))
             if g is None:
                 continue
@@ -193,27 +202,38 @@ def relu(tape: Tape | None, x: Tensor) -> Tensor:
     return out
 
 
+def _later_wins(first: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Where ``later`` replaces ``first`` as the running maximum: it must be
+    strictly larger, or NaN where ``first`` is not.  So ties (signed zeros
+    included) and NaNs go to the first element, as with ``argmax``."""
+    return ~(later <= first) & (first == first)
+
+
 def maxpool2(tape: Tape | None, x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; ties go to the first element in
-    row-major window order."""
+    row-major window order, and a NaN is the maximum of its window."""
     x = _as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"maxpool2 input must be (B, H, W, C), got shape {xd.shape}")
-    bsz, h, wdt, c = xd.shape
+    h, wdt = xd.shape[1:3]
     if h % 2 or wdt % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {h}x{wdt}")
-    oh, ow = h // 2, wdt // 2
-    r = xd.reshape(bsz, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5)
-    r = r.reshape(bsz, oh, ow, 4, c)  # window axis in row-major order
-    idx = r.argmax(axis=3)
-    out = Tensor(np.take_along_axis(r, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :])
+    # window element k = 2 * i + j sits at x[:, i::2, j::2]
+    a, b = xd[:, 0::2, 0::2], xd[:, 0::2, 1::2]
+    c, d = xd[:, 1::2, 0::2], xd[:, 1::2, 1::2]
+    top, bottom = _later_wins(a, b), _later_wins(c, d)
+    ab, cd = np.where(top, b, a), np.where(bottom, d, c)
+    lower = _later_wins(ab, cd)
+    out = Tensor(np.where(lower, cd, ab))
     if tape is not None:
+        idx = np.where(lower, 2 + bottom, top.astype(np.int64))
+
         def backward(g: np.ndarray):
-            scat = np.zeros_like(r)
-            np.put_along_axis(scat, idx[:, :, :, None, :], g[:, :, :, None, :], axis=3)
-            dx = scat.reshape(bsz, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-            return (dx.reshape(bsz, h, wdt, c),)
+            dx = np.zeros_like(xd)
+            for k in range(4):
+                dx[:, k // 2::2, k % 2::2] = np.where(idx == k, g, 0)
+            return (dx,)
         tape.record(out, (x,), backward)
     return out
 

@@ -129,6 +129,53 @@ def test_cpm_matches_batch_identical_rescoring(trained):
         assert np.array_equal(out, imgs[int(feasible[best])])
 
 
+def _two_pass_search(spec, ws, x, grid):
+    """The search written as a plain prediction pass, then a Grad-CAM pass
+    over the feasible candidates: (image, theta, n_feasible, ssim)."""
+    thetas = grid.candidates()
+    imgs = np.stack([C.apply(t, x) for t in thetas])
+    labels, _ = M.predict_batch(spec, ws, imgs)
+    feasible = np.flatnonzero(labels == labels[0])
+    cams = S.grad_cam(spec, ws, imgs[feasible], int(labels[0]))
+    scores = S.ssim(np.broadcast_to(cams[0], cams.shape), cams)
+    best = int(feasible[int(np.argmin(scores))])  # first minimum wins
+    return imgs[best], thetas[best], len(feasible), float(scores.min())
+
+
+@pytest.mark.parametrize("grid", [SMALL_GRID, A.GridSpec()], ids=["small", "default"])
+def test_cpm_is_exactly_the_two_pass_search(trained, grid):
+    spec, ws, data = trained
+    # an untrained ARCH_B flips more candidates and pools at its capture stage
+    spec_b = M.ModelSpec("ARCH_B", input_size=16, classes=3)
+    ws_b = M.build(spec_b, seed=5)
+    for model_spec, weights in ((spec, ws), (spec_b, ws_b)):
+        for i in range(3):
+            x = data.images[i]
+            out, outcome = A.cpm_perturb(model_spec, weights, x, grid)
+            img, theta, n_feasible, ssim = _two_pass_search(model_spec, weights, x, grid)
+            assert outcome.theta == theta
+            assert outcome.n_feasible == n_feasible
+            assert outcome.ssim == ssim
+            assert out.dtype == img.dtype and out.tobytes() == img.tobytes()
+
+
+def test_apply_each_renders_every_candidate_with_one_hue_shift_per_delta(monkeypatch):
+    x = np.random.default_rng(3).uniform(0.0, 1.0, size=(16, 16, 3)).astype(np.float32)
+    thetas = A.GridSpec().candidates()
+    want = np.stack([C.apply(t, x) for t in thetas])
+    deltas = []
+    hue_shift = C.hue_shift
+
+    def counting(img, delta):
+        deltas.append(delta)
+        return hue_shift(img, delta)
+    monkeypatch.setattr(C, "hue_shift", counting)
+    got = C.apply_each(thetas, x)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert sorted(deltas) == sorted({t.delta for t in thetas} - {0.0})
+
+
 def test_cpm_agrees_with_independent_per_sample_loop(trained):
     spec, ws, data = trained
     thetas = SMALL_GRID.candidates()

@@ -108,6 +108,23 @@ def test_value_validation():
         parse_config({"fl": {"trim_k": -1}})
     with pytest.raises(ConfigError, match="grid: alpha grid value 2.0"):
         parse_config({"grid": {"alpha": [1.0, 2.0]}})
+    # the consuming code rejects these too, so the config must
+    for section, key, value in [("fl", "lr", 0), ("fl", "lr", -0.1),
+                                ("fl", "local_epochs", -1), ("fl", "batch", 0)]:
+        with pytest.raises(ConfigError, match=f"^{section}: {key} must be"):
+            parse_config({section: {key: value}})
+    # NaN and ±Infinity pass every range check, so they are rejected as values
+    for section, key, value in [("train", "lr", float("nan")),
+                                ("fl", "adv_ratio", float("nan")),
+                                ("fl", "lr", float("inf")),
+                                ("train", "lr", 10 ** 400),  # overflows a float
+                                ("attack", "delta_e_tol", float("-inf")),
+                                ("grid", "hue", [0.0, float("nan")]),
+                                ("grid", "beta", [float("inf")])]:
+        with pytest.raises(ConfigError, match=f"^{section}: {key} must be finite"):
+            parse_config({section: {key: value}})
+    with pytest.raises(ConfigError, match="^train: lr must be finite"):
+        parse_config(json.loads('{"train": {"lr": NaN}}'))
     # a value must have the JSON type of its field's default
     for section, key, value, expected in [
             ("train", "lr", "x", "a number"),
@@ -126,6 +143,24 @@ def test_value_validation():
     cfg = parse_config({"train": {"lr": 1}, "grid": {"alpha": [1, 1.2]},
                         "dataset": {"path": None}})
     assert cfg.train.lr == 1 and cfg.grid.alpha == (1, 1.2)
+
+
+def test_integer_values_for_float_fields_become_floats(tmp_path):
+    cfg = parse_config({"fl": {"adv_ratio": 0}, "train": {"lr": 1},
+                        "grid": {"beta": [-1, 0, 1]}})
+    assert type(cfg.fl.adv_ratio) is float and type(cfg.train.lr) is float
+    assert all(type(b) is float for b in cfg.grid.beta)
+    assert type(cfg.fl.rounds) is int  # integer fields stay integers
+    # every report prints the value the same way
+    cfg = tiny_cfg(tmp_path, fl={"n_clients": 4, "select_k": 3, "rounds": 1,
+                                 "adv_ratio": 0},
+                   metrics={"probe_size": 4, "heatmap_dumps": 0})
+    rep = H.cmd_fl(cfg)
+    printed = set()
+    for key in ("rounds_csv", "drift_csv", "summary_csv"):
+        header, rows = H.read_csv(rep[key])
+        printed.update(row[header.index("adv_ratio")] for row in rows)
+    assert printed == {"0.000000000"}
 
 
 def test_json_lists_become_grid_tuples(tmp_path):
@@ -447,8 +482,9 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
     cifar = tmp_path / "cifar.json"
     cifar.write_text(json.dumps({"dataset": {"kind": "cifar10",
                                              "path": str(tmp_path / "nodir")}}))
-    assert cli.main(["baseline", "--config", str(cifar)]) == 3
+    assert cli.main(["baseline", "--config", str(cifar), "--out", str(tmp_path)]) == 3
     assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "baseline").exists()
     # fewer training samples than clients: caught before any data is built
     assert cli.main(["fl", "--limit", "5", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -470,6 +506,22 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
     assert err.startswith("config error:") and "trim_k" in err
     assert "Traceback" not in err and err.count("\n") == 1
     assert not (tmp_path / "fl").exists()
+    # a non-finite number is a config error, not a report full of NaN
+    nan_lr = tmp_path / "nan_lr.json"
+    nan_lr.write_text('{"train": {"lr": NaN}, "out": "%s"}' % tmp_path)
+    assert cli.main(["baseline", "--config", str(nan_lr)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: train: lr must be finite")
+    assert "Traceback" not in err
+    assert not (tmp_path / "baseline").exists()
+    # json refuses integers longer than 4300 digits, and bytes that are not UTF-8
+    for name, blob in (("long_int.json", b'{"seed": ' + b"1" * 5000 + b"}"),
+                       ("latin1.json", b'{"out": "caf\xe9"}')):
+        (tmp_path / name).write_bytes(blob)
+        assert cli.main(["baseline", "--config", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "invalid JSON" in err
+        assert "Traceback" not in err
 
 
 def test_cli_seed_and_out_flags_override_config(tmp_path):

@@ -7,6 +7,8 @@ independently coded straight-line oracle built from plain loops.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromafl import tensor as T
 
@@ -317,6 +319,76 @@ def test_maxpool_tie_prefers_first_in_row_major_order():
     g = T.grad_wrt(tape, y, tx)
     assert g[0, 0, 0, 0] == 1.0
     assert g[0, 0, 1, 0] == g[0, 1, 0, 0] == g[0, 1, 1, 0] == 0.0
+
+
+def _full_replay(tape, output, target):
+    """Every recorded node in reverse, adjoints summed in arrival order."""
+    table = {id(output): np.ones_like(output.data)}
+    for node in reversed(tape._nodes):
+        g = table.get(id(node.out))
+        if g is None:
+            continue
+        for t, gi in zip(node.inputs, node.backward(g)):
+            if gi is not None:
+                table[id(t)] = gi if id(t) not in table else table[id(t)] + gi
+    return table[id(target)]
+
+
+def test_gradient_of_intermediate_replays_only_later_nodes():
+    rng = np.random.default_rng(700)
+    f32 = lambda *shape: (rng.normal(size=shape) * 0.4).astype(np.float32)  # noqa: E731
+    x, w1, b1 = f32(3, 8, 8, 3), f32(3, 3, 3, 4), f32(4)
+    w2, b2, wd, bd = f32(3, 3, 4, 6), f32(6), f32(4 * 4 * 6, 3), f32(3)
+    tape = T.Tape()
+    tw1 = T.Tensor(w1)
+    h1 = T.maxpool2(tape, T.relu(tape, T.conv2d(tape, T.Tensor(x), tw1, T.Tensor(b1))))
+    n_before = len(tape)  # h1's producer is the last of these nodes
+    h2 = T.relu(tape, T.conv2d(tape, h1, T.Tensor(w2), T.Tensor(b2)))
+    score = T.class_score(tape, T.dense(tape, h2, T.Tensor(wd), T.Tensor(bd)), [0, 2, 1])
+    full_h1 = _full_replay(tape, score, h1)
+    full_w1 = _full_replay(tape, score, tw1)
+    # a leaf target (the weight) still replays the whole tape
+    g_h1, g_w1 = tape.gradients(score, [h1, tw1])
+    assert g_h1.tobytes() == full_h1.tobytes() and g_w1.tobytes() == full_w1.tobytes()
+
+    def forbidden(g):
+        raise AssertionError("replayed a node recorded before the target's producer")
+    for node in tape._nodes[:n_before]:
+        node.backward = forbidden
+    got = T.grad_wrt(tape, score, h1)
+    assert got.dtype == full_h1.dtype and got.shape == full_h1.shape
+    assert got.tobytes() == full_h1.tobytes()
+
+
+POOL_VALUES = (-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, float("inf"), float("nan"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
+                       st.integers(1, 3)),
+       data=st.data())
+def test_maxpool2_matches_argmax_reference(shape, data):
+    bsz, oh, ow, c = shape
+    n = bsz * 4 * oh * ow * c
+    vals = data.draw(st.lists(st.sampled_from(POOL_VALUES), min_size=n, max_size=n))
+    x = np.array(vals, dtype=np.float32).reshape(bsz, 2 * oh, 2 * ow, c)
+    # reference: argmax over the window axis in row-major order (the first
+    # maximum wins a tie; a NaN is the maximum, the first NaN winning)
+    r = x.reshape(bsz, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(bsz, oh, ow, 4, c)
+    idx = r.argmax(axis=3)[:, :, :, None, :]
+    ref = np.take_along_axis(r, idx, axis=3)[:, :, :, 0, :]
+    # distinct non-zero adjoints, so the backward shows which index was taken
+    g = np.arange(1, ref.size + 1, dtype=np.float32).reshape(ref.shape)
+    scat = np.zeros_like(r)
+    np.put_along_axis(scat, idx, g[:, :, :, None, :], axis=3)
+    ref_dx = scat.reshape(bsz, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(x.shape)
+
+    assert T.maxpool2(None, T.Tensor(x)).data.tobytes() == ref.tobytes()
+    tape = T.Tape()
+    y = T.maxpool2(tape, T.Tensor(x))
+    assert y.data.tobytes() == ref.tobytes()  # byte equality: signed zeros count
+    (dx,) = tape._nodes[-1].backward(g)
+    assert dx.dtype == x.dtype and dx.tobytes() == ref_dx.tobytes()
 
 
 # ---------------------------------------------------------------- sgd
