@@ -109,7 +109,12 @@ class FLConfig:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """Per-round report: utility plus interpretability degradation."""
+    """Per-round report: utility plus interpretability degradation.
+
+    ``FIELDS`` are the ``rounds.csv`` columns; ``reference_accuracy`` is the
+    reference model's test accuracy, reported as ``drift.csv``'s
+    ``twin_accuracy`` rather than in ``rounds.csv``.
+    """
 
     round: int
     adv_ratio: float
@@ -121,6 +126,7 @@ class RoundMetrics:
     ssim_gcpp_std: float
     peak_pct_mean: float
     l1_mean: float
+    reference_accuracy: float = float("nan")
 
     FIELDS = ("round", "adv_ratio", "accuracy", "fidelity_pct",
               "ssim_gc_mean", "ssim_gc_std", "ssim_gcpp_mean",
@@ -305,12 +311,15 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
     probe image, so the metric isolates explanation movement from label
     movement.  When reference and current weights are bit-identical the
     SSIM/peak/L1 columns come out exactly 1.0 / 100.0 / 0.0.
+
+    Each model runs once over the probe (labels and CAMs from one taped
+    pass) and once over the test set, whose predictions give both accuracy
+    and fidelity; without a test set, fidelity is agreement on the probe.
     """
     probe = np.asarray(probe_images)
-    ref_labels, _ = M.predict_batch(spec, reference_weights, probe)
-
-    gc_ref, gpp_ref = S.grad_cams(spec, reference_weights, probe, ref_labels)
-    gc_cur, gpp_cur = S.grad_cams(spec, current_weights, probe, ref_labels)
+    ref_labels, gc_ref, gpp_ref = S.predict_grad_cams(spec, reference_weights, probe)
+    cur_labels, gc_cur, gpp_cur = S.predict_grad_cams(spec, current_weights, probe,
+                                                      ref_labels)
 
     ssim_gc = S.ssim(gc_ref, gc_cur)
     ssim_gpp = S.ssim(gpp_ref, gpp_cur)
@@ -319,11 +328,14 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
     l1 = S.l1_distance(gc_ref, gc_cur)
 
     if test is not None:
-        acc = 100.0 * M.accuracy(spec, current_weights, test)
-        fid = 100.0 * M.agreement(spec, reference_weights, current_weights, test.images)
+        ref_preds = M.predict_labels(spec, reference_weights, test.images)
+        cur_preds = M.predict_labels(spec, current_weights, test.images)
+        acc = 100.0 * M.hit_rate(cur_preds, test.labels)
+        ref_acc = 100.0 * M.hit_rate(ref_preds, test.labels)
+        fid = 100.0 * M.hit_rate(ref_preds, cur_preds)
     else:
-        acc = float("nan")
-        fid = 100.0 * M.agreement(spec, reference_weights, current_weights, probe)
+        acc = ref_acc = float("nan")
+        fid = 100.0 * M.hit_rate(ref_labels, cur_labels)
 
     return RoundMetrics(
         round=round_index,
@@ -336,6 +348,7 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
         ssim_gcpp_std=float(ssim_gpp.std()),
         peak_pct_mean=float(peaks.mean()),
         l1_mean=float(np.asarray(l1).mean()),
+        reference_accuracy=float(ref_acc),
     )
 
 

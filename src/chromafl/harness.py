@@ -68,8 +68,9 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 def _outdir(cfg: ExperimentConfig, command: str) -> str:
-    """Make ``<out>/<command>``; commands call it once their data has loaded,
-    so a config or data error leaves no empty directory behind."""
+    """Make ``<out>/<command>``; commands call it once their results are
+    computed, so a config, data or numerical error leaves no empty directory
+    behind."""
     path = os.path.join(cfg.out, command)
     os.makedirs(path, exist_ok=True)
     return path
@@ -147,12 +148,12 @@ def _dump_pair(out_dir: str, stem: str, image: np.ndarray, cam: np.ndarray) -> N
 def cmd_baseline(cfg: ExperimentConfig) -> dict:
     """Single-model attack: perturb test samples, report SSIM degradation."""
     train, test, _ = prepare_data(cfg)
-    out = _outdir(cfg, "baseline")
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.n_samples)
     perturbed, outcomes, base_preds, pert_preds = _attack_images(
         spec, weights, subset.images, cfg.grid)
     attack_acc = 100.0 * float((base_preds == pert_preds).mean())
+    out = _outdir(cfg, "baseline")
 
     sample_rows = []
     for i, o in enumerate(outcomes):
@@ -236,9 +237,8 @@ def run_fl_streams(cfg: ExperimentConfig, heatmap_dir: str | None = None) -> dic
         metrics = F.compute_round_metrics(spec, w_twin, w_main, probe, test=test,
                                           round_index=t, adv_ratio=adv_share)
         rounds.append(metrics)
-        twin_acc = 100.0 * M.accuracy(spec, w_twin, test)
         drift_rows.append((t, cfg.fl.adv_ratio, 1.0 - metrics.ssim_gc_mean,
-                           metrics.accuracy, twin_acc))
+                           metrics.accuracy, metrics.reference_accuracy))
         if heatmap_dir:
             for j in range(min(cfg.metrics.heatmap_dumps, probe.shape[0])):
                 label, _ = M.predict_batch(spec, w_twin, probe[j])
@@ -300,7 +300,6 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
 def cmd_ablation(cfg: ExperimentConfig) -> dict:
     """Attack the same samples with single-operator grids and the full grid."""
     train, test, _ = prepare_data(cfg)
-    out = _outdir(cfg, "ablation")
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.n_samples)
 
@@ -318,6 +317,7 @@ def cmd_ablation(cfg: ExperimentConfig) -> dict:
         rows.append((name, stats["n"], stats["ssim_mean"],
                      stats["attack_success_pct"]))
         by_operator[name] = stats
+    out = _outdir(cfg, "ablation")
     ablation_csv = write_csv(os.path.join(out, "ablation.csv"),
                              ("operator", "n", "ssim_mean", "success_pct"), rows)
     return {"out_dir": out, "ablation_csv": ablation_csv, "rows": rows,
@@ -352,7 +352,6 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     attack's within the configured tolerance.
     """
     train, test, _ = prepare_data(cfg)
-    out = _outdir(cfg, "compare")
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.compare_samples)
     images = subset.images
@@ -398,6 +397,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
             ("skew_matched", matched["scale"], len(images), matched["flips"],
              matched["preserved_pct"], matched["ssim_mean"],
              matched["delta_e_mean"])]
+    out = _outdir(cfg, "compare")
     compare_csv = write_csv(os.path.join(out, "compare.csv"), header, rows)
     return {"out_dir": out, "compare_csv": compare_csv, "rows": rows,
             "cpm": cpm, "skew_full": full, "skew_matched": matched}
@@ -409,7 +409,6 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 def cmd_transfer(cfg: ExperimentConfig) -> dict:
     """Craft attacks on one architecture, replay them on another."""
     train, test, _ = prepare_data(cfg)
-    out = _outdir(cfg, "transfer")
     spec_a, w_a = train_model(cfg, train, cfg.model, tag=_TAG_MODEL)
     spec_b, w_b = train_model(cfg, train, cfg.transfer_model, tag=_TAG_MODEL_B)
     subset = _attack_set(test, cfg.attack.n_samples)
@@ -427,6 +426,7 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
                  100.0 * float((pert_b == preds_b).mean()),
                  float(S.ssim(cams_b, cams_b_pert).mean()))
 
+    out = _outdir(cfg, "transfer")
     transfer_csv = write_csv(os.path.join(out, "transfer.csv"),
                              ("setting", "arch", "preserved_pct", "ssim_mean"),
                              [same_row, cross_row])
@@ -480,12 +480,12 @@ def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
     if not 0 <= sample_id < len(test):
         raise ConfigError(f"sample id {sample_id} outside test set "
                           f"(0..{len(test) - 1})")
-    out = _outdir(cfg, "inspect")
     spec, weights = train_model(cfg, train)
     x = test.images[sample_id]
     pert, outcome = A.cpm_perturb(spec, weights, x, cfg.grid)
     cam_orig = S.grad_cam(spec, weights, x, outcome.label)
     cam_pert = S.grad_cam(spec, weights, pert, outcome.label)
+    out = _outdir(cfg, "inspect")
     _dump_pair(out, f"sample_{sample_id:05d}_orig", x, cam_orig)
     _dump_pair(out, f"sample_{sample_id:05d}_pert", pert, cam_pert)
     line = (f"sample {sample_id}: label={int(test.labels[sample_id])} "

@@ -137,8 +137,10 @@ def _batched(x) -> tuple[np.ndarray, bool]:
     raise ValueError(f"images must be (H, W, 3) or (B, H, W, 3), got shape {arr.shape}")
 
 
-def _run_stages(spec: ModelSpec, params: list[T.Tensor], x: T.Tensor,
+def _run_stages(spec: ModelSpec, params: list[T.Tensor], x: np.ndarray,
                 tape: T.Tape | None, want: str) -> tuple[T.Tensor, T.Tensor | None]:
+    """The image batch ``x`` goes in as an ndarray, a constant to the tape,
+    so no backward forms its gradient."""
     h = x
     captured = None
     for k, st in enumerate(spec.stages):
@@ -157,6 +159,7 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None,
 
     ``captured`` is the configured stage's final activation and sits on the
     same tape as the logits, so saliency code can differentiate through it.
+    Non-finite logits raise ``FloatingPointError``.
     """
     ws = _check_weights(spec, weights)
     xb, _ = _batched(x)
@@ -164,7 +167,11 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None,
         raise ValueError(f"expected {spec.input_size}x{spec.input_size} RGB input, "
                          f"got shape {xb.shape[1:]}")
     params = [T.Tensor(w) for w in ws]
-    logits, captured = _run_stages(spec, params, T.Tensor(xb), tape, capture or spec.capture)
+    # an overflow shows as non-finite logits, which raise: no warning needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, captured = _run_stages(spec, params, xb, tape, capture or spec.capture)
+    if not np.isfinite(logits.data).all():
+        raise FloatingPointError(f"{spec.arch} produced non-finite logits")
     return logits, captured, tape
 
 
@@ -190,7 +197,8 @@ def train(spec: ModelSpec, weights, dataset, epochs: int, lr: float = 0.05,
 
     The minibatch order is a pure function of ``seed`` and the epoch index,
     so identical inputs give bit-identical weights.  ``dataset`` is anything
-    with ``images`` (N, H, W, 3) and integer ``labels`` (N,).
+    with ``images`` (N, H, W, 3) and integer ``labels`` (N,).  A step whose
+    loss is not finite raises ``FloatingPointError``.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
@@ -207,38 +215,45 @@ def train(spec: ModelSpec, weights, dataset, epochs: int, lr: float = 0.05,
         raise ValueError("labels out of range for the model's class count")
 
     ws = [np.asarray(w).copy() for w in _check_weights(spec, weights)]
-    for epoch in range(epochs):
-        order = np.random.default_rng(
-            np.random.SeedSequence((seed, epoch))).permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            tape = T.Tape()
-            params = [T.Tensor(w) for w in ws]
-            logits, _ = _run_stages(spec, params, T.Tensor(images[idx]), tape, spec.capture)
-            loss = T.softmax_cross_entropy(tape, logits, labels[idx])
-            grads = tape.gradients(loss, params)
-            ws = T.sgd_step(ws, grads, lr)
+    # an overflow shows as a non-finite loss (or, after the last step, as
+    # non-finite logits in the next forward), which raise: no warning needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = np.random.default_rng(
+                np.random.SeedSequence((seed, epoch))).permutation(n)
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                tape = T.Tape()
+                params = [T.Tensor(w) for w in ws]
+                logits, _ = _run_stages(spec, params, images[idx], tape, spec.capture)
+                loss = T.softmax_cross_entropy(tape, logits, labels[idx])
+                if not np.isfinite(loss.data):
+                    raise FloatingPointError(
+                        f"training loss is not finite (epoch {epoch}, step {start // batch})")
+                grads = tape.gradients(loss, params)
+                ws = T.sgd_step(ws, grads, lr)
     return ws
+
+
+def predict_labels(spec: ModelSpec, weights, images, batch: int = 256) -> np.ndarray:
+    """Predicted class of every image, run through the model ``batch`` at a time."""
+    images = np.asarray(images)
+    return np.concatenate([predict_batch(spec, weights, images[start:start + batch])[0]
+                           for start in range(0, images.shape[0], batch)])
+
+
+def hit_rate(preds, labels) -> float:
+    """Fraction of positions where two label arrays agree."""
+    preds = np.asarray(preds)
+    return int(np.count_nonzero(preds == np.asarray(labels))) / preds.shape[0]
 
 
 def accuracy(spec: ModelSpec, weights, dataset, batch: int = 256) -> float:
     """Fraction of correct predictions on a labeled dataset."""
-    images = np.asarray(dataset.images)
-    labels = np.asarray(dataset.labels)
-    hits = 0
-    for start in range(0, images.shape[0], batch):
-        preds, _ = predict_batch(spec, weights, images[start:start + batch])
-        hits += int((preds == labels[start:start + batch]).sum())
-    return hits / images.shape[0]
+    return hit_rate(predict_labels(spec, weights, dataset.images, batch), dataset.labels)
 
 
 def agreement(spec: ModelSpec, weights_a, weights_b, images, batch: int = 256) -> float:
     """Fraction of images on which two weight sets predict the same class."""
-    images = np.asarray(images)
-    same = 0
-    for start in range(0, images.shape[0], batch):
-        chunk = images[start:start + batch]
-        pa, _ = predict_batch(spec, weights_a, chunk)
-        pb, _ = predict_batch(spec, weights_b, chunk)
-        same += int((pa == pb).sum())
-    return same / images.shape[0]
+    return hit_rate(predict_labels(spec, weights_a, images, batch),
+                    predict_labels(spec, weights_b, images, batch))

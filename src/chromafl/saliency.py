@@ -110,7 +110,20 @@ def grad_cams(spec: M.ModelSpec, weights, x, class_id):
     smaller than 1e-12; its channel weights are sum(a * relu(g)).
     """
     xb, single = M._batched(x)
-    g, acts = _capture_grads(*M.forward(spec, weights, xb, tape=T.Tape()), class_id)
+    _, gc, gcpp = predict_grad_cams(spec, weights, xb, class_id)
+    return _unbatch(gc, single), _unbatch(gcpp, single)
+
+
+def predict_grad_cams(spec: M.ModelSpec, weights, xs, class_id=None):
+    """Predicted labels, Grad-CAM maps and Grad-CAM++ maps of a batch, all
+    from one taped pass; ``class_id=None`` targets each image's predicted
+    class.  The labels equal :func:`models.predict_batch`'s on the same batch.
+    """
+    logits, captured, tape = M.forward(spec, weights, xs, tape=T.Tape())
+    labels = logits.data.argmax(axis=1)
+    g, acts = _capture_grads(logits, captured, tape,
+                             labels if class_id is None else class_id)
+    del tape  # its buffers are not needed for the maps; free them first
     gc = _weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size)
     g2 = g * g
     g3 = g2 * g
@@ -119,7 +132,7 @@ def grad_cams(spec: M.ModelSpec, weights, x, class_id):
     a = np.where(np.abs(denom) < 1e-12, 0.0, g2 / np.where(np.abs(denom) < 1e-12, 1.0, denom))
     w_k = (a * np.maximum(g, 0.0)).sum(axis=(1, 2))  # (B, K)
     gcpp = _weighted_cam(w_k, acts, spec.input_size)
-    return _unbatch(gc, single), _unbatch(gcpp, single)
+    return labels, gc, gcpp
 
 
 # ---------------------------------------------------------------- metrics

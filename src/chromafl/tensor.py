@@ -11,7 +11,13 @@ Conventions:
 * arrays are batch-first; images are ``(B, H, W, C)``,
 * compute dtype follows the inputs (the pipeline feeds float32; reductions
   such as means and bias gradients accumulate in float64 before casting back),
-* all primitives are bitwise deterministic for fixed inputs.
+* all primitives are bitwise deterministic for fixed inputs,
+* a plain ndarray passed where a primitive takes a Tensor is a constant: no
+  caller holds a tensor for it, so no gradient target can name it, and
+  :func:`conv2d` forms no input gradient for it (the image batch is one),
+* :func:`maxpool2` selects with a bitwise blend on unsigned-integer views of
+  the values (``first ^ ((first ^ later) & -mask)``), which moves the chosen
+  bytes unchanged, signed zeros and NaN payloads included.
 """
 
 from __future__ import annotations
@@ -150,8 +156,10 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 convolution with zero padding that preserves H and W.
 
     ``x`` is ``(B, H, W, Cin)``, ``w`` is ``(kh, kw, Cin, Cout)`` with odd
-    kernel sides, ``b`` is ``(Cout,)``.
+    kernel sides, ``b`` is ``(Cout,)``.  An ``x`` given as a plain ndarray is
+    a constant: the backward returns ``None`` for its gradient.
     """
+    x_const = not isinstance(x, Tensor)
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 4:
@@ -173,14 +181,19 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
     cols = cols.reshape(bsz * h * wdt, kh * kw * ci)
     wmat = wd.reshape(kh * kw * ci, co)
-    out = Tensor((cols @ wmat + bd).reshape(bsz, h, wdt, co))
+    y = cols @ wmat
+    # the bias goes into the GEMM result in place unless it widens the dtype
+    y = np.add(y, bd, out=y) if np.can_cast(bd.dtype, y.dtype) else y + bd
+    out = Tensor(y.reshape(bsz, h, wdt, co))
     if tape is not None:
         def backward(g: np.ndarray):
             gmat = g.reshape(bsz * h * wdt, co)
             dw = (cols.T @ gmat).reshape(wd.shape)
             db = gmat.sum(axis=0, dtype=np.float64).astype(bd.dtype, copy=False)
+            if x_const:
+                return None, dw, db
             dcols = (gmat @ wmat.T).reshape(bsz, h, wdt, kh, kw, ci)
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros((bsz, h + 2 * ph, wdt + 2 * pw, ci), dtype=xd.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + h, j:j + wdt, :] += dcols[:, :, :, i, j, :]
@@ -209,6 +222,15 @@ def _later_wins(first: np.ndarray, later: np.ndarray) -> np.ndarray:
     return ~(later <= first) & (first == first)
 
 
+def _blend(mask: np.ndarray, first: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """``later`` where ``mask`` holds, else ``first``, on unsigned-integer
+    views of one width; the result is a new array of that unsigned type."""
+    bits = first ^ later
+    bits &= np.negative(mask, dtype=bits.dtype)  # all ones where mask holds
+    bits ^= first
+    return bits
+
+
 def maxpool2(tape: Tape | None, x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; ties go to the first element in
     row-major window order, and a NaN is the maximum of its window."""
@@ -219,20 +241,27 @@ def maxpool2(tape: Tape | None, x: Tensor) -> Tensor:
     h, wdt = xd.shape[1:3]
     if h % 2 or wdt % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {h}x{wdt}")
+    bits = np.dtype(f"u{xd.dtype.itemsize}")
     # window element k = 2 * i + j sits at x[:, i::2, j::2]
     a, b = xd[:, 0::2, 0::2], xd[:, 0::2, 1::2]
     c, d = xd[:, 1::2, 0::2], xd[:, 1::2, 1::2]
     top, bottom = _later_wins(a, b), _later_wins(c, d)
-    ab, cd = np.where(top, b, a), np.where(bottom, d, c)
-    lower = _later_wins(ab, cd)
-    out = Tensor(np.where(lower, cd, ab))
+    ab = _blend(top, a.view(bits), b.view(bits))
+    cd = _blend(bottom, c.view(bits), d.view(bits))
+    lower = _later_wins(ab.view(xd.dtype), cd.view(xd.dtype))
+    out = Tensor(_blend(lower, ab, cd).view(xd.dtype))
     if tape is not None:
-        idx = np.where(lower, 2 + bottom, top.astype(np.int64))
+        # idx = 2 + bottom where lower holds, else top
+        idx = lower.view(np.int8) << 1
+        idx |= (top ^ (lower & (top ^ bottom))).view(np.int8)
 
         def backward(g: np.ndarray):
-            dx = np.zeros_like(xd)
+            gbits = np.asarray(g, dtype=xd.dtype).view(bits)
+            dx = np.empty_like(xd)  # the four strided views cover every element
+            dxbits = dx.view(bits)
             for k in range(4):
-                dx[:, k // 2::2, k % 2::2] = np.where(idx == k, g, 0)
+                np.bitwise_and(gbits, np.negative(idx == k, dtype=bits),
+                               out=dxbits[:, k // 2::2, k % 2::2])
             return (dx,)
         tape.record(out, (x,), backward)
     return out

@@ -7,6 +7,7 @@ import chromafl.attack as A
 import chromafl.data as D
 import chromafl.federated as F
 import chromafl.models as M
+import chromafl.saliency as S
 
 
 def make_stacks(seed, n_clients=5, shapes=((3, 2), (4,))):
@@ -246,6 +247,37 @@ def test_round_metrics_are_exact_for_identical_models(fl_setup):
     assert m.l1_mean == 0.0
     assert m.fidelity_pct == 100.0
     assert 0.0 <= m.accuracy <= 100.0
+
+
+def test_round_metrics_equal_the_separate_predict_and_cam_passes(fl_setup):
+    # one forward per model and image set: the reference labels come from
+    # its CAM pass, and each model's test predictions feed accuracy and
+    # fidelity (the reference's give the twin accuracy); the numbers must
+    # be exactly those of the separate predict / CAM / accuracy / agreement calls
+    spec, weights, clients, train = fl_setup
+    cfg = F.FLConfig(select_k=2, local_epochs=1, lr=0.2)
+    moved = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 9, 1)
+    probe = train.images[:12]
+    test = train.subset(range(20, 80))
+    for t in (test, None):
+        m = F.compute_round_metrics(spec, weights, moved, probe, test=t,
+                                    round_index=1, adv_ratio=0.25)
+        ref_labels, _ = M.predict_batch(spec, weights, probe)
+        gc_ref, gpp_ref = S.grad_cams(spec, weights, probe, ref_labels)
+        gc_cur, gpp_cur = S.grad_cams(spec, moved, probe, ref_labels)
+        ssim_gc, ssim_gpp = S.ssim(gc_ref, gc_cur), S.ssim(gpp_ref, gpp_cur)
+        peaks = np.array([S.peak_overlap(a, b) for a, b in zip(gc_ref, gc_cur)])
+        expect = [1, 0.25, float("nan"), 100.0 * M.agreement(spec, weights, moved, probe),
+                  float(ssim_gc.mean()), float(ssim_gc.std()), float(ssim_gpp.mean()),
+                  float(ssim_gpp.std()), float(peaks.mean()),
+                  float(S.l1_distance(gc_ref, gc_cur).mean()), float("nan")]
+        if t is not None:
+            expect[2] = 100.0 * M.accuracy(spec, moved, t)
+            expect[3] = 100.0 * M.agreement(spec, weights, moved, t.images)
+            expect[10] = 100.0 * M.accuracy(spec, weights, t)
+        got = list(m.as_row()) + [m.reference_accuracy]
+        assert repr(got) == repr(expect)
+    assert m.ssim_gc_mean < 1.0 and 0.0 < m.fidelity_pct < 100.0
 
 
 def test_round_metrics_detect_weight_change(fl_setup):

@@ -522,6 +522,18 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "invalid JSON" in err
         assert "Traceback" not in err
+    # a diverged model (finite weights, infinite logits) is a numerical failure
+    diverged = tmp_path / "diverged.json"
+    diverged.write_text(json.dumps({"train": {"lr": 1000.0, "epochs": 1},
+                                    "dataset": {"n_train": 40, "n_test": 20},
+                                    "attack": {"n_samples": 4},
+                                    "metrics": {"heatmap_dumps": 0},
+                                    "out": str(tmp_path)}))
+    assert cli.main(["baseline", "--config", str(diverged)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "baseline").exists()
 
 
 def test_cli_seed_and_out_flags_override_config(tmp_path):

@@ -143,6 +143,43 @@ def test_train_is_bit_deterministic():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
+@pytest.mark.parametrize("arch", ["ARCH_A", "ARCH_B"])
+def test_train_matches_a_loop_with_a_tensor_image_batch(arch):
+    # the image batch goes in as an ndarray, so conv1 forms no input
+    # gradient; the weights must not move by a bit against the loop that
+    # wrapped each batch in a Tensor and formed it
+    spec = M.ModelSpec(arch, input_size=16, classes=3)
+    data = color_blobs(20, classes=3, seed=16)
+    w0 = M.build(spec, seed=5)
+    got = M.train(spec, w0, data, epochs=2, lr=0.05, batch=8, seed=9)
+    ws = [w.copy() for w in w0]
+    for epoch in range(2):
+        order = np.random.default_rng(np.random.SeedSequence((9, epoch))).permutation(20)
+        for start in range(0, 20, 8):
+            idx = order[start:start + 8]
+            tape = T.Tape()
+            params = [T.Tensor(w) for w in ws]
+            logits, _ = M._run_stages(spec, params, T.Tensor(data.images[idx]), tape,
+                                      spec.capture)
+            loss = T.softmax_cross_entropy(tape, logits, data.labels[idx])
+            ws = T.sgd_step(ws, tape.gradients(loss, params), 0.05)
+    assert [w.tobytes() for w in got] == [w.tobytes() for w in ws]
+
+
+def test_non_finite_logits_and_loss_raise_floating_point_error():
+    spec = M.ModelSpec("ARCH_A", input_size=16, classes=2)
+    data = color_blobs(8, classes=2, seed=17)
+    w0 = M.build(spec, seed=6)
+    huge = [w * np.float32(1e30) if w.ndim > 1 else w for w in w0]
+    with pytest.raises(FloatingPointError, match="non-finite logits"):
+        M.predict_batch(spec, huge, data.images)
+    with pytest.raises(FloatingPointError, match="loss is not finite"):
+        M.train(spec, huge, data, epochs=1, batch=4)
+    # at lr 1000 the first epoch's losses stay finite, the second's do not
+    with pytest.raises(FloatingPointError, match="loss is not finite"):
+        M.train(spec, w0, data, epochs=3, lr=1000.0, batch=4)
+
+
 def test_train_zero_epochs_returns_equal_weights_untouched():
     spec = M.ModelSpec("ARCH_B", input_size=16, classes=2)
     data = color_blobs(8, classes=2, seed=12)

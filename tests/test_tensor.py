@@ -371,24 +371,45 @@ def test_maxpool2_matches_argmax_reference(shape, data):
     bsz, oh, ow, c = shape
     n = bsz * 4 * oh * ow * c
     vals = data.draw(st.lists(st.sampled_from(POOL_VALUES), min_size=n, max_size=n))
-    x = np.array(vals, dtype=np.float32).reshape(bsz, 2 * oh, 2 * ow, c)
-    # reference: argmax over the window axis in row-major order (the first
-    # maximum wins a tie; a NaN is the maximum, the first NaN winning)
-    r = x.reshape(bsz, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(bsz, oh, ow, 4, c)
-    idx = r.argmax(axis=3)[:, :, :, None, :]
-    ref = np.take_along_axis(r, idx, axis=3)[:, :, :, 0, :]
-    # distinct non-zero adjoints, so the backward shows which index was taken
-    g = np.arange(1, ref.size + 1, dtype=np.float32).reshape(ref.shape)
-    scat = np.zeros_like(r)
-    np.put_along_axis(scat, idx, g[:, :, :, None, :], axis=3)
-    ref_dx = scat.reshape(bsz, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(x.shape)
+    # float64 makes the blend select on uint64 views, float32 on uint32 ones
+    for dtype in (np.float32, np.float64):
+        x = np.array(vals, dtype=dtype).reshape(bsz, 2 * oh, 2 * ow, c)
+        # reference: argmax over the window axis in row-major order (the first
+        # maximum wins a tie; a NaN is the maximum, the first NaN winning)
+        r = x.reshape(bsz, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(bsz, oh, ow, 4, c)
+        idx = r.argmax(axis=3)[:, :, :, None, :]
+        ref = np.take_along_axis(r, idx, axis=3)[:, :, :, 0, :]
+        # distinct non-zero adjoints, so the backward shows which index was taken
+        g = np.arange(1, ref.size + 1, dtype=dtype).reshape(ref.shape)
+        scat = np.zeros_like(r)
+        np.put_along_axis(scat, idx, g[:, :, :, None, :], axis=3)
+        ref_dx = scat.reshape(bsz, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(x.shape)
 
-    assert T.maxpool2(None, T.Tensor(x)).data.tobytes() == ref.tobytes()
-    tape = T.Tape()
-    y = T.maxpool2(tape, T.Tensor(x))
-    assert y.data.tobytes() == ref.tobytes()  # byte equality: signed zeros count
-    (dx,) = tape._nodes[-1].backward(g)
-    assert dx.dtype == x.dtype and dx.tobytes() == ref_dx.tobytes()
+        assert T.maxpool2(None, T.Tensor(x)).data.tobytes() == ref.tobytes()
+        tape = T.Tape()
+        y = T.maxpool2(tape, T.Tensor(x))
+        assert y.dtype == dtype
+        assert y.data.tobytes() == ref.tobytes()  # byte equality: signed zeros count
+        (dx,) = tape._nodes[-1].backward(g)
+        assert dx.dtype == x.dtype and dx.tobytes() == ref_dx.tobytes()
+
+
+def test_conv2d_treats_an_ndarray_input_as_a_constant():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 6, 5, 2)).astype(np.float32)
+    w = T.Tensor(rng.normal(size=(3, 3, 2, 4)).astype(np.float32))
+    b = T.Tensor(rng.normal(size=4).astype(np.float32))
+    g = rng.normal(size=(3, 6, 5, 4)).astype(np.float32)
+    grads = []
+    for xin in (T.Tensor(x), x):
+        tape = T.Tape()
+        y = T.conv2d(tape, xin, w, b)
+        grads.append((y.data, *tape._nodes[-1].backward(g)))
+    (y_t, dx_t, dw_t, db_t), (y_a, dx_a, dw_a, db_a) = grads
+    assert dx_t is not None and dx_t.shape == x.shape
+    assert dx_a is None
+    assert y_a.tobytes() == y_t.tobytes()
+    assert dw_a.tobytes() == dw_t.tobytes() and db_a.tobytes() == db_t.tobytes()
 
 
 # ---------------------------------------------------------------- sgd
