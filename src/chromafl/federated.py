@@ -126,7 +126,7 @@ class RoundMetrics:
     ssim_gcpp_std: float
     peak_pct_mean: float
     l1_mean: float
-    reference_accuracy: float = float("nan")
+    reference_accuracy: float
 
     FIELDS = ("round", "adv_ratio", "accuracy", "fidelity_pct",
               "ssim_gc_mean", "ssim_gc_std", "ssim_gcpp_mean",
@@ -302,9 +302,8 @@ def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
 
 
 def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
-                          probe_images, test: D.LabeledDataset | None = None,
-                          round_index: int = 0,
-                          adv_ratio: float = 0.0) -> RoundMetrics:
+                          probe_images, test: D.LabeledDataset, round_index: int = 0,
+                          adv_ratio: float = 0.0) -> tuple[RoundMetrics, np.ndarray]:
     """Compare the current global against a reference on fixed probe images.
 
     CAMs on both models target the reference model's predicted class per
@@ -314,12 +313,12 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
 
     Each model runs once over the probe (labels and CAMs from one taped
     pass) and once over the test set, whose predictions give both accuracy
-    and fidelity; without a test set, fidelity is agreement on the probe.
+    and fidelity.  Returns the metrics and the current model's probe
+    Grad-CAMs, the maps scored against the reference's.
     """
     probe = np.asarray(probe_images)
     ref_labels, gc_ref, gpp_ref = S.predict_grad_cams(spec, reference_weights, probe)
-    cur_labels, gc_cur, gpp_cur = S.predict_grad_cams(spec, current_weights, probe,
-                                                      ref_labels)
+    _, gc_cur, gpp_cur = S.predict_grad_cams(spec, current_weights, probe, ref_labels)
 
     ssim_gc = S.ssim(gc_ref, gc_cur)
     ssim_gpp = S.ssim(gpp_ref, gpp_cur)
@@ -327,29 +326,21 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
                       for i in range(probe.shape[0])])
     l1 = S.l1_distance(gc_ref, gc_cur)
 
-    if test is not None:
-        ref_preds = M.predict_labels(spec, reference_weights, test.images)
-        cur_preds = M.predict_labels(spec, current_weights, test.images)
-        acc = 100.0 * M.hit_rate(cur_preds, test.labels)
-        ref_acc = 100.0 * M.hit_rate(ref_preds, test.labels)
-        fid = 100.0 * M.hit_rate(ref_preds, cur_preds)
-    else:
-        acc = ref_acc = float("nan")
-        fid = 100.0 * M.hit_rate(ref_labels, cur_labels)
-
+    ref_preds = M.predict_labels(spec, reference_weights, test.images)
+    cur_preds = M.predict_labels(spec, current_weights, test.images)
     return RoundMetrics(
         round=round_index,
         adv_ratio=float(adv_ratio),
-        accuracy=float(acc),
-        fidelity_pct=float(fid),
+        accuracy=100.0 * M.hit_rate(cur_preds, test.labels),
+        fidelity_pct=100.0 * M.hit_rate(ref_preds, cur_preds),
         ssim_gc_mean=float(ssim_gc.mean()),
         ssim_gc_std=float(ssim_gc.std()),
         ssim_gcpp_mean=float(ssim_gpp.mean()),
         ssim_gcpp_std=float(ssim_gpp.std()),
         peak_pct_mean=float(peaks.mean()),
         l1_mean=float(np.asarray(l1).mean()),
-        reference_accuracy=float(ref_acc),
-    )
+        reference_accuracy=100.0 * M.hit_rate(ref_preds, test.labels),
+    ), gc_cur
 
 
 def fit_drift_slope(series) -> float:

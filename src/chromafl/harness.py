@@ -132,8 +132,8 @@ def _attack_images(spec: M.ModelSpec, weights, images, grid: A.GridSpec):
     results = [A.cpm_perturb(spec, weights, x, grid) for x in images]
     perturbed = np.stack([img for img, _ in results])
     outcomes = [o for _, o in results]
-    base_preds, _ = M.predict_batch(spec, weights, images)
-    pert_preds, _ = M.predict_batch(spec, weights, perturbed)
+    base_preds = M.predict_labels(spec, weights, images)
+    pert_preds = M.predict_labels(spec, weights, perturbed)
     return perturbed, outcomes, base_preds, pert_preds
 
 
@@ -199,19 +199,19 @@ def _build_clients(train: D.LabeledDataset, cfg: ExperimentConfig,
             for i, idx in enumerate(shards)]
 
 
-def run_fl_streams(cfg: ExperimentConfig, heatmap_dir: str | None = None) -> dict:
+def run_fl_streams(cfg: ExperimentConfig) -> dict:
     """Run the attacked stream and its benign twin round by round.
 
     The twin shares the seed, partition, selection, and local-training
     streams, differing only in that no client poisons its shard; at
     adv_ratio = 0 the two streams are the same computation bit for bit.
     Callers check first that every client gets a sample (``_check_clients_fit``).
-    ``heatmap_dir`` is made once the data has loaded.
+    The result's ``heatmaps[t - 1]`` holds round t's Grad-CAMs of the first
+    ``metrics.heatmap_dumps`` probe images on the attacked global, each for
+    the twin's predicted class.
     """
     train, test, root = prepare_data(cfg)
     spec = _model_spec(cfg, cfg.model)
-    if heatmap_dir:
-        os.makedirs(heatmap_dir, exist_ok=True)
 
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
     adv_share = roles.count(F.ADVERSARIAL) / len(roles)
@@ -229,22 +229,20 @@ def run_fl_streams(cfg: ExperimentConfig, heatmap_dir: str | None = None) -> dic
     w_twin = w_main = w_init
     rounds: list[F.RoundMetrics] = []
     drift_rows = []
+    heatmaps = []
     for t in range(1, cfg.fl.rounds + 1):
         w_twin = F.run_round(spec, w_twin, twin_clients, cfg.fl, cfg.grid,
                              cfg.seed, t, server_root=server_root)
         w_main = F.run_round(spec, w_main, clients, cfg.fl, cfg.grid,
                              cfg.seed, t, server_root=server_root)
-        metrics = F.compute_round_metrics(spec, w_twin, w_main, probe, test=test,
-                                          round_index=t, adv_ratio=adv_share)
+        metrics, cams = F.compute_round_metrics(spec, w_twin, w_main, probe, test,
+                                                round_index=t, adv_ratio=adv_share)
         rounds.append(metrics)
         drift_rows.append((t, cfg.fl.adv_ratio, 1.0 - metrics.ssim_gc_mean,
                            metrics.accuracy, metrics.reference_accuracy))
-        if heatmap_dir:
-            for j in range(min(cfg.metrics.heatmap_dumps, probe.shape[0])):
-                label, _ = M.predict_batch(spec, w_twin, probe[j])
-                cam = S.grad_cam(spec, w_main, probe[j], int(label[0]))
-                S.save_pgm(os.path.join(heatmap_dir,
-                                        f"round_{t:02d}_probe_{j:02d}.pgm"), cam)
+        # copies and a del, so no round's full probe stack outlives the round
+        heatmaps.append([cam.copy() for cam in cams[:cfg.metrics.heatmap_dumps]])
+        del cams
 
     series = [(t, r, d) for t, r, d, _, _ in drift_rows]
     try:
@@ -254,8 +252,8 @@ def run_fl_streams(cfg: ExperimentConfig, heatmap_dir: str | None = None) -> dic
         alpha, r_squared = float("nan"), float("nan")
 
     return {"spec": spec, "weights": w_main, "twin_weights": w_twin,
-            "rounds": rounds, "drift": drift_rows, "alpha": alpha,
-            "r_squared": r_squared, "probe": probe, "test": test}
+            "rounds": rounds, "drift": drift_rows, "heatmaps": heatmaps,
+            "alpha": alpha, "r_squared": r_squared, "probe": probe, "test": test}
 
 
 def _check_clients_fit(cfg: ExperimentConfig) -> None:
@@ -267,9 +265,14 @@ def _check_clients_fit(cfg: ExperimentConfig) -> None:
 def cmd_fl(cfg: ExperimentConfig) -> dict:
     """Federated attack run plus its vanilla twin; per-round CSV reports."""
     _check_clients_fit(cfg)
-    heat = os.path.join(cfg.out, "fl", "heatmaps") if cfg.metrics.heatmap_dumps else None
-    res = run_fl_streams(cfg, heatmap_dir=heat)
+    res = run_fl_streams(cfg)
     out = _outdir(cfg, "fl")
+    if cfg.metrics.heatmap_dumps:
+        heat = os.path.join(out, "heatmaps")
+        os.makedirs(heat, exist_ok=True)
+        for t, cams in enumerate(res["heatmaps"], start=1):
+            for j, cam in enumerate(cams):
+                S.save_pgm(os.path.join(heat, f"round_{t:02d}_probe_{j:02d}.pgm"), cam)
 
     rounds_csv = write_csv(os.path.join(out, "rounds.csv"),
                            F.RoundMetrics.FIELDS,
@@ -333,7 +336,7 @@ def _eval_skew(spec, weights, images, base_preds, cams_base, seed_root, scale,
                                      scale=scale)[0]
                        for i, x in enumerate(images)])
     delta_e = np.array([C.mean_delta_e(x, s) for x, s in zip(images, skewed)])
-    preds, _ = M.predict_batch(spec, weights, skewed)
+    preds = M.predict_labels(spec, weights, skewed)
     flips = int((preds != base_preds).sum())
     if not with_cams:
         return {"delta_e_mean": float(delta_e.mean()), "flips": flips}
@@ -418,8 +421,8 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
                 100.0 * float((pert_a == preds_a).mean()),
                 float(np.mean([o.ssim for o in outcomes])))
 
-    preds_b, _ = M.predict_batch(spec_b, w_b, images)
-    pert_b, _ = M.predict_batch(spec_b, w_b, perturbed)
+    preds_b = M.predict_labels(spec_b, w_b, images)
+    pert_b = M.predict_labels(spec_b, w_b, perturbed)
     cams_b = S.grad_cam(spec_b, w_b, images, preds_b)
     cams_b_pert = S.grad_cam(spec_b, w_b, perturbed, preds_b)
     cross_row = ("cross_arch", spec_b.arch,

@@ -21,6 +21,7 @@ import numpy as np
 from . import tensor as T
 
 KERNEL = 3
+PREDICT_CHUNK = 256  # images per forward in predict_labels, which bounds its buffers
 
 
 @dataclass(frozen=True)
@@ -175,22 +176,6 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None,
     return logits, captured, tape
 
 
-def predict_batch(spec: ModelSpec, weights, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and logits for a batch; ties resolve to the lower class index."""
-    logits, _, _ = forward(spec, weights, xs)
-    ld = logits.data
-    return ld.argmax(axis=1), ld
-
-
-def predict(spec: ModelSpec, weights, x) -> tuple[int, np.ndarray]:
-    """Label and logits for one image."""
-    arr = np.asarray(x)
-    if arr.ndim != 3:
-        raise ValueError(f"predict takes one (H, W, 3) image, got shape {arr.shape}")
-    labels, logits = predict_batch(spec, weights, arr[None])
-    return int(labels[0]), logits[0]
-
-
 def train(spec: ModelSpec, weights, dataset, epochs: int, lr: float = 0.05,
           batch: int = 32, seed: int = 0) -> list[np.ndarray]:
     """Plain SGD on softmax cross-entropy; returns new weights.
@@ -235,25 +220,16 @@ def train(spec: ModelSpec, weights, dataset, epochs: int, lr: float = 0.05,
     return ws
 
 
-def predict_labels(spec: ModelSpec, weights, images, batch: int = 256) -> np.ndarray:
-    """Predicted class of every image, run through the model ``batch`` at a time."""
+def predict_labels(spec: ModelSpec, weights, images) -> np.ndarray:
+    """Predicted class of every image, run through the model
+    ``PREDICT_CHUNK`` at a time; ties resolve to the lower class index."""
     images = np.asarray(images)
-    return np.concatenate([predict_batch(spec, weights, images[start:start + batch])[0]
-                           for start in range(0, images.shape[0], batch)])
+    return np.concatenate([
+        forward(spec, weights, images[start:start + PREDICT_CHUNK])[0].data.argmax(axis=1)
+        for start in range(0, images.shape[0], PREDICT_CHUNK)])
 
 
 def hit_rate(preds, labels) -> float:
     """Fraction of positions where two label arrays agree."""
     preds = np.asarray(preds)
     return int(np.count_nonzero(preds == np.asarray(labels))) / preds.shape[0]
-
-
-def accuracy(spec: ModelSpec, weights, dataset, batch: int = 256) -> float:
-    """Fraction of correct predictions on a labeled dataset."""
-    return hit_rate(predict_labels(spec, weights, dataset.images, batch), dataset.labels)
-
-
-def agreement(spec: ModelSpec, weights_a, weights_b, images, batch: int = 256) -> float:
-    """Fraction of images on which two weight sets predict the same class."""
-    return hit_rate(predict_labels(spec, weights_a, images, batch),
-                    predict_labels(spec, weights_b, images, batch))

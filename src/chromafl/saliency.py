@@ -2,8 +2,10 @@
 
 All map producers return float64 arrays normalized to [0, 1] at input
 resolution; a map that comes out flat (all equal) normalizes to all zeros
-rather than dividing by zero.  Producers accept one image or a batch; metric
-functions accept single maps ``(H, W)`` or stacks ``(B, H, W)``.
+rather than dividing by zero.  :func:`grad_cam` gives the Grad-CAM of one
+image or a batch; :func:`predict_grad_cams` gives a batch's labels, Grad-CAM
+and Grad-CAM++ maps from one taped pass.  Metric functions accept single
+maps ``(H, W)`` or stacks ``(B, H, W)``.
 
 SSIM uses the standard 11x11 Gaussian window (sigma 1.5) with C1=(0.01)^2,
 C2=(0.03)^2 on a unit dynamic range, averaged over valid windows only.
@@ -102,22 +104,15 @@ def grad_cam(spec: M.ModelSpec, weights, x, class_id):
     return _unbatch(_weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size), single)
 
 
-def grad_cams(spec: M.ModelSpec, weights, x, class_id):
-    """Grad-CAM and Grad-CAM++ maps from one taped pass, as a pair.
-
-    The Grad-CAM map equals :func:`grad_cam`'s.  Grad-CAM++ pixel weights are
-    a = g^2 / (2 g^2 + sum(A) * g^3), zero wherever the denominator is
-    smaller than 1e-12; its channel weights are sum(a * relu(g)).
-    """
-    xb, single = M._batched(x)
-    _, gc, gcpp = predict_grad_cams(spec, weights, xb, class_id)
-    return _unbatch(gc, single), _unbatch(gcpp, single)
-
-
 def predict_grad_cams(spec: M.ModelSpec, weights, xs, class_id=None):
     """Predicted labels, Grad-CAM maps and Grad-CAM++ maps of a batch, all
     from one taped pass; ``class_id=None`` targets each image's predicted
-    class.  The labels equal :func:`models.predict_batch`'s on the same batch.
+    class.  The labels equal :func:`models.predict_labels`' on a batch of up
+    to ``models.PREDICT_CHUNK`` images.
+
+    The Grad-CAM maps equal :func:`grad_cam`'s.  Grad-CAM++ pixel weights are
+    a = g^2 / (2 g^2 + sum(A) * g^3), zero wherever the denominator is
+    smaller than 1e-12; its channel weights are sum(a * relu(g)).
     """
     logits, captured, tape = M.forward(spec, weights, xs, tape=T.Tape())
     labels = logits.data.argmax(axis=1)

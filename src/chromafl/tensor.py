@@ -350,7 +350,10 @@ def class_score(tape: Tape | None, logits: Tensor, class_ids) -> Tensor:
     if ids.min() < 0 or ids.max() >= nclass:
         raise ValueError("class id out of range for the logits")
     rows = np.arange(bsz)
-    out = Tensor(np.asarray(ld[rows, ids].sum(dtype=np.float64), dtype=ld.dtype))
+    # a sum of huge finite logits may overflow the cast; callers read only the
+    # gradient, which the backward seeds with g, so the value never matters
+    with np.errstate(over="ignore"):
+        out = Tensor(np.asarray(ld[rows, ids].sum(dtype=np.float64), dtype=ld.dtype))
     if tape is not None:
         def backward(g: np.ndarray):
             dl = np.zeros_like(ld)

@@ -25,7 +25,7 @@ def trained():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=3)
     data = D.generate_shapes(60, classes=3, size=16, seed=100)
     ws = M.train(spec, M.build(spec, seed=0), data, epochs=4, lr=0.05, batch=16, seed=0)
-    assert M.accuracy(spec, ws, data) > 0.9
+    assert M.hit_rate(M.predict_labels(spec, ws, data.images), data.labels) > 0.9
     return spec, ws, data
 
 
@@ -85,9 +85,9 @@ def test_cpm_preserves_prediction_exactly(trained):
     spec, ws, data = trained
     for i in range(12):
         x = data.images[i]
-        before, _ = M.predict(spec, ws, x)
+        before = M.predict_labels(spec, ws, x[None])[0]
         out, outcome = A.cpm_perturb(spec, ws, x, SMALL_GRID)
-        after, _ = M.predict(spec, ws, out)
+        after = M.predict_labels(spec, ws, out[None])[0]
         assert after == before
         assert outcome.label == before
         assert -1.0 <= outcome.ssim <= 1.0
@@ -115,7 +115,7 @@ def test_cpm_matches_batch_identical_rescoring(trained):
         out, outcome = A.cpm_perturb(spec, ws, x, SMALL_GRID)
         # replicate the batched evaluation independently
         imgs = np.stack([C.apply(t, x) for t in thetas])
-        labels, _ = M.predict_batch(spec, ws, imgs)
+        labels = M.predict_labels(spec, ws, imgs)
         feasible = np.flatnonzero(labels == labels[0])
         cams = S.grad_cam(spec, ws, imgs[feasible], int(labels[0]))
         base = int(np.flatnonzero(feasible == 0)[0])
@@ -134,7 +134,7 @@ def _two_pass_search(spec, ws, x, grid):
     over the feasible candidates: (image, theta, n_feasible, ssim)."""
     thetas = grid.candidates()
     imgs = np.stack([C.apply(t, x) for t in thetas])
-    labels, _ = M.predict_batch(spec, ws, imgs)
+    labels = M.predict_labels(spec, ws, imgs)
     feasible = np.flatnonzero(labels == labels[0])
     cams = S.grad_cam(spec, ws, imgs[feasible], int(labels[0]))
     scores = S.ssim(np.broadcast_to(cams[0], cams.shape), cams)
@@ -182,13 +182,13 @@ def test_cpm_agrees_with_independent_per_sample_loop(trained):
     for i in range(4):
         x = data.images[i]
         _, outcome = A.cpm_perturb(spec, ws, x, SMALL_GRID)
-        base_label, _ = M.predict(spec, ws, x)
+        base_label = int(M.predict_labels(spec, ws, x[None])[0])
         cam0 = S.grad_cam(spec, ws, x, base_label)
         best_ssim = None
         n_feasible = 0
         for theta in thetas:
             cand = C.apply(theta, x)
-            lab, _ = M.predict(spec, ws, cand)
+            lab = M.predict_labels(spec, ws, cand[None])[0]
             if lab != base_label:
                 continue
             n_feasible += 1

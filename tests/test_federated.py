@@ -128,6 +128,27 @@ def test_aggregators_preserve_float32_dtype():
     assert out[0].dtype == np.float32
 
 
+@pytest.mark.parametrize("n_clients", [3, 4])
+def test_identical_clients_leave_their_weights_bit_for_bit(n_clients):
+    # a degenerate round: every client sends the same float32 weights
+    rng = np.random.default_rng(5)
+    w = [rng.normal(size=s).astype(np.float32) for s in ((3, 3, 2, 4), (4,), (6, 3))]
+    g = [rng.normal(size=x.shape).astype(np.float32) for x in w]
+    stacks = [[x.copy() for x in w] for _ in range(n_clients)]
+    outs = [F.fedavg([(ws, 7 + i) for i, ws in enumerate(stacks)]),
+            F.trimmed_mean(stacks, 0), F.trimmed_mean(stacks, 1), F.median(stacks),
+            F.fltrust(g, stacks, [x.copy() for x in w])]
+    for out in outs:
+        assert [x.dtype for x in out] == [np.float32] * len(w)
+        assert [x.tobytes() for x in out] == [x.tobytes() for x in w]
+
+
+def test_median_of_an_even_count_with_tied_middle_values_is_that_value():
+    w = np.random.default_rng(6).normal(size=(5, 3)).astype(np.float32)
+    stacks = [[w - 1], [w.copy()], [w.copy()], [w + 2]]
+    assert F.median(stacks)[0].tobytes() == w.tobytes()
+
+
 # ---------------------------------------------------------------- selection
 
 
@@ -214,8 +235,9 @@ def test_run_round_emits_metrics_against_reference(fl_setup):
     spec, weights, clients, train = fl_setup
     cfg = F.FLConfig(select_k=2, local_epochs=1)
     w = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
-    metrics = F.compute_round_metrics(spec, weights, w, train.images[:8],
-                                      round_index=1)
+    metrics, cams = F.compute_round_metrics(spec, weights, w, train.images[:8],
+                                            train.subset(range(8)), round_index=1)
+    assert cams.shape == (8, 16, 16)
     assert metrics.round == 1
     assert metrics.adv_ratio == 0.0
     assert 0.0 <= metrics.fidelity_pct <= 100.0
@@ -236,8 +258,8 @@ def test_round_metrics_are_exact_for_identical_models(fl_setup):
     spec, weights, _, train = fl_setup
     probe = train.images[:12]
     test = train.subset(range(20))
-    m = F.compute_round_metrics(spec, weights, [w.copy() for w in weights],
-                                probe, test=test, round_index=7, adv_ratio=0.3)
+    m, _ = F.compute_round_metrics(spec, weights, [w.copy() for w in weights],
+                                   probe, test, round_index=7, adv_ratio=0.3)
     assert m.round == 7
     assert m.adv_ratio == 0.3
     assert m.as_row() == tuple(getattr(m, f) for f in F.RoundMetrics.FIELDS)
@@ -253,30 +275,31 @@ def test_round_metrics_equal_the_separate_predict_and_cam_passes(fl_setup):
     # one forward per model and image set: the reference labels come from
     # its CAM pass, and each model's test predictions feed accuracy and
     # fidelity (the reference's give the twin accuracy); the numbers must
-    # be exactly those of the separate predict / CAM / accuracy / agreement calls
+    # be exactly those of separate label and CAM passes, and the returned
+    # maps exactly the current model's Grad-CAMs for the reference labels
     spec, weights, clients, train = fl_setup
     cfg = F.FLConfig(select_k=2, local_epochs=1, lr=0.2)
     moved = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 9, 1)
     probe = train.images[:12]
     test = train.subset(range(20, 80))
-    for t in (test, None):
-        m = F.compute_round_metrics(spec, weights, moved, probe, test=t,
-                                    round_index=1, adv_ratio=0.25)
-        ref_labels, _ = M.predict_batch(spec, weights, probe)
-        gc_ref, gpp_ref = S.grad_cams(spec, weights, probe, ref_labels)
-        gc_cur, gpp_cur = S.grad_cams(spec, moved, probe, ref_labels)
-        ssim_gc, ssim_gpp = S.ssim(gc_ref, gc_cur), S.ssim(gpp_ref, gpp_cur)
-        peaks = np.array([S.peak_overlap(a, b) for a, b in zip(gc_ref, gc_cur)])
-        expect = [1, 0.25, float("nan"), 100.0 * M.agreement(spec, weights, moved, probe),
-                  float(ssim_gc.mean()), float(ssim_gc.std()), float(ssim_gpp.mean()),
-                  float(ssim_gpp.std()), float(peaks.mean()),
-                  float(S.l1_distance(gc_ref, gc_cur).mean()), float("nan")]
-        if t is not None:
-            expect[2] = 100.0 * M.accuracy(spec, moved, t)
-            expect[3] = 100.0 * M.agreement(spec, weights, moved, t.images)
-            expect[10] = 100.0 * M.accuracy(spec, weights, t)
-        got = list(m.as_row()) + [m.reference_accuracy]
-        assert repr(got) == repr(expect)
+    m, cams = F.compute_round_metrics(spec, weights, moved, probe, test,
+                                      round_index=1, adv_ratio=0.25)
+    ref_labels = M.predict_labels(spec, weights, probe)
+    _, gc_ref, gpp_ref = S.predict_grad_cams(spec, weights, probe, ref_labels)
+    _, gc_cur, gpp_cur = S.predict_grad_cams(spec, moved, probe, ref_labels)
+    ssim_gc, ssim_gpp = S.ssim(gc_ref, gc_cur), S.ssim(gpp_ref, gpp_cur)
+    peaks = np.array([S.peak_overlap(a, b) for a, b in zip(gc_ref, gc_cur)])
+    ref_preds = M.predict_labels(spec, weights, test.images)
+    cur_preds = M.predict_labels(spec, moved, test.images)
+    expect = [1, 0.25, 100.0 * M.hit_rate(cur_preds, test.labels),
+              100.0 * M.hit_rate(ref_preds, cur_preds),
+              float(ssim_gc.mean()), float(ssim_gc.std()), float(ssim_gpp.mean()),
+              float(ssim_gpp.std()), float(peaks.mean()),
+              float(S.l1_distance(gc_ref, gc_cur).mean()),
+              100.0 * M.hit_rate(ref_preds, test.labels)]
+    got = list(m.as_row()) + [m.reference_accuracy]
+    assert repr(got) == repr(expect)
+    assert cams.dtype == gc_cur.dtype and cams.tobytes() == gc_cur.tobytes()
     assert m.ssim_gc_mean < 1.0 and 0.0 < m.fidelity_pct < 100.0
 
 
@@ -284,7 +307,8 @@ def test_round_metrics_detect_weight_change(fl_setup):
     spec, weights, clients, train = fl_setup
     cfg = F.FLConfig(select_k=2, local_epochs=1, lr=0.2)
     moved = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 9, 1)
-    m = F.compute_round_metrics(spec, weights, moved, train.images[:12])
+    m, _ = F.compute_round_metrics(spec, weights, moved, train.images[:12],
+                                   train.subset(range(12)))
     assert m.ssim_gc_mean < 1.0
     assert m.l1_mean > 0.0
 

@@ -1,17 +1,23 @@
 """Config parsing, command reports, CSV determinism, and CLI exit codes."""
 
 import dataclasses
+import importlib.util
 import json
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import chromafl
 import chromafl.attack as A
 import chromafl.cli as cli
 import chromafl.data as D
 import chromafl.federated as F
 import chromafl.harness as H
+import chromafl.models as M
+import chromafl.saliency as S
 import chromafl.tensor as T
 from chromafl.config import ConfigError, ExperimentConfig, load_config, override, parse_config
 
@@ -324,6 +330,14 @@ def test_fl_round_csv_shape_and_weights_artifact(tmp_path):
         np.testing.assert_array_equal(a, b)
     assert os.path.exists(os.path.join(rep["out_dir"], "heatmaps",
                                        "round_01_probe_00.pgm"))
+    # the last round's dump is the final global's Grad-CAM of the probe image
+    # for the final twin's label, as a single-image pass computes it
+    spec, probe = rep["spec"], rep["probe"]
+    label = int(M.predict_labels(spec, rep["twin_weights"], probe[:1])[0])
+    S.save_pgm(tmp_path / "expect.pgm", S.grad_cam(spec, rep["weights"], probe[0], label))
+    got = os.path.join(rep["out_dir"], "heatmaps", f"round_{cfg.fl.rounds:02d}_probe_00.pgm")
+    with open(got, "rb") as fh:
+        assert fh.read() == (tmp_path / "expect.pgm").read_bytes()
 
 
 def test_fl_with_zero_adversaries_is_exact(tmp_path):
@@ -358,6 +372,34 @@ def test_fl_reports_drift_fit_when_attacked(tmp_path):
     assert header == ["round", "adv_ratio", "drift", "accuracy",
                       "twin_accuracy"]
     assert len(rows) == cfg.fl.rounds
+
+
+def _load_perfbench(name, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # dataclasses look it up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_perfbench_tracer_wraps_the_commands(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps the package's public functions and binds
+    # counter arguments by name: a renamed parameter breaks a traced run
+    tracing = _load_perfbench("tracing", monkeypatch)
+    bench = _load_perfbench("spec", monkeypatch)
+    tracer = tracing.Tracer("smoke")
+    tracer.install(chromafl)
+    try:
+        tracer.call(tracing.ROOT, lambda: (H.cmd_baseline(tiny_cfg(tmp_path / "b")),
+                                           H.cmd_fl(tiny_cfg(tmp_path / "f"))), (), {})
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()  # raises unless there is exactly one root span
+    assert summary["negative_self"] == 0
+    metrics = tracing.layer_metrics(tracing.merge([summary]), 0.0)
+    assert {m.name for m in bench.PER_LAYER} <= set(metrics)
+    assert not hasattr(H.prepare_data, "__wrapped__")  # uninstalled
 
 
 # ---------------------------------------------------------------- ablation
@@ -534,6 +576,22 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "baseline").exists()
+    # a diverged fl run: huge but finite logits reach the attack's Grad-CAM
+    # score before a forward fails; a warning would be a second stderr line
+    diverged_fl = tmp_path / "diverged_fl.json"
+    diverged_fl.write_text(json.dumps({
+        "train": {"lr": 1000.0},
+        "fl": {"pretrain_epochs": 1, "rounds": 2, "n_clients": 4, "select_k": 2},
+        "dataset": {"n_train": 40, "n_test": 20, "size": 16},
+        "metrics": {"probe_size": 8, "heatmap_dumps": 2}, "out": str(tmp_path)}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["fl", "--config", str(diverged_fl)]) == 4
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "fl").exists()
 
 
 def test_cli_seed_and_out_flags_override_config(tmp_path):

@@ -118,9 +118,10 @@ def test_predict_breaks_ties_toward_lower_index():
     ws = M.build(spec, seed=9)
     ws[-2] = np.zeros_like(ws[-2])  # all logits identical (zero)
     ws[-1] = np.zeros_like(ws[-1])
-    label, logits = M.predict(spec, ws, np.full((16, 16, 3), 0.5, dtype=np.float32))
-    assert label == 0
-    assert np.array_equal(logits, np.zeros(4, dtype=np.float32))
+    xs = np.full((2, 16, 16, 3), 0.5, dtype=np.float32)
+    assert M.predict_labels(spec, ws, xs).tolist() == [0, 0]
+    logits, _, _ = M.forward(spec, ws, xs)
+    assert np.array_equal(logits.data, np.zeros((2, 4), dtype=np.float32))
 
 
 # ---------------------------------------------------------------- training
@@ -129,7 +130,7 @@ def test_train_learns_separable_colors():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=2)
     data = color_blobs(40, classes=2, seed=10)
     ws = M.train(spec, M.build(spec, seed=0), data, epochs=5, lr=0.05, batch=8, seed=0)
-    assert M.accuracy(spec, ws, data) >= 0.95
+    assert M.hit_rate(M.predict_labels(spec, ws, data.images), data.labels) >= 0.95
 
 
 def test_train_is_bit_deterministic():
@@ -172,7 +173,7 @@ def test_non_finite_logits_and_loss_raise_floating_point_error():
     w0 = M.build(spec, seed=6)
     huge = [w * np.float32(1e30) if w.ndim > 1 else w for w in w0]
     with pytest.raises(FloatingPointError, match="non-finite logits"):
-        M.predict_batch(spec, huge, data.images)
+        M.predict_labels(spec, huge, data.images)
     with pytest.raises(FloatingPointError, match="loss is not finite"):
         M.train(spec, huge, data, epochs=1, batch=4)
     # at lr 1000 the first epoch's losses stay finite, the second's do not
@@ -219,7 +220,27 @@ def test_agreement_of_model_with_itself_is_total():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=2)
     data = color_blobs(10, classes=2, seed=15)
     ws = M.build(spec, seed=4)
-    assert M.agreement(spec, ws, ws, data.images) == 1.0
+    preds = M.predict_labels(spec, ws, data.images)
+    assert M.hit_rate(preds, M.predict_labels(spec, ws, data.images)) == 1.0
+
+
+def test_predict_labels_runs_the_model_in_chunks(monkeypatch):
+    spec = M.ModelSpec("ARCH_A", input_size=8, classes=3)
+    ws = M.build(spec, seed=7)
+    xs = np.random.default_rng(18).uniform(
+        0, 1, (M.PREDICT_CHUNK + 44, 8, 8, 3)).astype(np.float32)
+    sizes = []
+    forward = M.forward
+
+    def counting(spec, weights, x, *args, **kwargs):
+        sizes.append(len(x))
+        return forward(spec, weights, x, *args, **kwargs)
+    monkeypatch.setattr(M, "forward", counting)
+    got = M.predict_labels(spec, ws, xs)
+    assert sizes == [M.PREDICT_CHUNK, 44]
+    expect = [forward(spec, ws, xs[i:i + M.PREDICT_CHUNK])[0].data.argmax(axis=1)
+              for i in (0, M.PREDICT_CHUNK)]
+    assert got.tolist() == np.concatenate(expect).tolist()
 
 
 def test_weights_roundtrip_through_container(tmp_path):

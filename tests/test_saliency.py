@@ -248,7 +248,7 @@ def test_grad_cam_pp_matches_closed_form_oracle():
     for trial in range(3):
         x = rng.uniform(0, 1, size=(16, 16, 3)).astype(np.float32)
         for cls in range(spec.classes):
-            got = S.grad_cams(spec, ws, x, cls)[1]
+            got = S.predict_grad_cams(spec, ws, x[None], cls)[2][0]
             assert np.abs(got - grad_cam_pp_oracle(spec, ws, x, cls)).max() < 1e-5
 
 
@@ -261,7 +261,7 @@ def test_grad_cam_batch_agrees_with_singles():
     assert batch.shape == (4, 16, 16)
     for i in range(4):
         assert np.abs(batch[i] - S.grad_cam(spec, ws, xs[i], ids[i])).max() < 1e-6
-    assert np.array_equal(S.grad_cams(spec, ws, xs, ids)[0], batch)
+    assert np.array_equal(S.predict_grad_cams(spec, ws, xs, ids)[1], batch)
 
 
 def test_grad_cam_zero_model_yields_zero_map():
