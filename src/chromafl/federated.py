@@ -273,6 +273,8 @@ def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
 
     Adversarial clients re-poison their shard with ``grid`` against the
     incoming global every round, so the attack tracks the model as it drifts.
+    A non-finite aggregated weight raises ``FloatingPointError`` naming the
+    round and the aggregator.
     """
     selected = select_clients(len(clients), fl.select_k, seed, round_index)
     updates: list[tuple[list[np.ndarray], int]] = []
@@ -287,18 +289,22 @@ def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
         updates.append((w_i, len(shard)))
 
     if fl.aggregator == FEDAVG:
-        return fedavg(updates)
-    if fl.aggregator == TRIMMED_MEAN:
-        return trimmed_mean([w for w, _ in updates], fl.trim_k)
-    if fl.aggregator == MEDIAN:
-        return median([w for w, _ in updates])
-    # FLTRUST
-    if server_root is None:
-        raise ValueError("fltrust aggregation needs a server_root dataset")
-    server_seed = _child_seed(seed, _TAG_SERVER, round_index)
-    server_w = M.train(spec, global_weights, server_root, fl.local_epochs,
-                       lr=fl.lr, batch=fl.batch, seed=server_seed)
-    return fltrust(global_weights, [w for w, _ in updates], server_w)
+        new = fedavg(updates)
+    elif fl.aggregator == TRIMMED_MEAN:
+        new = trimmed_mean([w for w, _ in updates], fl.trim_k)
+    elif fl.aggregator == MEDIAN:
+        new = median([w for w, _ in updates])
+    else:  # FLTRUST
+        if server_root is None:
+            raise ValueError("fltrust aggregation needs a server_root dataset")
+        server_seed = _child_seed(seed, _TAG_SERVER, round_index)
+        server_w = M.train(spec, global_weights, server_root, fl.local_epochs,
+                           lr=fl.lr, batch=fl.batch, seed=server_seed)
+        new = fltrust(global_weights, [w for w, _ in updates], server_w)
+    if not all(np.isfinite(w).all() for w in new):
+        raise FloatingPointError(
+            f"round {round_index}: {fl.aggregator} aggregation gave non-finite weights")
+    return new
 
 
 def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,

@@ -139,18 +139,23 @@ def _batched(x) -> tuple[np.ndarray, bool]:
 
 
 def _run_stages(spec: ModelSpec, params: list[T.Tensor], x: np.ndarray,
-                tape: T.Tape | None, want: str) -> tuple[T.Tensor, T.Tensor | None]:
-    """The image batch ``x`` goes in as an ndarray, a constant to the tape,
-    so no backward forms its gradient."""
+                tape: T.Tape | None, want: str | None) -> tuple[T.Tensor, T.Tensor | None]:
+    """Logits and the ``want`` stage's activation.  The tape records only
+    the layers after that stage, all that a gradient w.r.t. it can reach;
+    ``want=None`` (training) tapes every layer.  The image batch ``x`` goes
+    in as an ndarray, a constant to the tape, so no backward forms its
+    gradient."""
     h = x
     captured = None
+    rec = None if want is not None else tape
     for k, st in enumerate(spec.stages):
-        h = T.relu(tape, T.conv2d(tape, h, params[2 * k], params[2 * k + 1]))
+        h = T.relu(rec, T.conv2d(rec, h, params[2 * k], params[2 * k + 1]))
         if st.pool:
-            h = T.maxpool2(tape, h)
+            h = T.maxpool2(rec, h)
         if st.name == want:
             captured = h
-    logits = T.dense(tape, h, params[-2], params[-1])
+            rec = tape
+    logits = T.dense(rec, h, params[-2], params[-1])
     return logits, captured
 
 
@@ -160,7 +165,10 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None,
 
     ``captured`` is the configured stage's final activation and sits on the
     same tape as the logits, so saliency code can differentiate through it.
-    Non-finite logits raise ``FloatingPointError``.
+    The tape holds only the layers after the capture stage, so it gives
+    gradients w.r.t. ``captured`` and later tensors; asking it for a
+    gradient w.r.t. an earlier weight raises ``ValueError``.  Non-finite
+    logits raise ``FloatingPointError``.
     """
     ws = _check_weights(spec, weights)
     xb, _ = _batched(x)
@@ -210,7 +218,7 @@ def train(spec: ModelSpec, weights, dataset, epochs: int, lr: float = 0.05,
                 idx = order[start:start + batch]
                 tape = T.Tape()
                 params = [T.Tensor(w) for w in ws]
-                logits, _ = _run_stages(spec, params, images[idx], tape, spec.capture)
+                logits, _ = _run_stages(spec, params, images[idx], tape, None)
                 loss = T.softmax_cross_entropy(tape, logits, labels[idx])
                 if not np.isfinite(loss.data):
                     raise FloatingPointError(

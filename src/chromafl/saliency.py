@@ -79,8 +79,8 @@ def upsample_bilinear(m, out_h: int, out_w: int):
 
 def _capture_grads(logits: T.Tensor, captured: T.Tensor, tape: T.Tape, class_id):
     """d(logit_class)/d(capture activation) and the activation, from the
-    result of a taped :func:`models.forward`; the tape replays only the
-    layers after the capture stage."""
+    result of a taped :func:`models.forward`, whose tape holds only the
+    layers after the capture stage; the replay runs them all."""
     ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), (logits.shape[0],))
     score = T.class_score(tape, logits, ids)
     g = T.grad_wrt(tape, score, captured).astype(np.float64)  # (B, h, w, K)
@@ -118,7 +118,6 @@ def predict_grad_cams(spec: M.ModelSpec, weights, xs, class_id=None):
     labels = logits.data.argmax(axis=1)
     g, acts = _capture_grads(logits, captured, tape,
                              labels if class_id is None else class_id)
-    del tape  # its buffers are not needed for the maps; free them first
     gc = _weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size)
     g2 = g * g
     g3 = g2 * g

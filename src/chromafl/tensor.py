@@ -4,7 +4,10 @@ Primitives cover exactly what the model zoo needs: stride-1 zero-padded
 convolution, 2x2 max pooling, ReLU, dense layers, global average pooling and
 a fused softmax cross-entropy.  Every primitive optionally records onto a
 :class:`Tape`; gradients of any recorded scalar with respect to any recorded
-tensor are obtained by replaying the tape in reverse.
+tensor are obtained by replaying the tape in reverse.  A tape records only
+what it is handed: training tapes every layer, while a Grad-CAM forward
+(``models.forward`` with a tape) holds only the layers after the capture
+stage, which are all its gradient can reach.
 
 Conventions:
 

@@ -594,6 +594,34 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
     assert not (tmp_path / "fl").exists()
 
 
+def test_cli_fl_non_finite_aggregate_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # the second client trained in round 1 comes back with one NaN weight;
+    # fedavg carries it into the global, and the round must stop there
+    real_train = M.train
+    calls = []
+
+    def train_one_nan_client(*args, **kwargs):
+        ws = real_train(*args, **kwargs)
+        calls.append(len(calls))
+        if len(calls) == 2:
+            ws[0] = ws[0].copy()
+            ws[0].flat[0] = np.nan
+        return ws
+
+    monkeypatch.setattr(M, "train", train_one_nan_client)
+    path = tmp_path / "nan_client.json"
+    path.write_text(json.dumps({
+        "fl": {"aggregator": "fedavg", "pretrain_epochs": 0, "rounds": 2,
+               "n_clients": 4, "select_k": 2},
+        "dataset": {"n_train": 40, "n_test": 20, "size": 16},
+        "metrics": {"probe_size": 8, "heatmap_dumps": 2}, "out": str(tmp_path)}))
+    assert cli.main(["fl", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err == "numerical failure: round 1: fedavg aggregation gave non-finite weights\n"
+    assert len(calls) == 2
+    assert not (tmp_path / "fl").exists()
+
+
 def test_cli_seed_and_out_flags_override_config(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(tiny_doc(tmp_path / "ignored")))

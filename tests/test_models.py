@@ -5,7 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from chromafl import attack as A
+from chromafl import data as D
 from chromafl import models as M
+from chromafl import saliency as S
 from chromafl import tensor as T
 
 
@@ -113,6 +116,83 @@ def test_captured_tensor_is_differentiable_through_tape():
     assert np.abs(g).max() > 0
 
 
+# ---------------------------------------------------------------- taped forward
+
+# (arch, capture stage, nodes a forward tape holds: the layers after that stage)
+CAPTURES = [("ARCH_A", "conv3", 1), ("ARCH_A", "conv2", 3),
+            ("ARCH_B", "conv3", 1), ("ARCH_B", "conv1", 7)]
+CAM_GRID = A.GridSpec(hue=(0.0, 0.1, -0.1), alpha=(0.8, 1.0, 1.2), per_channel=False,
+                      gamma=(0.8, 1.0, 1.2), beta=(0.0,), composites=False)
+
+
+def _full_tape_run_stages(spec, params, x, tape, want):
+    """Oracle: the same forward with every layer on the tape."""
+    h = x
+    captured = None
+    for k, st in enumerate(spec.stages):
+        h = T.relu(tape, T.conv2d(tape, h, params[2 * k], params[2 * k + 1]))
+        if st.pool:
+            h = T.maxpool2(tape, h)
+        if st.name == want:
+            captured = h
+    return T.dense(tape, h, params[-2], params[-1]), captured
+
+
+@pytest.fixture(scope="module")
+def shapes_models():
+    data = D.generate_shapes(48, classes=3, size=16, seed=21)
+    models = {}
+    for arch in ("ARCH_A", "ARCH_B"):
+        spec = M.ModelSpec(arch, input_size=16, classes=3)
+        models[arch] = M.train(spec, M.build(spec, seed=4), data, epochs=2,
+                               lr=0.05, batch=16, seed=1)
+    return models, data.images[:6]
+
+
+def _cam_outputs(spec, ws, images):
+    """Labels, maps and attack results as bytes and values, so == is byte equality."""
+    labels = M.predict_labels(spec, ws, images)
+    cams = S.grad_cam(spec, ws, images, 1)
+    pl, gc, gcpp = S.predict_grad_cams(spec, ws, images)
+    attacks = [A.cpm_perturb(spec, ws, x, CAM_GRID) for x in images[:3]]
+    return ([a.tobytes() for a in (labels, cams, pl, gc, gcpp)],
+            [(img.tobytes(), outcome) for img, outcome in attacks])
+
+
+@pytest.mark.parametrize("arch,capture", [c[:2] for c in CAPTURES])
+def test_cam_outputs_equal_the_full_tape_oracle(shapes_models, monkeypatch, arch, capture):
+    models, images = shapes_models
+    spec = M.ModelSpec(arch, input_size=16, classes=3, capture=capture)
+    ws = models[arch]
+    got = _cam_outputs(spec, ws, images)
+    monkeypatch.setattr(M, "_run_stages", _full_tape_run_stages)
+    tape = T.Tape()
+    M.forward(spec, ws, images, tape=tape)
+    assert len(tape) == 9  # the oracle is in place
+    assert got == _cam_outputs(spec, ws, images)
+
+
+@pytest.mark.parametrize("arch,capture,nodes", CAPTURES)
+def test_forward_tape_holds_only_the_layers_after_the_capture_stage(arch, capture, nodes):
+    spec = M.ModelSpec(arch, input_size=16, classes=3, capture=capture)
+    ws = M.build(spec, seed=2)
+    x = np.random.default_rng(3).uniform(0, 1, size=(2, 16, 16, 3)).astype(np.float32)
+    tape = T.Tape()
+    M.forward(spec, ws, x, tape=tape)
+    assert len(tape) == nodes
+    # the weights up to the capture stage are not on such a tape
+    params = [T.Tensor(w) for w in ws]
+    tape = T.Tape()
+    logits, _ = M._run_stages(spec, params, x, tape, capture)
+    score = T.class_score(tape, logits, 0)
+    with pytest.raises(ValueError, match="gradient target was not recorded"):
+        tape.gradients(score, params)
+    # training tapes every layer
+    tape = T.Tape()
+    M._run_stages(spec, params, x, tape, None)
+    assert len(tape) == 9
+
+
 def test_predict_breaks_ties_toward_lower_index():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=4)
     ws = M.build(spec, seed=9)
@@ -161,7 +241,7 @@ def test_train_matches_a_loop_with_a_tensor_image_batch(arch):
             tape = T.Tape()
             params = [T.Tensor(w) for w in ws]
             logits, _ = M._run_stages(spec, params, T.Tensor(data.images[idx]), tape,
-                                      spec.capture)
+                                      None)
             loss = T.softmax_cross_entropy(tape, logits, data.labels[idx])
             ws = T.sgd_step(ws, tape.gradients(loss, params), 0.05)
     assert [w.tobytes() for w in got] == [w.tobytes() for w in ws]
