@@ -226,6 +226,8 @@ def override(cfg: ExperimentConfig, seed: int | None = None,
             raise ConfigError("--seed must be >= 0")
         cfg = dataclasses.replace(cfg, seed=seed)
     if out is not None:
+        if not out:
+            raise ConfigError("out must be a non-empty path string")
         cfg = dataclasses.replace(cfg, out=out)
     if limit is not None:
         if limit < 1:

@@ -319,12 +319,20 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
 
     Each model runs once over the probe (labels and CAMs from one taped
     pass) and once over the test set, whose predictions give both accuracy
-    and fidelity.  Returns the metrics and the current model's probe
-    Grad-CAMs, the maps scored against the reference's.
+    and fidelity.  When ``current_weights is reference_weights`` the model
+    runs once in all: the current maps and predictions are the reference's,
+    which a second run would reproduce bit for bit, and the comparison
+    metrics are still computed from them.  Returns the metrics and the
+    current model's probe Grad-CAMs, the maps scored against the reference's.
     """
     probe = np.asarray(probe_images)
     ref_labels, gc_ref, gpp_ref = S.predict_grad_cams(spec, reference_weights, probe)
-    _, gc_cur, gpp_cur = S.predict_grad_cams(spec, current_weights, probe, ref_labels)
+    ref_preds = M.predict_labels(spec, reference_weights, test.images)
+    if current_weights is reference_weights:
+        gc_cur, gpp_cur, cur_preds = gc_ref, gpp_ref, ref_preds
+    else:
+        _, gc_cur, gpp_cur = S.predict_grad_cams(spec, current_weights, probe, ref_labels)
+        cur_preds = M.predict_labels(spec, current_weights, test.images)
 
     ssim_gc = S.ssim(gc_ref, gc_cur)
     ssim_gpp = S.ssim(gpp_ref, gpp_cur)
@@ -332,8 +340,6 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
                       for i in range(probe.shape[0])])
     l1 = S.l1_distance(gc_ref, gc_cur)
 
-    ref_preds = M.predict_labels(spec, reference_weights, test.images)
-    cur_preds = M.predict_labels(spec, current_weights, test.images)
     return RoundMetrics(
         round=round_index,
         adv_ratio=float(adv_ratio),

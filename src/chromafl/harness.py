@@ -205,6 +205,12 @@ def run_fl_streams(cfg: ExperimentConfig) -> dict:
     The twin shares the seed, partition, selection, and local-training
     streams, differing only in that no client poisons its shard; at
     adv_ratio = 0 the two streams are the same computation bit for bit.
+    So a round that both streams start from the same global object and
+    that selects no adversarial client is run once: the attacked global is
+    the twin's new global object, which ``compute_round_metrics`` then runs
+    once.  That is every round at adv_ratio = 0 and the leading
+    adversary-free rounds of an attacked run; once the streams diverge,
+    each runs its own rounds.
     Callers check first that every client gets a sample (``_check_clients_fit``).
     The result's ``heatmaps[t - 1]`` holds round t's Grad-CAMs of the first
     ``metrics.heatmap_dumps`` probe images on the attacked global, each for
@@ -231,10 +237,15 @@ def run_fl_streams(cfg: ExperimentConfig) -> dict:
     drift_rows = []
     heatmaps = []
     for t in range(1, cfg.fl.rounds + 1):
+        same_start = w_main is w_twin
         w_twin = F.run_round(spec, w_twin, twin_clients, cfg.fl, cfg.grid,
                              cfg.seed, t, server_root=server_root)
-        w_main = F.run_round(spec, w_main, clients, cfg.fl, cfg.grid,
-                             cfg.seed, t, server_root=server_root)
+        picked = F.select_clients(len(clients), cfg.fl.select_k, cfg.seed, t)
+        if same_start and all(clients[cid].role == F.BENIGN for cid in picked):
+            w_main = w_twin
+        else:
+            w_main = F.run_round(spec, w_main, clients, cfg.fl, cfg.grid,
+                                 cfg.seed, t, server_root=server_root)
         metrics, cams = F.compute_round_metrics(spec, w_twin, w_main, probe, test,
                                                 round_index=t, adv_ratio=adv_share)
         rounds.append(metrics)

@@ -167,9 +167,14 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None,
     same tape as the logits, so saliency code can differentiate through it.
     The tape holds only the layers after the capture stage, so it gives
     gradients w.r.t. ``captured`` and later tensors; asking it for a
-    gradient w.r.t. an earlier weight raises ``ValueError``.  Non-finite
-    logits raise ``FloatingPointError``.
+    gradient w.r.t. an earlier weight raises ``ValueError``, as does a
+    ``capture`` that names no stage of the architecture.  Non-finite logits
+    raise ``FloatingPointError``.
     """
+    want = capture or spec.capture
+    names = [st.name for st in spec.stages]
+    if want not in names:
+        raise ValueError(f"capture stage {want!r} not in {names}")
     ws = _check_weights(spec, weights)
     xb, _ = _batched(x)
     if xb.shape[1] != spec.input_size or xb.shape[2] != spec.input_size or xb.shape[3] != 3:
@@ -178,7 +183,7 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None,
     params = [T.Tensor(w) for w in ws]
     # an overflow shows as non-finite logits, which raise: no warning needed
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, captured = _run_stages(spec, params, xb, tape, capture or spec.capture)
+        logits, captured = _run_stages(spec, params, xb, tape, want)
     if not np.isfinite(logits.data).all():
         raise FloatingPointError(f"{spec.arch} produced non-finite logits")
     return logits, captured, tape

@@ -119,6 +119,19 @@ def test_fltrust_zero_server_delta_skips_round():
     assert g[0][0] == 0.5  # returned copy, not an alias
 
 
+def test_fltrust_clients_equal_to_the_global_earn_no_trust():
+    # every client delta has norm 0, so none can be cosine-scored
+    rng = np.random.default_rng(3)
+    g = [rng.normal(size=s).astype(np.float32) for s in ((2, 3), (4,))]
+    server = [w + np.float32(0.5) for w in g]
+    clients = [[w.copy() for w in g] for _ in range(3)]
+    with pytest.warns(UserWarning, match="no client earned trust"):
+        new = F.fltrust(g, clients, server)
+    assert [w.tobytes() for w in new] == [w.tobytes() for w in g]
+    assert [w.dtype for w in new] == [np.float32, np.float32]
+    assert not any(np.shares_memory(a, b) for a in new for b in g)
+
+
 def test_aggregators_preserve_float32_dtype():
     stacks = [[np.ones((2,), dtype=np.float32) * i] for i in range(1, 6)]
     assert F.fedavg([(ws, 1) for ws in stacks])[0].dtype == np.float32

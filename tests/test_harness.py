@@ -363,6 +363,99 @@ def test_fl_with_zero_adversaries_is_exact(tmp_path):
         assert row[l1] == "0.000000000"
 
 
+# fl section, seed, and whether each round picks an adversary: none at all
+# (under FLTrust); one in every round; and one of four clients, which seed 4
+# leaves out of round 1 and picks in round 2, so the streams share round 1
+# and diverge after it
+STREAM_CASES = {
+    "benign": ({"n_clients": 4, "select_k": 3, "rounds": 2, "adv_ratio": 0.0,
+                "aggregator": "fltrust", "root_size": 8}, 0, [False, False]),
+    "attacked": ({"n_clients": 4, "select_k": 3, "rounds": 2, "adv_ratio": 0.5},
+                 0, [True, True]),
+    "diverging": ({"n_clients": 4, "select_k": 2, "rounds": 3, "adv_ratio": 0.25},
+                  4, [False, True, False]),
+}
+
+
+def _stream_cfg(tmp_path, case) -> ExperimentConfig:
+    fl, seed, adversary_picked = STREAM_CASES[case]
+    cfg = tiny_cfg(tmp_path, fl=fl, seed=seed)
+    roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, seed)
+    assert [any(roles[c] == F.ADVERSARIAL for c in F.select_clients(
+        cfg.fl.n_clients, cfg.fl.select_k, seed, t))
+        for t in range(1, cfg.fl.rounds + 1)] == adversary_picked
+    return cfg
+
+
+def _unshared_streams(cfg):
+    """Both streams of ``run_fl_streams`` rebuilt from ``run_round`` and
+    ``compute_round_metrics`` alone, each call on its own weight copies."""
+    train, test, root = H.prepare_data(cfg)
+    spec = H._model_spec(cfg, cfg.model)
+    roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
+    adv_share = roles.count(F.ADVERSARIAL) / len(roles)
+    clients = H._build_clients(train, cfg, roles)
+    twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
+    server_root = root if cfg.fl.aggregator == F.FLTRUST else None
+    probe = test.images[:cfg.metrics.probe_size]
+    w_init = M.build(spec, seed=H._sub_seed(cfg.seed, H._TAG_MODEL))
+    w_twin, w_main = [w.copy() for w in w_init], [w.copy() for w in w_init]
+    rounds, heatmaps = [], []
+    for t in range(1, cfg.fl.rounds + 1):
+        w_twin = F.run_round(spec, w_twin, twin_clients, cfg.fl, cfg.grid,
+                             cfg.seed, t, server_root=server_root)
+        w_main = F.run_round(spec, [w.copy() for w in w_main], clients, cfg.fl,
+                             cfg.grid, cfg.seed, t, server_root=server_root)
+        m, cams = F.compute_round_metrics(spec, w_twin, [w.copy() for w in w_main],
+                                          probe, test, round_index=t, adv_ratio=adv_share)
+        rounds.append(m)
+        heatmaps.append(cams[:cfg.metrics.heatmap_dumps])
+    return {"weights": w_main, "twin_weights": w_twin, "rounds": rounds,
+            "heatmaps": heatmaps}
+
+
+@pytest.mark.parametrize("case", ["benign", "diverging"])
+def test_shared_rounds_equal_the_unshared_streams_bit_for_bit(tmp_path, case):
+    cfg = _stream_cfg(tmp_path, case)
+    got = H.run_fl_streams(cfg)
+    want = _unshared_streams(cfg)
+    for key in ("weights", "twin_weights"):
+        assert [w.tobytes() for w in got[key]] == [w.tobytes() for w in want[key]]
+        assert [w.dtype for w in got[key]] == [w.dtype for w in want[key]]
+    assert got["rounds"] == want["rounds"]
+    assert [[c.tobytes() for c in r] for r in got["heatmaps"]] == \
+        [[c.tobytes() for c in r] for r in want["heatmaps"]]
+    if case == "diverging":
+        assert got["rounds"][1].ssim_gc_mean < 1.0  # the attack moved the maps
+
+
+@pytest.mark.parametrize("case,per_round", [
+    ("benign", [1, 1]),
+    ("attacked", [2, 2]),
+    ("diverging", [1, 2, 2]),
+])
+def test_run_fl_streams_runs_a_shared_round_once(tmp_path, monkeypatch, case, per_round):
+    # per round: run_round calls, and probe CAM passes in its metrics
+    cfg = _stream_cfg(tmp_path, case)
+    real_round, real_cams = F.run_round, S.predict_grad_cams
+    rounds_run, cams_after = [], []
+
+    def spy_round(*args, **kwargs):
+        rounds_run.append(args[6])
+        return real_round(*args, **kwargs)
+
+    def spy_cams(*args, **kwargs):
+        cams_after.append(rounds_run[-1])  # the round whose metrics these are
+        return real_cams(*args, **kwargs)
+
+    monkeypatch.setattr(F, "run_round", spy_round)
+    monkeypatch.setattr(S, "predict_grad_cams", spy_cams)
+    H.run_fl_streams(cfg)
+    rounds = range(1, cfg.fl.rounds + 1)
+    assert [rounds_run.count(t) for t in rounds] == per_round
+    assert [cams_after.count(t) for t in rounds] == per_round
+
+
 def test_fl_reports_drift_fit_when_attacked(tmp_path):
     cfg = tiny_cfg(tmp_path)
     rep = H.cmd_fl(cfg)
@@ -630,6 +723,20 @@ def test_cli_seed_and_out_flags_override_config(tmp_path):
     assert rc == 0
     assert (tmp_path / "flagged" / "baseline" / "summary.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_cli_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(tiny_doc(tmp_path / "cfgout")))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="out must be a non-empty path string"):
+        override(tiny_cfg(tmp_path), out="")
+    assert cli.main(["baseline", "--config", str(path), "--out", ""]) == 2
+    assert capsys.readouterr().err == "config error: out must be a non-empty path string\n"
+    monkeypatch.setenv("CHROMAFL_OUT", "")
+    assert cli.main(["baseline", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: out must be a non-empty path string\n"
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
 
 def test_cli_out_env_fallback(tmp_path, monkeypatch):

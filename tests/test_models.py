@@ -104,6 +104,16 @@ def test_forward_rejects_bad_input_and_weights():
         M.forward(spec, ws[:-1], np.zeros((32, 32, 3), dtype=np.float32))
 
 
+def test_forward_rejects_an_unknown_capture_stage():
+    spec = M.ModelSpec("ARCH_A", input_size=16, classes=3)
+    ws = M.build(spec, seed=0)
+    tape = T.Tape()
+    with pytest.raises(ValueError, match=r"'conv9' not in \['conv1', 'conv2', 'conv3'\]"):
+        M.forward(spec, ws, np.zeros((1, 16, 16, 3), dtype=np.float32),
+                  tape=tape, capture="conv9")
+    assert len(tape) == 0
+
+
 def test_captured_tensor_is_differentiable_through_tape():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=3)
     ws = M.build(spec, seed=7)
