@@ -13,11 +13,16 @@ import sys
 
 
 def _apply_thread_env() -> None:
+    """Copy ``CHROMAFL_THREADS`` into each BLAS thread variable not already
+    set; a value that is not a positive integer raises ``ValueError`` before
+    any variable is set."""
     threads = os.environ.get("CHROMAFL_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+    if threads is None:
+        return
+    if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
+        raise ValueError(f"CHROMAFL_THREADS must be a positive integer, got {threads!r}")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, threads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +79,11 @@ def _print_report(command: str, report: dict) -> None:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
+    try:
+        _apply_thread_env()
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
 
     import numpy as np

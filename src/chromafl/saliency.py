@@ -147,7 +147,17 @@ def _gauss_filter_valid(maps: np.ndarray) -> np.ndarray:
 
 
 def ssim(a, b):
-    """Mean local SSIM between two maps (unit dynamic range)."""
+    """Mean local SSIM between two maps (unit dynamic range).
+
+    The last bits of the scores depend on the maps' memory layout, not only
+    on their values: the Gaussian row pass is a numpy ``matmul`` over a
+    window view, and its loop follows the strides.  ``cpm_perturb`` scores a
+    candidate CAM stack as it comes out of :func:`upsample_bilinear`, with
+    the batch axis innermost; a C-contiguous copy of the same maps scores
+    differently (for one image's 134 feasible candidates, 127 scores moved,
+    by up to 4.2e-15).  So the layout of any array that reaches ``ssim`` is
+    part of the report bytes.
+    """
     am, single_a = _as_maps(a, "first map")
     bm, single_b = _as_maps(b, "second map")
     if am.shape != bm.shape:

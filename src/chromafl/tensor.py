@@ -18,9 +18,20 @@ Conventions:
 * a plain ndarray passed where a primitive takes a Tensor is a constant: no
   caller holds a tensor for it, so no gradient target can name it, and
   :func:`conv2d` forms no input gradient for it (the image batch is one),
-* :func:`maxpool2` selects with a bitwise blend on unsigned-integer views of
-  the values (``first ^ ((first ^ later) & -mask)``), which moves the chosen
-  bytes unchanged, signed zeros and NaN payloads included.
+* :func:`conv2d` builds im2col by copying each kernel row's ``kw * Cin``
+  contiguous run of the padded input as one item, and scatters the input
+  gradient tap by tap: each tap's column gradient is copied to one
+  contiguous block, so each of the ``kh * kw`` ordered adds into the zeroed
+  buffer runs over whole rows,
+* :func:`maxpool2` has two paths with the same bytes.  A float input with no
+  sign bit and no NaN (a ReLU output unless it holds NaN or ``-0.0``), found
+  by one unsigned ``max`` over the bits, takes the window maximum on
+  signed-integer views, where integer order is float order and equal values
+  have equal bits.  Any other input (negatives, ``-0.0``, NaN, integers)
+  selects with a bitwise blend on unsigned-integer views
+  (``first ^ ((first ^ later) & -mask)``), which moves the chosen bytes
+  unchanged, signed zeros and NaN payloads included, so a NaN reaches the
+  output.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ import struct
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float32
 
@@ -179,9 +189,15 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"conv2d bias must be ({co},), got shape {bd.shape}")
     bsz, h, wdt, _ = xd.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (B,H,W,Ci,kh,kw)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    xp = np.zeros((bsz, h + 2 * ph, wdt + 2 * pw, ci), dtype=xd.dtype)  # C order
+    xp[:, ph:ph + h, pw:pw + wdt, :] = xd
+    # kernel row i of output pixel (y, x) is the contiguous run
+    # xp[:, y + i, x:x + kw, :]; one void item per run copies it whole
+    sb, sh, sw, _ = xp.strides
+    run = np.dtype((np.void, kw * ci * xp.itemsize))
+    rows = np.ndarray((bsz, h, wdt, kh), dtype=run, buffer=xp,
+                      strides=(sb, sh, sw, sh))
+    cols = np.ascontiguousarray(rows).view(xd.dtype)
     cols = cols.reshape(bsz * h * wdt, kh * kw * ci)
     wmat = wd.reshape(kh * kw * ci, co)
     y = cols @ wmat
@@ -199,7 +215,8 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             dxp = np.zeros((bsz, h + 2 * ph, wdt + 2 * pw, ci), dtype=xd.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, i:i + h, j:j + wdt, :] += dcols[:, :, :, i, j, :]
+                    # one contiguous copy of the tap lets the add run whole rows
+                    dxp[:, i:i + h, j:j + wdt, :] += np.ascontiguousarray(dcols[:, :, :, i, j, :])
             dx = dxp[:, ph:ph + h, pw:pw + wdt, :]
             return dx, dw, db
         tape.record(out, (x, w, b), backward)
@@ -234,6 +251,12 @@ def _blend(mask: np.ndarray, first: np.ndarray, later: np.ndarray) -> np.ndarray
     return bits
 
 
+def _window(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four elements of each 2x2 window as strided views; element
+    k = 2 * i + j sits at ``v[:, i::2, j::2]``."""
+    return v[:, 0::2, 0::2], v[:, 0::2, 1::2], v[:, 1::2, 0::2], v[:, 1::2, 1::2]
+
+
 def maxpool2(tape: Tape | None, x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; ties go to the first element in
     row-major window order, and a NaN is the maximum of its window."""
@@ -245,14 +268,22 @@ def maxpool2(tape: Tape | None, x: Tensor) -> Tensor:
     if h % 2 or wdt % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {h}x{wdt}")
     bits = np.dtype(f"u{xd.dtype.itemsize}")
-    # window element k = 2 * i + j sits at x[:, i::2, j::2]
-    a, b = xd[:, 0::2, 0::2], xd[:, 0::2, 1::2]
-    c, d = xd[:, 1::2, 0::2], xd[:, 1::2, 1::2]
-    top, bottom = _later_wins(a, b), _later_wins(c, d)
-    ab = _blend(top, a.view(bits), b.view(bits))
-    cd = _blend(bottom, c.view(bits), d.view(bits))
-    lower = _later_wins(ab.view(xd.dtype), cd.view(xd.dtype))
-    out = Tensor(_blend(lower, ab, cd).view(xd.dtype))
+    if xd.dtype.kind == "f" and xd.view(bits).max() <= np.array(np.inf, xd.dtype).view(bits):
+        # no sign bit and no NaN: signed-integer order is float order, and
+        # equal values have equal bits, so an integer maximum moves the
+        # chosen bytes unchanged
+        a, b, c, d = _window(xd.view(f"i{xd.dtype.itemsize}"))
+        ab, cd = np.maximum(a, b), np.maximum(c, d)
+        out = Tensor(np.maximum(ab, cd).view(xd.dtype))
+        if tape is not None:
+            top, bottom, lower = b > a, d > c, cd > ab
+    else:
+        a, b, c, d = _window(xd)
+        top, bottom = _later_wins(a, b), _later_wins(c, d)
+        ab = _blend(top, a.view(bits), b.view(bits))
+        cd = _blend(bottom, c.view(bits), d.view(bits))
+        lower = _later_wins(ab.view(xd.dtype), cd.view(xd.dtype))
+        out = Tensor(_blend(lower, ab, cd).view(xd.dtype))
     if tape is not None:
         # idx = 2 + bottom where lower holds, else top
         idx = lower.view(np.int8) << 1

@@ -715,6 +715,31 @@ def test_cli_fl_non_finite_aggregate_is_a_numerical_failure(tmp_path, capsys, mo
     assert not (tmp_path / "fl").exists()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5", ""])
+def test_cli_rejects_a_thread_count_that_is_not_a_positive_integer(
+        tmp_path, capsys, monkeypatch, threads):
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("CHROMAFL_THREADS", threads)
+    assert cli.main(["gen-data", "--limit", "12", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: CHROMAFL_THREADS must be a positive integer, got {threads!r}\n"
+    assert not (tmp_path / "gen_data").exists()
+    assert not any(var in os.environ for var in blas_vars)
+
+
+def test_cli_thread_count_fills_only_unset_blas_variables(tmp_path, monkeypatch):
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("CHROMAFL_THREADS", "1")
+    assert cli.main(["gen-data", "--limit", "12", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "gen_data" / "labels.csv").exists()
+    assert [os.environ[v] for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                    "MKL_NUM_THREADS")] == ["1", "2", "1"]
+
+
 def test_cli_seed_and_out_flags_override_config(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(tiny_doc(tmp_path / "ignored")))

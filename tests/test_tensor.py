@@ -361,6 +361,8 @@ def test_gradient_of_intermediate_replays_only_later_nodes():
 
 
 POOL_VALUES = (-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, float("inf"), float("nan"))
+# no sign bit and no NaN, as ReLU outputs: maxpool2 takes its integer path
+RELU_POOL_VALUES = (0.0, 0.5, 1.0, 2.0, float("inf"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,28 +372,103 @@ POOL_VALUES = (-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, float("inf"), float("nan"))
 def test_maxpool2_matches_argmax_reference(shape, data):
     bsz, oh, ow, c = shape
     n = bsz * 4 * oh * ow * c
-    vals = data.draw(st.lists(st.sampled_from(POOL_VALUES), min_size=n, max_size=n))
-    # float64 makes the blend select on uint64 views, float32 on uint32 ones
-    for dtype in (np.float32, np.float64):
-        x = np.array(vals, dtype=dtype).reshape(bsz, 2 * oh, 2 * ow, c)
-        # reference: argmax over the window axis in row-major order (the first
-        # maximum wins a tie; a NaN is the maximum, the first NaN winning)
-        r = x.reshape(bsz, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(bsz, oh, ow, 4, c)
-        idx = r.argmax(axis=3)[:, :, :, None, :]
-        ref = np.take_along_axis(r, idx, axis=3)[:, :, :, 0, :]
-        # distinct non-zero adjoints, so the backward shows which index was taken
-        g = np.arange(1, ref.size + 1, dtype=dtype).reshape(ref.shape)
-        scat = np.zeros_like(r)
-        np.put_along_axis(scat, idx, g[:, :, :, None, :], axis=3)
-        ref_dx = scat.reshape(bsz, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(x.shape)
+    mixed = data.draw(st.lists(st.sampled_from(POOL_VALUES), min_size=n, max_size=n))
+    relu_like = data.draw(st.lists(st.sampled_from(RELU_POOL_VALUES), min_size=n, max_size=n))
+    for vals in (mixed, relu_like):
+        # float64 makes the blend select on uint64 views, float32 on uint32 ones
+        for dtype in (np.float32, np.float64):
+            x = np.array(vals, dtype=dtype).reshape(bsz, 2 * oh, 2 * ow, c)
+            # reference: argmax over the window axis in row-major order (the first
+            # maximum wins a tie; a NaN is the maximum, the first NaN winning)
+            r = x.reshape(bsz, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5)
+            r = r.reshape(bsz, oh, ow, 4, c)
+            idx = r.argmax(axis=3)[:, :, :, None, :]
+            ref = np.take_along_axis(r, idx, axis=3)[:, :, :, 0, :]
+            # distinct non-zero adjoints, so the backward shows which index was taken
+            g = np.arange(1, ref.size + 1, dtype=dtype).reshape(ref.shape)
+            scat = np.zeros_like(r)
+            np.put_along_axis(scat, idx, g[:, :, :, None, :], axis=3)
+            ref_dx = scat.reshape(bsz, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+            ref_dx = ref_dx.reshape(x.shape)
 
-        assert T.maxpool2(None, T.Tensor(x)).data.tobytes() == ref.tobytes()
-        tape = T.Tape()
-        y = T.maxpool2(tape, T.Tensor(x))
-        assert y.dtype == dtype
-        assert y.data.tobytes() == ref.tobytes()  # byte equality: signed zeros count
-        (dx,) = tape._nodes[-1].backward(g)
-        assert dx.dtype == x.dtype and dx.tobytes() == ref_dx.tobytes()
+            assert T.maxpool2(None, T.Tensor(x)).data.tobytes() == ref.tobytes()
+            tape = T.Tape()
+            y = T.maxpool2(tape, T.Tensor(x))
+            assert y.dtype == dtype
+            assert y.data.tobytes() == ref.tobytes()  # byte equality: signed zeros count
+            (dx,) = tape._nodes[-1].backward(g)
+            assert dx.dtype == x.dtype and dx.tobytes() == ref_dx.tobytes()
+
+
+def test_maxpool2_keeps_a_sign_bit_nan_in_relu_output():
+    # one NaN with the sign bit set (the x86 default NaN) among non-negative
+    # values: the integer path would rank it below everything, so the
+    # tournament must serve this input and carry the NaN's bits through
+    x = np.maximum(np.random.default_rng(5).normal(size=(2, 4, 6, 3)), 0).astype(np.float32)
+    x[1, 2, 3, 1] = np.array(0xFFC00000, dtype=np.uint32).view(np.float32)
+    ref = naive_maxpool2(x).view(np.uint32)
+    for tape in (None, T.Tape()):
+        y = T.maxpool2(tape, T.Tensor(x)).data
+        assert not np.shares_memory(y, x)
+        got = y.view(np.uint32)
+        assert got[1, 1, 1, 1] == 0xFFC00000
+        others = np.ones(got.shape, dtype=bool)
+        others[1, 1, 1, 1] = False
+        assert got[others].tobytes() == ref[others].tobytes()
+
+
+def test_maxpool2_takes_integer_inputs():
+    x = np.random.default_rng(6).integers(-50, 50, size=(2, 4, 6, 3))
+    assert T.maxpool2(None, T.Tensor(x)).data.tobytes() == naive_maxpool2(x).tobytes()
+
+
+def _conv2d_reference(x, w, b, g):
+    """``y``, ``dx``, ``dw``, ``db`` laid out as conv2d once did: im2col by a
+    transposed ``sliding_window_view`` copy, and the input gradient by nine
+    strided adds of the ``(kh, kw)`` taps read in place."""
+    bsz, h, wd, ci = x.shape
+    kh, kw, _, co = w.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    cols = cols.reshape(bsz * h * wd, kh * kw * ci)
+    wmat = w.reshape(kh * kw * ci, co)
+    y = cols @ wmat
+    y = np.add(y, b, out=y).reshape(bsz, h, wd, co)
+    gmat = g.reshape(bsz * h * wd, co)
+    dw = (cols.T @ gmat).reshape(w.shape)
+    db = gmat.sum(axis=0, dtype=np.float64).astype(b.dtype)
+    dcols = (gmat @ wmat.T).reshape(bsz, h, wd, kh, kw, ci)
+    dxp = np.zeros(xp.shape, dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + h, j:j + wd, :] += dcols[:, :, :, i, j, :]
+    return y, dxp[:, ph:ph + h, pw:pw + wd, :], dw, db
+
+
+@pytest.mark.parametrize("ksize", [(1, 1), (3, 3), (5, 5), (5, 3)])
+@pytest.mark.parametrize("ci", [1, 3, 16, 32])
+def test_conv2d_matches_the_window_view_reference_bytewise(ci, ksize):
+    rng = np.random.default_rng(ci * 10 + ksize[0] + ksize[1])
+    for dtype in (np.float32, np.float64):
+        for bsz in (1, 7):
+            x = rng.normal(size=(bsz, 6, 5, ci)).astype(dtype)
+            w = rng.normal(size=(*ksize, ci, 4)).astype(dtype)
+            b = rng.normal(size=4).astype(dtype)
+            g = rng.normal(size=(bsz, 6, 5, 4)).astype(dtype)
+            ref = _conv2d_reference(x, w, b, g)
+            # the im2col runs need C order in the padded copy, whatever x's
+            for xin in (T.Tensor(x), x, T.Tensor(np.asfortranarray(x))):
+                tape = T.Tape()
+                y = T.conv2d(tape, xin, T.Tensor(w), T.Tensor(b))
+                dx, dw, db = tape._nodes[-1].backward(g)
+                assert y.dtype == dtype and y.data.tobytes() == ref[0].tobytes()
+                if xin is x:
+                    assert dx is None
+                else:
+                    assert dx.dtype == dtype and dx.tobytes() == ref[1].tobytes()
+                assert dw.tobytes() == ref[2].tobytes() and db.tobytes() == ref[3].tobytes()
 
 
 def test_conv2d_treats_an_ndarray_input_as_a_constant():
