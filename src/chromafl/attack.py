@@ -147,7 +147,7 @@ def cpm_perturb(spec: M.ModelSpec, weights, x, grid: GridSpec
     g, acts = S._capture_grads(logits, captured, tape, base_label)
     g, acts = g[feasible], acts[feasible]
     cams = S._weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size)
-    scores = S.ssim(np.broadcast_to(cams[0], cams.shape), cams)
+    scores = S.ssim(cams, cams[0])
 
     best_pos = 0
     for pos in range(len(feasible)):

@@ -84,11 +84,22 @@ def hsv_to_rgb(x) -> np.ndarray:
     return out.astype(arr.dtype, copy=False) if arr.dtype.kind == "f" else out
 
 
-def hue_shift(x, delta: float) -> np.ndarray:
-    """Rotate hue by ``delta`` (in turns) through HSV and back."""
+def hue_shift(x, delta) -> np.ndarray:
+    """Rotate hue by ``delta`` (in turns) through HSV and back.
+
+    A 1-D array of deltas gives one image per delta, stacked along a new
+    leading axis, from one RGB -> HSV conversion of ``x``; each equals the
+    scalar call's image.
+    """
     arr = _check_rgb(x)
+    d = np.asarray(delta, dtype=np.float64)
+    if d.ndim > 1:
+        raise ValueError(f"delta must be a scalar or 1-D, got shape {d.shape}")
     hsv = _rgb_to_hsv64(arr)
-    hsv[..., 0] = np.mod(hsv[..., 0] + delta, 1.0)
+    if d.ndim:
+        hsv = np.broadcast_to(hsv, d.shape + hsv.shape).copy()
+        d = d.reshape(d.shape + (1,) * (arr.ndim - 1))
+    hsv[..., 0] = np.mod(hsv[..., 0] + d, 1.0)
     out = np.clip(_hsv_to_rgb64(hsv), 0.0, 1.0)
     return out.astype(arr.dtype, copy=False) if arr.dtype.kind == "f" else out
 
@@ -173,10 +184,12 @@ def apply(theta: PerturbationParams, x) -> np.ndarray:
 
 
 def apply_each(thetas, x) -> np.ndarray:
-    """``np.stack([apply(t, x) for t in thetas])``, hue-shifting ``x`` once
-    per distinct non-zero delta and applying the other operators on top."""
+    """``np.stack([apply(t, x) for t in thetas])``, hue-shifting ``x`` to every
+    distinct non-zero delta in one call and applying the other operators on
+    top."""
     arr = _check_rgb(x)
-    hued = {d: hue_shift(arr, d) for d in {t.delta for t in thetas} if d != 0.0}
+    deltas = [d for d in dict.fromkeys(t.delta for t in thetas) if d != 0.0]
+    hued = dict(zip(deltas, hue_shift(arr, deltas))) if deltas else {}
     return np.stack([apply(replace(t, delta=0.0), hued.get(t.delta, arr))
                      for t in thetas])
 

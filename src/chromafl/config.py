@@ -50,6 +50,14 @@ class DatasetConfig:
             raise ValueError("path is required for cifar10")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be >= 1")
+        if self.kind == SHAPES:
+            if self.size < 16:
+                raise ValueError(f"size must be >= 16 for shapes, got {self.size}")
+            if not 2 <= self.classes <= 10:
+                raise ValueError(f"classes must be in 2..10 for shapes, got {self.classes}")
+        elif (self.size, self.classes) != (32, 10):
+            raise ValueError("cifar10 images are 32x32 in 10 classes: size must "
+                             f"be 32 and classes 10, got {self.size} and {self.classes}")
 
 
 @dataclass(frozen=True)

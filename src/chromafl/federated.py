@@ -336,8 +336,7 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
 
     ssim_gc = S.ssim(gc_ref, gc_cur)
     ssim_gpp = S.ssim(gpp_ref, gpp_cur)
-    peaks = np.array([S.peak_overlap(gc_ref[i], gc_cur[i])
-                      for i in range(probe.shape[0])])
+    peaks = S.peak_overlap(gc_ref, gc_cur)
     l1 = S.l1_distance(gc_ref, gc_cur)
 
     return RoundMetrics(

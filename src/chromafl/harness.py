@@ -105,10 +105,8 @@ def prepare_data(cfg: ExperimentConfig) -> tuple[D.LabeledDataset, D.LabeledData
 
 def _model_spec(cfg: ExperimentConfig, model_cfg) -> M.ModelSpec:
     """The model section's spec at the dataset's image size and class count."""
-    d = cfg.dataset
-    size, classes = (d.size, d.classes) if d.kind == SHAPES else (32, 10)
     try:
-        return model_cfg.to_spec(size, classes)
+        return model_cfg.to_spec(cfg.dataset.size, cfg.dataset.classes)
     except ValueError as e:
         raise ConfigError(f"model: {e}") from e
 

@@ -5,7 +5,8 @@ resolution; a map that comes out flat (all equal) normalizes to all zeros
 rather than dividing by zero.  :func:`grad_cam` gives the Grad-CAM of one
 image or a batch; :func:`predict_grad_cams` gives a batch's labels, Grad-CAM
 and Grad-CAM++ maps from one taped pass.  Metric functions accept single
-maps ``(H, W)`` or stacks ``(B, H, W)``.
+maps ``(H, W)`` or stacks ``(B, H, W)``; :func:`ssim` also scores one map
+against a stack.
 
 SSIM uses the standard 11x11 Gaussian window (sigma 1.5) with C1=(0.01)^2,
 C2=(0.03)^2 on a unit dynamic range, averaged over valid windows only.
@@ -14,7 +15,6 @@ C2=(0.03)^2 on a unit dynamic range, averaged over valid windows only.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import models as M
 from . import tensor as T
@@ -52,7 +52,15 @@ def normalize_map(m):
 
 
 def upsample_bilinear(m, out_h: int, out_w: int):
-    """Bilinear resize with half-pixel alignment and edge clamping."""
+    """Bilinear resize with half-pixel alignment and edge clamping.
+
+    Each source row is resampled along W once, then pairs of those rows are
+    blended down H: the same two-step formula per output cell as a
+    four-corner gather.  A stack comes back with the batch axis innermost
+    (a transposed ``(out_h, out_w, B)`` array), because the reductions over
+    its maps downstream (:func:`l1_distance`'s mean) sum in memory order, so
+    the layout is part of their bits.
+    """
     maps, single = _as_maps(m)
     b, h, w = maps.shape
     if out_h < 1 or out_w < 1:
@@ -63,16 +71,12 @@ def upsample_bilinear(m, out_h: int, out_w: int):
     x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
-    fx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
-    tl = maps[:, y0[:, None], x0[None, :]]
-    tr = maps[:, y0[:, None], x1[None, :]]
-    bl = maps[:, y1[:, None], x0[None, :]]
-    br = maps[:, y1[:, None], x1[None, :]]
-    top = tl * (1 - fx) + tr * fx
-    bot = bl * (1 - fx) + br * fx
-    out = top * (1 - fy) + bot * fy
-    return _unbatch(out, single)
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
+    fx = np.clip(xs - x0, 0.0, 1.0)[:, None]
+    src = maps.transpose(1, 2, 0)  # (h, w, B)
+    rows = src[:, x0] * (1 - fx) + src[:, x1] * fx  # (h, out_w, B)
+    out = rows[y0] * (1 - fy) + rows[y1] * fy
+    return _unbatch(out.transpose(2, 0, 1), single)
 
 
 # ---------------------------------------------------------------- producers
@@ -141,40 +145,61 @@ _SSIM_K = _gaussian_kernel()
 
 
 def _gauss_filter_valid(maps: np.ndarray) -> np.ndarray:
-    """Separable Gaussian over valid windows: (B,H,W) -> (B,H-10,W-10)."""
-    rows = sliding_window_view(maps, SSIM_WINDOW, axis=1) @ _SSIM_K
-    return sliding_window_view(rows, SSIM_WINDOW, axis=2) @ _SSIM_K
+    """Separable Gaussian over valid windows: (H, W, B) -> (H-10, W-10, B).
+
+    Each pass adds the kernel taps' products in tap order, ``m[0]*k[0] +
+    … + m[10]*k[10]``, first down H, then along W; every product and every
+    sum is rounded on its own, so each output depends on its window's values
+    only, whatever the layout of ``maps``.
+    """
+    h = maps.shape[0] - SSIM_WINDOW + 1
+    w = maps.shape[1] - SSIM_WINDOW + 1
+    tmp = np.empty((h,) + maps.shape[1:])  # each product, before its add
+    rows = _tap_sum([maps[t:t + h] for t in range(SSIM_WINDOW)], tmp)
+    return _tap_sum([rows[:, t:t + w] for t in range(SSIM_WINDOW)], tmp[:, :w])
+
+
+def _tap_sum(taps, tmp: np.ndarray) -> np.ndarray:
+    acc = taps[0] * _SSIM_K[0]
+    for t in range(1, SSIM_WINDOW):
+        acc += np.multiply(taps[t], _SSIM_K[t], out=tmp)
+    return acc
 
 
 def ssim(a, b):
     """Mean local SSIM between two maps (unit dynamic range).
 
-    The last bits of the scores depend on the maps' memory layout, not only
-    on their values: the Gaussian row pass is a numpy ``matmul`` over a
-    window view, and its loop follows the strides.  ``cpm_perturb`` scores a
-    candidate CAM stack as it comes out of :func:`upsample_bilinear`, with
-    the batch axis innermost; a C-contiguous copy of the same maps scores
-    differently (for one image's 134 feasible candidates, 127 scores moved,
-    by up to 4.2e-15).  So the layout of any array that reaches ``ssim`` is
-    part of the report bytes.
+    Either argument may be a single map ``(H, W)`` and the other a stack
+    ``(B, H, W)`` of the same spatial shape: the single map is scored
+    against every map of the stack, and its mean and E[a^2] are filtered
+    once.  ``ssim(stack, ref)``, ``ssim(ref, stack)`` and ``ssim(stack of
+    copies of ref, stack)`` give the same bits.
+
+    The Gaussian filter sums the kernel taps in order (see
+    :func:`_gauss_filter_valid`), and each map's local scores are summed
+    row by row (each row along W, then the row sums in order), so a map's
+    score depends on its values only: not on the arrays' memory layout, and
+    not on the other maps of its stack.
     """
     am, single_a = _as_maps(a, "first map")
     bm, single_b = _as_maps(b, "second map")
-    if am.shape != bm.shape:
+    if am.shape[1:] != bm.shape[1:] or not (
+            am.shape[0] == bm.shape[0] or single_a or single_b):
         raise ValueError(f"map shapes differ: {am.shape} vs {bm.shape}")
     if am.shape[1] < SSIM_WINDOW or am.shape[2] < SSIM_WINDOW:
         raise ValueError(f"maps must be at least {SSIM_WINDOW}x{SSIM_WINDOW} for SSIM")
-    mu_a = _gauss_filter_valid(am)
-    mu_b = _gauss_filter_valid(bm)
-    e_aa = _gauss_filter_valid(am * am)
-    e_bb = _gauss_filter_valid(bm * bm)
-    e_ab = _gauss_filter_valid(am * bm)
-    var_a = e_aa - mu_a * mu_a
-    var_b = e_bb - mu_b * mu_b
-    cov = e_ab - mu_a * mu_b
+    at = am.transpose(1, 2, 0)  # (H, W, B) views: the filters run over stacks
+    bt = bm.transpose(1, 2, 0)
+    mu_a = _gauss_filter_valid(at)
+    mu_b = _gauss_filter_valid(bt)
+    var_a = _gauss_filter_valid(at * at) - mu_a * mu_a
+    var_b = _gauss_filter_valid(bt * bt) - mu_b * mu_b
+    cov = _gauss_filter_valid(at * bt) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    s = (num / den).mean(axis=(1, 2))
+    # (h, B, w): each row of local scores summed along w, then the row sums in order
+    local = np.ascontiguousarray((num / den).transpose(0, 2, 1))
+    s = np.cumsum(local.sum(axis=2), axis=0)[-1] / (local.shape[0] * local.shape[2])
     return float(s[0]) if (single_a and single_b) else s
 
 
@@ -188,31 +213,49 @@ def l1_distance(a, b):
     return float(d[0]) if (single_a and single_b) else d
 
 
-def _topk_indices(m: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the K largest values; ties favour row-major order."""
-    flat = m.reshape(-1)
-    order = np.argsort(-flat, kind="stable")
-    return order[:k]
+def _topk_mask(maps: np.ndarray, k: int) -> np.ndarray:
+    """Row-major (B, H*W) mask of each map's K largest cells.
+
+    Cells above the K-th largest value are all taken, and cells equal to it
+    in row-major order until there are K: the first K of a stable
+    descending sort.  NaN cells rank below every number, as in that sort.
+    """
+    part = np.negative(maps, order="C").reshape(len(maps), -1)
+    part.partition(k - 1, axis=1)
+    kth = -part[:, k - 1, None, None]  # NaN only when fewer than K cells are numbers
+    del part
+    if np.isnan(kth).any():
+        nan = np.isnan(maps)
+        above = np.where(np.isnan(kth), ~nan, maps > kth)
+        tied = np.where(np.isnan(kth), nan, maps == kth)
+    else:
+        above, tied = maps > kth, maps == kth
+    above = above.reshape(len(maps), -1)
+    tied = tied.reshape(len(maps), -1)
+    need = k - above.sum(axis=1, keepdims=True)
+    return above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need))
 
 
-def peak_overlap(a, b, k_fraction: float = 0.1) -> float:
-    """Percentage overlap of the two maps' top-K cells (K = k_fraction of all)."""
-    am, _ = _as_maps(a, "first map")
-    bm, _ = _as_maps(b, "second map")
+def peak_overlap(a, b, k_fraction: float = 0.1):
+    """Percentage overlap of two maps' top-K cells (K = k_fraction of all).
+
+    Stacks ``(B, H, W)`` of equal shape give one percentage per map pair.
+    Ties at the K-th value go to the cells first in row-major order.
+    """
+    am, single_a = _as_maps(a, "first map")
+    bm, single_b = _as_maps(b, "second map")
     if am.shape != bm.shape:
         raise ValueError(f"map shapes differ: {am.shape} vs {bm.shape}")
-    if am.shape[0] != 1:
-        raise ValueError("peak_overlap compares two single maps")
     if not 0.0 < k_fraction < 1.0:
         raise ValueError(f"k_fraction must be in (0, 1), got {k_fraction}")
     n = am.shape[1] * am.shape[2]
     k = int(np.floor(k_fraction * n + 0.5))
     if k == 0:
         raise ValueError(f"k_fraction {k_fraction} selects zero cells on {am.shape[1:]} maps")
-    ta = _topk_indices(am[0], k)
-    tb = _topk_indices(bm[0], k)
-    inter = np.intersect1d(ta, tb, assume_unique=True).size
-    return 100.0 * inter / k
+    ta = _topk_mask(am, k)
+    tb = _topk_mask(bm, k)
+    pct = 100.0 * (ta & tb).sum(axis=1) / k
+    return float(pct[0]) if (single_a and single_b) else pct
 
 
 def save_pgm(path, m) -> None:

@@ -173,7 +173,8 @@ def test_apply_each_renders_every_candidate_with_one_hue_shift_per_delta(monkeyp
     got = C.apply_each(thetas, x)
     assert np.array_equal(got, want)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert sorted(deltas) == sorted({t.delta for t in thetas} - {0.0})
+    assert len(deltas) == 1
+    assert sorted(deltas[0]) == sorted({t.delta for t in thetas} - {0.0})
 
 
 def test_cpm_agrees_with_independent_per_sample_loop(trained):

@@ -84,6 +84,26 @@ def test_hue_shift_composes_additively():
     assert np.abs(once - twice).max() < 1e-6
 
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hue_shift_of_many_deltas_stacks_the_single_shifts_bytes(dtype):
+    rng = np.random.default_rng(17)
+    img = rng.uniform(0, 1, size=(9, 7, 3)).astype(dtype)
+    img[0, 0] = 0.5  # achromatic
+    img[0, 1] = [1.2, -0.1, 0.3]  # clamped on the way in
+    deltas = [0.05, -0.05, 0.1, -0.1, 0.15, -0.15, 0.0, 1.25]
+    want = np.stack([C.hue_shift(img, d) for d in deltas])
+    for given in (deltas, np.array(deltas)):
+        got = C.hue_shift(img, given)
+        assert got.dtype == want.dtype and got.shape == (len(deltas), 9, 7, 3)
+        assert got.tobytes() == want.tobytes()
+    assert C.hue_shift(img, [0.1])[0].tobytes() == C.hue_shift(img, 0.1).tobytes()
+    pixel = np.array([1.0, 0.0, 0.0])
+    assert C.hue_shift(pixel, [0.0, 0.5]).tolist() == [[1.0, 0.0, 0.0],
+                                                       C.hue_shift(pixel, 0.5).tolist()]
+    with pytest.raises(ValueError, match="1-D"):
+        C.hue_shift(img, [[0.1]])
+
 def test_channel_rescale_arithmetic_and_clipping():
     x = np.array([[[0.8, 0.5, 0.2]]])
     out = C.channel_rescale(x, (1.5, 1.0, 0.5))

@@ -1,14 +1,19 @@
 """Config parsing, command reports, CSV determinism, and CLI exit codes."""
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chromafl
 import chromafl.attack as A
@@ -685,6 +690,101 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "fl").exists()
+
+
+
+@pytest.mark.parametrize("dataset, message", [
+    ({"size": 8}, "dataset: size must be >= 16 for shapes, got 8"),
+    ({"classes": 11}, "dataset: classes must be in 2..10 for shapes, got 11"),
+    ({"classes": 1}, "dataset: classes must be in 2..10 for shapes, got 1"),
+    ({"kind": "cifar10", "path": "data", "size": 16},
+     "dataset: cifar10 images are 32x32 in 10 classes"),
+    ({"kind": "cifar10", "path": "data", "classes": 4},
+     "dataset: cifar10 images are 32x32 in 10 classes"),
+])
+def test_cli_dataset_size_and_classes_out_of_range_are_config_errors(
+        tmp_path, capsys, dataset, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": dataset, "out": str(tmp_path / "out")}))
+    for command in ("gen-data", "baseline"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _csv_cells(path):
+    """(column, cell) pairs of a report CSV, comment lines skipped."""
+    header, rows = H.read_csv(path)
+    return [(col, cell) for row in rows for col, cell in zip(header, row)]
+
+
+def _non_finite(cell) -> bool:
+    try:
+        return not np.isfinite(float(cell))
+    except ValueError:  # a name, not a number
+        return False
+
+
+_TINY_DOCS = st.fixed_dictionaries({
+    "dataset": st.fixed_dictionaries({
+        "size": st.sampled_from([16, 24, 8, 17]),
+        "classes": st.integers(1, 11),
+        "n_train": st.integers(1, 40),
+        "n_test": st.integers(1, 40)}),
+    "train": st.fixed_dictionaries({"epochs": st.integers(0, 1)}),
+    "fl": st.fixed_dictionaries({
+        "rounds": st.integers(1, 2),
+        "n_clients": st.integers(1, 4),
+        "select_k": st.integers(1, 4),
+        "adv_ratio": st.sampled_from([0.0, 0.5, 1.0]),
+        "aggregator": st.sampled_from(["fedavg", "trimmed_mean", "median", "fltrust"]),
+        "root_size": st.integers(1, 4)}),
+    "grid": st.fixed_dictionaries({
+        "hue": st.sampled_from([[0.0], [0.0, 0.1], [0.1, -0.1]]),
+        "alpha": st.sampled_from([[1.0], [0.8, 1.2]]),
+        "per_channel": st.booleans(),
+        "gamma": st.sampled_from([[1.0], [0.8]]),
+        "beta": st.sampled_from([[0.0], [0.1]]),
+        "composites": st.booleans(),
+        "max_candidates": st.integers(1, 6)}),
+    "metrics": st.fixed_dictionaries({
+        "probe_size": st.integers(1, 4), "heatmap_dumps": st.integers(0, 2)}),
+    "attack": st.fixed_dictionaries({"n_samples": st.integers(1, 3)}),
+    "seed": st.integers(0, 3),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_TINY_DOCS)
+@example(doc={"dataset": {"size": 8}})
+def test_cli_fuzzed_tiny_configs_keep_the_exit_code_contract(doc):
+    # an exception escaping cli.main is the traceback the contract forbids
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in ("gen-data", "baseline", "fl"):
+            out = os.path.join(tmp, command)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main([command, "--config", path, "--out", out])
+            assert rc in (0, 2, 3, 4), (command, rc, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if rc != 0:
+                assert not os.path.exists(out), (command, rc, err.getvalue())
+                continue
+            for root, _, names in os.walk(out):
+                for name in names:
+                    if not name.endswith(".csv"):
+                        continue
+                    for col, cell in _csv_cells(os.path.join(root, name)):
+                        # the drift fit is undefined when no round is attacked
+                        undefined = (name == "summary.csv" and command == "fl"
+                                     and col in ("alpha_hat", "r_squared")
+                                     and doc.get("fl", {}).get("adv_ratio") == 0.0)
+                        assert _non_finite(cell) == undefined, (command, name, col, cell)
 
 
 def test_cli_fl_non_finite_aggregate_is_a_numerical_failure(tmp_path, capsys, monkeypatch):

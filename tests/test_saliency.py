@@ -10,6 +10,7 @@ Grad-CAM++ can be recomputed from forward activations alone.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chromafl import models as M
 from chromafl import saliency as S
@@ -69,6 +70,72 @@ def upsample_bruteforce(m, oh, ow):
     return out
 
 
+
+def ssim_matmul(a, b):
+    """SSIM with each Gaussian pass a ``sliding_window_view @ kernel``.
+
+    numpy's matmul adds the taps in order (``0 + m[0]*k[0] + ...``) except
+    where it hands a layout to BLAS: C-ordered first-pass windows go to
+    gemv.  So this is a byte oracle for stacks laid out batch-innermost
+    (as Grad-CAM stacks come out) with at least two maps, and only for
+    those.
+    """
+    k = S._gaussian_kernel()
+
+    def filt(m):
+        rows = sliding_window_view(m, 11, axis=1) @ k
+        return sliding_window_view(rows, 11, axis=2) @ k
+
+    mu_a, mu_b = filt(a), filt(b)
+    var_a = filt(a * a) - mu_a * mu_a
+    var_b = filt(b * b) - mu_b * mu_b
+    cov = filt(a * b) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + S.SSIM_C1) * (2.0 * cov + S.SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + S.SSIM_C1) * (var_a + var_b + S.SSIM_C2)
+    return (num / den).mean(axis=(1, 2))
+
+
+def batch_innermost(maps):
+    """The same maps laid out (H, W, B) in memory, as CAM stacks are."""
+    return np.ascontiguousarray(maps.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def upsample_gather(maps, out_h, out_w):
+    """Bilinear resize as four corner gathers blended across, then down."""
+    b, h, w = maps.shape
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
+    x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
+    fx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
+    tl = maps[:, y0[:, None], x0[None, :]]
+    tr = maps[:, y0[:, None], x1[None, :]]
+    bl = maps[:, y1[:, None], x0[None, :]]
+    br = maps[:, y1[:, None], x1[None, :]]
+    top = tl * (1 - fx) + tr * fx
+    bot = bl * (1 - fx) + br * fx
+    return top * (1 - fy) + bot * fy
+
+
+def topk_stable(m, k):
+    """Indices of the K largest values: the first K of a stable descending
+    sort, so ties go row-major and NaN cells rank last."""
+    return np.argsort(-m.reshape(-1), kind="stable")[:k]
+
+
+def peak_overlap_loop(a, b, k):
+    return np.array([100.0 * np.intersect1d(topk_stable(x, k), topk_stable(y, k)).size / k
+                     for x, y in zip(a, b)])
+
+
+def layout(a):
+    """Strides of the axes longer than one, which fix the memory order."""
+    return tuple(st for n, st in zip(a.shape, a.strides) if n > 1)
+
+
 # ---------------------------------------------------------------- ssim
 
 def test_ssim_matches_bruteforce_on_random_maps():
@@ -111,6 +178,46 @@ def test_ssim_rejects_small_or_mismatched_maps():
     with pytest.raises(ValueError, match="differ"):
         S.ssim(np.zeros((16, 16)), np.zeros((16, 12)))
 
+
+
+@pytest.mark.parametrize("batch", [2, 7, 135])
+@pytest.mark.parametrize("hw", [(32, 32), (16, 20), (12, 13)])
+def test_ssim_matches_the_matmul_filter_bytes(batch, hw):
+    rng = np.random.default_rng(batch * 100 + hw[1])
+    raw = S.normalize_map(S.upsample_bilinear(rng.uniform(0, 1, (batch, 8, 8)), *hw))
+    other = batch_innermost(np.clip(raw + rng.normal(0, 0.1, raw.shape), 0, 1))
+    assert raw.strides[0] == 8  # the upsample hands back batch-innermost stacks
+    assert S.ssim(raw, other).tobytes() == ssim_matmul(raw, other).tobytes()
+    # a reference map against the stack: the oracle sees a batch-innermost
+    # stack of copies, so no window goes to BLAS
+    copies = batch_innermost(np.broadcast_to(raw[0], raw.shape).copy())
+    assert S.ssim(raw, raw[0]).tobytes() == ssim_matmul(raw, copies).tobytes()
+
+
+def test_ssim_bits_do_not_depend_on_layout():
+    rng = np.random.default_rng(38)
+    a = rng.uniform(0, 1, size=(5, 16, 18))
+    b = np.clip(a + rng.normal(0, 0.2, a.shape), 0, 1)
+    want = S.ssim(batch_innermost(a), batch_innermost(b)).tobytes()
+    for order in (np.ascontiguousarray, np.asfortranarray, batch_innermost):
+        assert S.ssim(order(a), order(b)).tobytes() == want
+    assert S.ssim(a, np.asfortranarray(b)).tobytes() == want
+    assert S.ssim(a[1], b[1]) == S.ssim(a, b)[1]
+    assert S.ssim(a[1], a[1]) == 1.0
+
+
+def test_ssim_scores_a_single_map_against_a_stack():
+    rng = np.random.default_rng(39)
+    stack = batch_innermost(rng.uniform(0, 1, size=(6, 16, 16)))
+    ref = np.ascontiguousarray(stack[2])
+    want = S.ssim(stack, ref)
+    assert want.shape == (6,) and want[2] == 1.0
+    assert S.ssim(ref, stack).tobytes() == want.tobytes()
+    assert S.ssim(np.broadcast_to(ref, stack.shape), stack).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="differ"):
+        S.ssim(stack[:3], stack[:2])
+    with pytest.raises(ValueError, match="differ"):
+        S.ssim(stack, ref[:, :12])
 
 # ---------------------------------------------------------------- l1 / peaks
 
@@ -161,6 +268,24 @@ def test_peak_overlap_validates_k():
         S.peak_overlap(a, a, 1.5)
 
 
+
+def test_peak_overlap_stack_equals_the_per_map_loop():
+    rng = np.random.default_rng(49)
+    k = int(np.floor(0.1 * 144 + 0.5))
+    cases = [rng.uniform(0, 1, size=(2, 9, 12, 12)),
+             rng.integers(0, 3, size=(2, 9, 12, 12)).astype(np.float64),  # many ties
+             rng.choice([0.0, -0.0], size=(2, 9, 12, 12)),
+             rng.choice([0.0, -0.0, 1.0], size=(2, 9, 12, 12)),
+             rng.choice([np.nan, 0.3, 1.0], size=(2, 9, 12, 12), p=[0.9, 0.05, 0.05])]
+    for a, b in cases:
+        got = S.peak_overlap(a, b)
+        assert got.shape == (9,)
+        assert got.tobytes() == peak_overlap_loop(a, b, k).tobytes()
+        single = S.peak_overlap(a[4], b[4])
+        assert type(single) is float and single == got[4]
+    with pytest.raises(ValueError, match="differ"):
+        S.peak_overlap(cases[0][0], cases[0][1][:3])
+
 # ---------------------------------------------------------------- resize
 
 def test_upsample_matches_bruteforce():
@@ -176,6 +301,17 @@ def test_upsample_same_size_is_identity():
     m = rng.uniform(0, 1, size=(8, 8))
     assert np.array_equal(S.upsample_bilinear(m, 8, 8), m)
 
+
+
+@pytest.mark.parametrize("batch", [1, 7, 135])
+@pytest.mark.parametrize("src, out", [((8, 8), (32, 32)), ((5, 7), (16, 20))])
+def test_upsample_matches_the_four_gather_formula_in_bytes_and_layout(batch, src, out):
+    maps = np.random.default_rng(batch).uniform(0, 1, size=(batch,) + src)
+    want = upsample_gather(maps, *out)
+    for given in (maps, np.asfortranarray(maps), batch_innermost(maps)):
+        got = S.upsample_bilinear(given, *out)
+        assert got.tobytes() == want.tobytes()
+        assert layout(got) == layout(want)
 
 def test_normalize_map_range_and_flat_rule():
     rng = np.random.default_rng(37)
