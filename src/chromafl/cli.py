@@ -100,11 +100,9 @@ def main(argv=None) -> int:
         dispatch = {"baseline": H.cmd_baseline, "fl": H.cmd_fl,
                     "ablation": H.cmd_ablation, "compare": H.cmd_compare,
                     "transfer": H.cmd_transfer, "robust": H.cmd_robust,
-                    "gen-data": H.cmd_gen_data}
-        if args.command == "inspect":
-            report = H.cmd_inspect(cfg, args.sample)
-        else:
-            report = dispatch[args.command](cfg)
+                    "gen-data": H.cmd_gen_data,
+                    "inspect": lambda c: H.cmd_inspect(c, args.sample)}
+        report = dispatch[args.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -151,10 +151,6 @@ class PerturbationParams:
     def identity(cls) -> "PerturbationParams":
         return cls()
 
-    def is_identity(self) -> bool:
-        return (self.delta == 0.0 and tuple(self.alpha) == (1.0, 1.0, 1.0)
-                and self.gamma == 1.0 and self.beta == 0.0)
-
     def validate(self) -> None:
         if not all(0.5 <= a <= 1.5 for a in self.alpha):
             raise ValueError(f"channel scales must lie in [0.5, 1.5], got {self.alpha}")

@@ -133,9 +133,7 @@ class RoundMetrics:
               "ssim_gcpp_std", "peak_pct_mean", "l1_mean")
 
     def as_row(self) -> tuple:
-        return (self.round, self.adv_ratio, self.accuracy, self.fidelity_pct,
-                self.ssim_gc_mean, self.ssim_gc_std, self.ssim_gcpp_mean,
-                self.ssim_gcpp_std, self.peak_pct_mean, self.l1_mean)
+        return tuple(getattr(self, f) for f in self.FIELDS)
 
 
 def _child_seed(*entropy: int) -> int:
@@ -354,16 +352,20 @@ def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
     ), gc_cur
 
 
+def _drift_points(series) -> tuple[np.ndarray, np.ndarray]:
+    """The (r * t, drift) arrays of (round, adversary_ratio, drift) triples."""
+    pts = [(float(t) * float(r), float(d)) for t, r, d in series]
+    if not pts:
+        raise ValueError("drift series is empty")
+    return tuple(np.array(col, dtype=np.float64) for col in zip(*pts))
+
+
 def fit_drift_slope(series) -> float:
     """Least-squares slope of drift ~ alpha * (r * t) through the origin.
 
     ``series`` holds (round, adversary_ratio, drift) triples.
     """
-    pts = [(float(t), float(r), float(d)) for t, r, d in series]
-    if not pts:
-        raise ValueError("drift series is empty")
-    x = np.array([t * r for t, r, _ in pts], dtype=np.float64)
-    d = np.array([d for _, _, d in pts], dtype=np.float64)
+    x, d = _drift_points(series)
     denom = float((x * x).sum())
     if denom == 0.0:
         raise ValueError("drift series has no attacked rounds (all r*t are zero)")
@@ -372,9 +374,7 @@ def fit_drift_slope(series) -> float:
 
 def drift_r_squared(series, alpha: float) -> float:
     """Uncentered R^2 of the through-origin drift fit."""
-    pts = [(float(t), float(r), float(d)) for t, r, d in series]
-    x = np.array([t * r for t, r, _ in pts], dtype=np.float64)
-    d = np.array([dd for _, _, dd in pts], dtype=np.float64)
+    x, d = _drift_points(series)
     total = float((d * d).sum())
     if total == 0.0:
         return 1.0

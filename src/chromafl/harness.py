@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,9 +128,7 @@ def _attack_set(test: D.LabeledDataset, n: int) -> D.LabeledDataset:
 
 def _attack_images(spec: M.ModelSpec, weights, images, grid: A.GridSpec):
     """Grid-attack each image; returns (perturbed, outcomes, base_preds, pert_preds)."""
-    results = [A.cpm_perturb(spec, weights, x, grid) for x in images]
-    perturbed = np.stack([img for img, _ in results])
-    outcomes = [o for _, o in results]
+    perturbed, outcomes = A.attack_images(spec, weights, images, grid)
     base_preds = M.predict_labels(spec, weights, images)
     pert_preds = M.predict_labels(spec, weights, perturbed)
     return perturbed, outcomes, base_preds, pert_preds
@@ -197,8 +196,42 @@ def _build_clients(train: D.LabeledDataset, cfg: ExperimentConfig,
             for i, idx in enumerate(shards)]
 
 
-def run_fl_streams(cfg: ExperimentConfig) -> dict:
-    """Run the attacked stream and its benign twin round by round.
+class _FLSetup(NamedTuple):
+    """What both streams of an ``fl`` run start from.  None of it reads
+    ``fl.aggregator``, so ``cmd_robust`` builds it once for every aggregator."""
+
+    spec: M.ModelSpec
+    clients: list[F.ClientState]
+    twin_clients: list[F.ClientState]
+    adv_share: float
+    root: D.LabeledDataset
+    test: D.LabeledDataset
+    probe: np.ndarray
+    w_init: list[np.ndarray]
+
+
+def _fl_setup(cfg: ExperimentConfig) -> _FLSetup:
+    """Build the data splits, roles, clients, probe and initial global."""
+    train, test, root = prepare_data(cfg)
+    spec = _model_spec(cfg, cfg.model)
+    roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
+    clients = _build_clients(train, cfg, roles)
+    twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
+    probe = test.images[:min(cfg.metrics.probe_size, len(test))]
+    w_init = M.build(spec, seed=_sub_seed(cfg.seed, _TAG_MODEL))
+    if cfg.fl.pretrain_epochs:
+        # warm-started global, shared bit-for-bit by both streams
+        w_init = M.train(spec, w_init, train, cfg.fl.pretrain_epochs,
+                         lr=cfg.train.lr, batch=cfg.train.batch,
+                         seed=_sub_seed(cfg.seed, _TAG_MODEL, 1))
+    return _FLSetup(spec, clients, twin_clients, roles.count(F.ADVERSARIAL) / len(roles),
+                    root, test, probe, w_init)
+
+
+def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
+    """Run the attacked stream and its benign twin round by round from
+    ``setup``, the ``_fl_setup`` of ``cfg`` or of a config that differs
+    from it only in ``fl.aggregator``.
 
     The twin shares the seed, partition, selection, and local-training
     streams, differing only in that no client poisons its shard; at
@@ -214,22 +247,8 @@ def run_fl_streams(cfg: ExperimentConfig) -> dict:
     ``metrics.heatmap_dumps`` probe images on the attacked global, each for
     the twin's predicted class.
     """
-    train, test, root = prepare_data(cfg)
-    spec = _model_spec(cfg, cfg.model)
-
-    roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
-    adv_share = roles.count(F.ADVERSARIAL) / len(roles)
-    clients = _build_clients(train, cfg, roles)
-    twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
+    spec, clients, twin_clients, adv_share, root, test, probe, w_init = setup
     server_root = root if cfg.fl.aggregator == F.FLTRUST else None
-    probe = test.images[:min(cfg.metrics.probe_size, len(test))]
-
-    w_init = M.build(spec, seed=_sub_seed(cfg.seed, _TAG_MODEL))
-    if cfg.fl.pretrain_epochs:
-        # warm-started global, shared bit-for-bit by both streams
-        w_init = M.train(spec, w_init, train, cfg.fl.pretrain_epochs,
-                         lr=cfg.train.lr, batch=cfg.train.batch,
-                         seed=_sub_seed(cfg.seed, _TAG_MODEL, 1))
     w_twin = w_main = w_init
     rounds: list[F.RoundMetrics] = []
     drift_rows = []
@@ -274,7 +293,7 @@ def _check_clients_fit(cfg: ExperimentConfig) -> None:
 def cmd_fl(cfg: ExperimentConfig) -> dict:
     """Federated attack run plus its vanilla twin; per-round CSV reports."""
     _check_clients_fit(cfg)
-    res = run_fl_streams(cfg)
+    res = run_fl_streams(cfg, _fl_setup(cfg))
     out = _outdir(cfg, "fl")
     if cfg.metrics.heatmap_dumps:
         heat = os.path.join(out, "heatmaps")
@@ -323,9 +342,7 @@ def cmd_ablation(cfg: ExperimentConfig) -> dict:
     rows = []
     by_operator = {}
     for name, grid in grids:
-        outcomes = [A.cpm_perturb(spec, weights, x, grid)[1]
-                    for x in subset.images]
-        stats = A.summarize_outcomes(outcomes)
+        stats = A.summarize_outcomes(A.attack_images(spec, weights, subset.images, grid)[1])
         rows.append((name, stats["n"], stats["ssim_mean"],
                      stats["attack_success_pct"]))
         by_operator[name] = stats
@@ -368,11 +385,11 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     subset = _attack_set(test, cfg.attack.compare_samples)
     images = subset.images
     _, outcomes, base_preds, pert_preds = _attack_images(spec, weights, images, cfg.grid)
+    stats = A.summarize_outcomes(outcomes)
     cpm = {"scale": float("nan"),
            "flips": int((pert_preds != base_preds).sum()),
            "preserved_pct": 100.0 * float((pert_preds == base_preds).mean()),
-           "ssim_mean": float(np.mean([o.ssim for o in outcomes])),
-           "delta_e_mean": float(np.mean([o.delta_e for o in outcomes]))}
+           "ssim_mean": stats["ssim_mean"], "delta_e_mean": stats["delta_e_mean"]}
 
     cams_base = S.grad_cam(spec, weights, images, base_preds)
     full = _eval_skew(spec, weights, images, base_preds, cams_base, cfg.seed, 1.0)
@@ -402,13 +419,9 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 
     header = ("arm", "scale", "n", "flips", "preserved_pct", "ssim_mean",
               "delta_e_mean")
-    rows = [("cpm", cpm["scale"], len(images), cpm["flips"],
-             cpm["preserved_pct"], cpm["ssim_mean"], cpm["delta_e_mean"]),
-            ("skew_full", full["scale"], len(images), full["flips"],
-             full["preserved_pct"], full["ssim_mean"], full["delta_e_mean"]),
-            ("skew_matched", matched["scale"], len(images), matched["flips"],
-             matched["preserved_pct"], matched["ssim_mean"],
-             matched["delta_e_mean"])]
+    rows = [(arm, r["scale"], len(images), r["flips"], r["preserved_pct"],
+             r["ssim_mean"], r["delta_e_mean"])
+            for arm, r in (("cpm", cpm), ("skew_full", full), ("skew_matched", matched))]
     out = _outdir(cfg, "compare")
     compare_csv = write_csv(os.path.join(out, "compare.csv"), header, rows)
     return {"out_dir": out, "compare_csv": compare_csv, "rows": rows,
@@ -428,7 +441,7 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
     perturbed, outcomes, preds_a, pert_a = _attack_images(spec_a, w_a, images, cfg.grid)
     same_row = ("same_arch", spec_a.arch,
                 100.0 * float((pert_a == preds_a).mean()),
-                float(np.mean([o.ssim for o in outcomes])))
+                A.summarize_outcomes(outcomes)["ssim_mean"])
 
     preds_b = M.predict_labels(spec_b, w_b, images)
     pert_b = M.predict_labels(spec_b, w_b, perturbed)
@@ -456,11 +469,12 @@ def cmd_robust(cfg: ExperimentConfig) -> dict:
     if cfg.fl.select_k <= 2 * cfg.fl.trim_k:
         raise ConfigError(f"fl.select_k={cfg.fl.select_k} must exceed "
                           f"2*trim_k={2 * cfg.fl.trim_k} for trimmed_mean")
+    setup = _fl_setup(cfg)
     rows = []
     runs = {}
     for agg in F.AGGREGATORS:
         sub = dataclasses.replace(cfg, fl=dataclasses.replace(cfg.fl, aggregator=agg))
-        res = run_fl_streams(sub)
+        res = run_fl_streams(sub, setup)
         final = res["rounds"][-1]
         rows.append((agg, final.accuracy, final.fidelity_pct,
                      final.ssim_gc_mean, final.ssim_gcpp_mean,

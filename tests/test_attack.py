@@ -34,7 +34,7 @@ def trained():
 def test_default_grid_structure():
     grid = A.GridSpec()
     cands = grid.candidates()
-    assert cands[0].is_identity()
+    assert cands[0] == C.PerturbationParams.identity()
     rows = [c.as_row() for c in cands]
     assert len(rows) == len(set(rows)), "duplicate candidates"
     # singles: 6 hue + 4 uniform alpha + 12 per-channel + 8 jitter,
@@ -48,7 +48,7 @@ def test_grid_truncation_keeps_identity():
     grid = A.GridSpec(max_candidates=5)
     cands = grid.candidates()
     assert len(cands) == 5
-    assert cands[0].is_identity()
+    assert cands[0] == C.PerturbationParams.identity()
 
 
 def test_single_operator_grids_are_pure():
@@ -103,7 +103,7 @@ def test_cpm_identity_only_grid_falls_back(trained):
     assert outcome.fallback
     assert outcome.ssim == 1.0
     assert outcome.n_feasible == 1
-    assert outcome.theta.is_identity()
+    assert outcome.theta == C.PerturbationParams.identity()
     assert outcome.delta_e == 0.0
 
 
@@ -200,6 +200,14 @@ def test_cpm_agrees_with_independent_per_sample_loop(trained):
         assert outcome.ssim == pytest.approx(best_ssim, abs=1e-5)
 
 
+def test_cpm_returns_an_image_that_owns_its_memory(trained):
+    # a view would pin the whole candidate stack for as long as the caller
+    # keeps the image
+    spec, ws, data = trained
+    out, _ = A.cpm_perturb(spec, ws, data.images[0], SMALL_GRID)
+    assert out.base is None
+
+
 def test_cpm_rejects_batches():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=3)
     ws = M.build(spec, seed=0)
@@ -217,6 +225,13 @@ def test_poison_dataset_preserves_labels_and_is_deterministic(trained):
     assert np.array_equal(pois1.images, pois2.images)
     assert out1 == out2
     assert len(out1) == 10
+    # the same bytes and outcomes as attacking one image at a time
+    loop = [A.cpm_perturb(spec, ws, x, SMALL_GRID) for x in subset.images]
+    images, outcomes = A.attack_images(spec, ws, subset.images, SMALL_GRID)
+    for got in (images, pois1.images):
+        assert got.dtype == subset.images.dtype
+        assert got.tobytes() == np.stack([img for img, _ in loop]).tobytes()
+    assert outcomes == out1 == [o for _, o in loop]
     assert pois1.name.endswith("+grid")
     # at least some images actually moved
     changed = sum(not np.array_equal(pois1.images[i], subset.images[i])
@@ -230,7 +245,6 @@ def test_summarize_outcomes_shape(trained):
     stats = A.summarize_outcomes(outcomes)
     assert stats["n"] == 8
     assert 0.0 <= stats["ssim_mean"] <= 1.0
-    assert stats["ssim_p10"] <= stats["ssim_p50"] <= stats["ssim_p90"]
     assert 0.0 <= stats["fallback_rate"] <= 1.0
     assert stats["attack_success_pct"] == pytest.approx(
         100.0 * (1.0 - stats["fallback_rate"]))

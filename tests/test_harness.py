@@ -422,7 +422,7 @@ def _unshared_streams(cfg):
 @pytest.mark.parametrize("case", ["benign", "diverging"])
 def test_shared_rounds_equal_the_unshared_streams_bit_for_bit(tmp_path, case):
     cfg = _stream_cfg(tmp_path, case)
-    got = H.run_fl_streams(cfg)
+    got = H.run_fl_streams(cfg, H._fl_setup(cfg))
     want = _unshared_streams(cfg)
     for key in ("weights", "twin_weights"):
         assert [w.tobytes() for w in got[key]] == [w.tobytes() for w in want[key]]
@@ -455,7 +455,7 @@ def test_run_fl_streams_runs_a_shared_round_once(tmp_path, monkeypatch, case, pe
 
     monkeypatch.setattr(F, "run_round", spy_round)
     monkeypatch.setattr(S, "predict_grad_cams", spy_cams)
-    H.run_fl_streams(cfg)
+    H.run_fl_streams(cfg, H._fl_setup(cfg))
     rounds = range(1, cfg.fl.rounds + 1)
     assert [rounds_run.count(t) for t in rounds] == per_round
     assert [cams_after.count(t) for t in rounds] == per_round
@@ -552,12 +552,46 @@ def test_transfer_same_arch_is_preserved_and_cross_reported(tmp_path):
 
 def test_robust_emits_one_row_per_aggregator(tmp_path):
     cfg = tiny_cfg(tmp_path)
+    roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
+    assert any(roles[c] == F.ADVERSARIAL for c in F.select_clients(
+        cfg.fl.n_clients, cfg.fl.select_k, cfg.seed, 1))
     rep = H.cmd_robust(cfg)
     header, rows = H.read_csv(rep["robust_csv"])
     assert [r[0] for r in rows] == ["fedavg", "trimmed_mean", "median",
                                     "fltrust"]
     for row in rows:
         assert 0.0 <= float(row[1]) <= 100.0
+    # each aggregator's streams, run from the one shared setup, equal a
+    # standalone run of that aggregator bit for bit
+    for agg in F.AGGREGATORS:
+        sub = dataclasses.replace(cfg, fl=dataclasses.replace(cfg.fl, aggregator=agg))
+        want = H.run_fl_streams(sub, H._fl_setup(sub))
+        assert rep["runs"][agg]["rounds"] == want["rounds"], agg
+        for key in ("weights", "twin_weights"):
+            assert [w.tobytes() for w in rep["runs"][agg][key]] == \
+                [w.tobytes() for w in want[key]], (agg, key)
+
+
+def test_robust_builds_its_data_and_pretrained_global_once(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path, fl={"n_clients": 4, "select_k": 3, "rounds": 1,
+                                 "adv_ratio": 0.5, "pretrain_epochs": 1})
+    pretrain_seed = H._sub_seed(cfg.seed, H._TAG_MODEL, 1)
+    real_prepare, real_train = H.prepare_data, M.train
+    prepared, pretrained = [], []
+
+    def spy_prepare(*args, **kwargs):
+        prepared.append(1)
+        return real_prepare(*args, **kwargs)
+
+    def spy_train(*args, **kwargs):
+        pretrained.append(kwargs["seed"] == pretrain_seed)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(H, "prepare_data", spy_prepare)
+    monkeypatch.setattr(M, "train", spy_train)
+    H.cmd_robust(cfg)
+    assert len(prepared) == 1
+    assert pretrained.count(True) == 1
 
 
 def test_robust_rejects_untrimmable_selection(tmp_path):
@@ -715,9 +749,10 @@ def test_cli_dataset_size_and_classes_out_of_range_are_config_errors(
 
 
 def _csv_cells(path):
-    """(column, cell) pairs of a report CSV, comment lines skipped."""
+    """(row name, column, cell) triples of a report CSV, comment lines
+    skipped; a row's name is its first cell."""
     header, rows = H.read_csv(path)
-    return [(col, cell) for row in rows for col, cell in zip(header, row)]
+    return [(row[0], col, cell) for row in rows for col, cell in zip(header, row)]
 
 
 def _non_finite(cell) -> bool:
@@ -761,30 +796,44 @@ _TINY_DOCS = st.fixed_dictionaries({
 @example(doc={"dataset": {"size": 8}})
 def test_cli_fuzzed_tiny_configs_keep_the_exit_code_contract(doc):
     # an exception escaping cli.main is the traceback the contract forbids
+    n_test = doc.get("dataset", {}).get("n_test", ExperimentConfig().dataset.n_test)
+    calls = [[c] for c in ("gen-data", "baseline", "fl", "ablation", "compare",
+                           "transfer", "robust")]
+    calls += [["inspect", "--sample", str(n_test - 1)], ["inspect", "--sample", str(n_test)]]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for command in ("gen-data", "baseline", "fl"):
-            out = os.path.join(tmp, command)
+        for call in calls:
+            command = call[0]
+            out = os.path.join(tmp, "_".join(call))
             err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main([command, "--config", path, "--out", out])
-            assert rc in (0, 2, 3, 4), (command, rc, err.getvalue())
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = cli.main(call + ["--config", path, "--out", out])
+            assert rc in (0, 2), (call, rc, err.getvalue())
+            # an FLTrust round with no trusted update is skipped, and says so
+            assert all(str(w.message).startswith("fltrust: ") for w in caught), call
             assert "Traceback" not in err.getvalue()
+            if call[-1] == str(n_test):
+                assert rc == 2, (call, err.getvalue())
             if rc != 0:
-                assert not os.path.exists(out), (command, rc, err.getvalue())
+                assert not os.path.exists(out), (call, rc, err.getvalue())
                 continue
             for root, _, names in os.walk(out):
                 for name in names:
                     if not name.endswith(".csv"):
                         continue
-                    for col, cell in _csv_cells(os.path.join(root, name)):
-                        # the drift fit is undefined when no round is attacked
-                        undefined = (name == "summary.csv" and command == "fl"
-                                     and col in ("alpha_hat", "r_squared")
-                                     and doc.get("fl", {}).get("adv_ratio") == 0.0)
-                        assert _non_finite(cell) == undefined, (command, name, col, cell)
+                    for first, col, cell in _csv_cells(os.path.join(root, name)):
+                        # the drift fit is undefined when no round is
+                        # attacked, and compare's grid arm has no skew scale
+                        undefined = ((name == "summary.csv" and command == "fl"
+                                      and col in ("alpha_hat", "r_squared")
+                                      and doc.get("fl", {}).get("adv_ratio") == 0.0)
+                                     or (name == "compare.csv" and col == "scale"
+                                         and first == "cpm"))
+                        assert _non_finite(cell) == undefined, (call, name, col, cell)
 
 
 def test_cli_fl_non_finite_aggregate_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
