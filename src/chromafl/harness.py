@@ -8,6 +8,7 @@ the leading ``# timestamp:`` comment line.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import datetime
 import os
@@ -35,6 +36,34 @@ _TAG_SKEW = 0x51E3
 
 def _sub_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_malloc_thresholds(libc=None) -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    These are the values glibc's dynamic rule reaches after one 32 MiB free.
+    Left dynamic, they stay low until some pass frees a large array, and
+    until then every training step maps, faults in and unmaps its buffers
+    afresh; pinned, speed no longer depends on which array was freed first.
+    Without a C library or a ``mallopt`` (not glibc) this does nothing.
+    No report byte depends on it.
+    """
+    try:
+        mallopt = (ctypes.CDLL(None) if libc is None else libc).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_pin_malloc_thresholds()
 
 
 # ---------------------------------------------------------------- reporting

@@ -21,7 +21,8 @@ import numpy as np
 from . import tensor as T
 
 KERNEL = 3
-PREDICT_CHUNK = 256  # images per forward in predict_labels, which bounds its buffers
+PREDICT_CHUNK = 256  # images per forward in predict_labels; bounds its dense input
+FORWARD_BLOCK = 32  # most images per block of a forward's untaped conv stages
 
 
 @dataclass(frozen=True)
@@ -138,24 +139,46 @@ def _batched(x) -> tuple[np.ndarray, bool]:
     raise ValueError(f"images must be (H, W, 3) or (B, H, W, 3), got shape {arr.shape}")
 
 
+def _stages(spec: ModelSpec, params: list[T.Tensor], h, tape: T.Tape | None,
+            ks: range) -> T.Tensor:
+    """Stages ``ks`` (conv, ReLU, pool where the stage has one) applied to ``h``."""
+    for k in ks:
+        h = T.relu(tape, T.conv2d(tape, h, params[2 * k], params[2 * k + 1]))
+        if spec.stages[k].pool:
+            h = T.maxpool2(tape, h)
+    return h
+
+
 def _run_stages(spec: ModelSpec, params: list[T.Tensor], x: np.ndarray,
                 tape: T.Tape | None, want: str | None) -> tuple[T.Tensor, T.Tensor | None]:
-    """Logits and the ``want`` stage's activation.  The tape records only
-    the layers after that stage, all that a gradient w.r.t. it can reach;
-    ``want=None`` (training) tapes every layer.  The image batch ``x`` goes
-    in as an ndarray, a constant to the tape, so no backward forms its
-    gradient."""
+    """Logits and the ``want`` stage's activation.
+
+    The stages up to and including ``want`` run untaped, on near-equal
+    blocks of at most ``FORWARD_BLOCK`` images, so their im2col buffers and
+    activations stay the size of a block; each output row of a convolution
+    is the same GEMM row whatever the block, so the bits do not depend on
+    it.  The blocks' activations are gathered into ``captured``.  The later
+    stages and ``dense`` run once on the whole batch, recorded on ``tape``:
+    all that a gradient w.r.t. ``captured`` can reach.  ``dense`` is not
+    blocked because BLAS may round a GEMM with few rows differently, which
+    would move logit bits.
+
+    ``want=None`` (training) runs every layer on the whole batch and tapes
+    it.  The image batch ``x`` goes in as an ndarray, a constant to the
+    tape, so no backward forms its gradient."""
+    names = [st.name for st in spec.stages]
+    cut = 0 if want is None else names.index(want) + 1
     h = x
     captured = None
-    rec = None if want is not None else tape
-    for k, st in enumerate(spec.stages):
-        h = T.relu(rec, T.conv2d(rec, h, params[2 * k], params[2 * k + 1]))
-        if st.pool:
-            h = T.maxpool2(rec, h)
-        if st.name == want:
-            captured = h
-            rec = tape
-    logits = T.dense(rec, h, params[-2], params[-1])
+    if cut:
+        n = x.shape[0]
+        blocks = max(1, -(-n // FORWARD_BLOCK))
+        edges = [n * i // blocks for i in range(blocks + 1)]
+        parts = [_stages(spec, params, x[lo:hi], None, range(cut)).data
+                 for lo, hi in zip(edges, edges[1:])]
+        h = captured = T.Tensor(parts[0] if blocks == 1 else np.concatenate(parts))
+    h = _stages(spec, params, h, tape, range(cut, len(names)))
+    logits = T.dense(tape, h, params[-2], params[-1])
     return logits, captured
 
 
@@ -165,6 +188,9 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None,
 
     ``captured`` is the configured stage's final activation and sits on the
     same tape as the logits, so saliency code can differentiate through it.
+    The stages up to it run on blocks of at most ``FORWARD_BLOCK`` images
+    and the later ones and ``dense`` on the whole batch, with the bits of
+    one whole-batch pass (see :func:`_run_stages`).
     The tape holds only the layers after the capture stage, so it gives
     gradients w.r.t. ``captured`` and later tensors; asking it for a
     gradient w.r.t. an earlier weight raises ``ValueError``, as does a
@@ -235,7 +261,11 @@ def train(spec: ModelSpec, weights, dataset, epochs: int, lr: float = 0.05,
 
 def predict_labels(spec: ModelSpec, weights, images) -> np.ndarray:
     """Predicted class of every image, run through the model
-    ``PREDICT_CHUNK`` at a time; ties resolve to the lower class index."""
+    ``PREDICT_CHUNK`` at a time; ties resolve to the lower class index.
+
+    Each chunk's convolution stages run on blocks of ``FORWARD_BLOCK``
+    images, which bound the buffers; its ``dense`` runs on the whole chunk,
+    so the chunking still sets the bits of the last chunk's logits."""
     images = np.asarray(images)
     return np.concatenate([
         forward(spec, weights, images[start:start + PREDICT_CHUNK])[0].data.argmax(axis=1)

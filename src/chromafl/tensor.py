@@ -7,7 +7,12 @@ a fused softmax cross-entropy.  Every primitive optionally records onto a
 tensor are obtained by replaying the tape in reverse.  A tape records only
 what it is handed: training tapes every layer, while a Grad-CAM forward
 (``models.forward`` with a tape) holds only the layers after the capture
-stage, which are all its gradient can reach.
+stage, which are all its gradient can reach.  ``models.forward`` runs the
+untaped convolution stages on blocks of at most ``models.FORWARD_BLOCK``
+images, so their im2col buffers stay in cache; each output row of
+:func:`conv2d` is one GEMM row, whose bits do not depend on the block.
+:func:`dense` always sees the whole batch, as BLAS may round a GEMM with
+few rows differently.
 
 Conventions:
 

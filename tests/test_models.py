@@ -1,5 +1,6 @@
 """Architecture wiring, determinism, and learning-sanity checks."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,6 +202,45 @@ def test_forward_tape_holds_only_the_layers_after_the_capture_stage(arch, captur
     tape = T.Tape()
     M._run_stages(spec, params, x, tape, None)
     assert len(tape) == 9
+
+
+@pytest.mark.parametrize("arch", ["ARCH_A", "ARCH_B"])
+@pytest.mark.parametrize("capture", ["conv1", "conv2", "conv3"])
+def test_blocked_forward_equals_the_whole_batch_chain(arch, capture):
+    spec = M.ModelSpec(arch, capture=capture)  # 32x32 inputs, 10 classes
+    ws = M.build(spec, seed=11)
+    xs = np.random.default_rng(12).uniform(0, 1, (135, 32, 32, 3)).astype(np.float32)
+    labels = np.arange(135) % 10
+    for n in (1, M.FORWARD_BLOCK - 1, M.FORWARD_BLOCK, M.FORWARD_BLOCK + 1, 135):
+        got = M.forward(spec, ws, xs[:n], tape=T.Tape())
+        tape = T.Tape()  # the oracle runs every layer once on the whole batch
+        want = (*_full_tape_run_stages(spec, [T.Tensor(w) for w in ws], xs[:n], tape,
+                                       capture), tape)
+        assert got[0].data.tobytes() == want[0].data.tobytes(), n
+        assert got[1].data.tobytes() == want[1].data.tobytes(), n
+        g_got, _ = S._capture_grads(*got, labels[:n])
+        g_want, _ = S._capture_grads(*want, labels[:n])
+        assert g_got.tobytes() == g_want.tobytes(), n
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak of the memory numpy and python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_attack_and_prediction_stay_within_their_memory():
+    # the blocked conv stages keep im2col buffers and activations the size
+    # of a block; whole-batch stages peaked at 29.6 and 24.9 MB in this test
+    spec = M.ModelSpec()
+    ws = M.build(spec, seed=0)
+    images = D.generate_shapes(120, seed=5).images
+    assert _traced_peak_mb(lambda: A.cpm_perturb(spec, ws, images[0], A.GridSpec())) < 16
+    assert _traced_peak_mb(lambda: M.predict_labels(spec, ws, images)) < 12
 
 
 def test_predict_breaks_ties_toward_lower_index():
