@@ -61,7 +61,7 @@ class GridSpec:
         jitters = [(g, b) for g in self.gamma for b in self.beta
                    if not (g == 1.0 and b == 0.0)]
 
-        out: list[C.PerturbationParams] = [C.PerturbationParams.identity()]
+        out: list[C.PerturbationParams] = [C.PerturbationParams()]
         for d in hues:
             out.append(C.PerturbationParams(delta=d))
         for a in alphas:
@@ -96,18 +96,17 @@ class GridSpec:
         return unique
 
     @classmethod
-    def hue_only(cls, hue=(0.0, 0.05, -0.05, 0.10, -0.10, 0.15, -0.15)) -> "GridSpec":
+    def hue_only(cls, hue) -> "GridSpec":
         return cls(hue=hue, alpha=(1.0,), per_channel=False,
                    gamma=(1.0,), beta=(0.0,), composites=False)
 
     @classmethod
-    def rescale_only(cls, alpha=(0.6, 0.8, 1.0, 1.2, 1.4),
-                     per_channel: bool = True) -> "GridSpec":
+    def rescale_only(cls, alpha, per_channel: bool) -> "GridSpec":
         return cls(hue=(0.0,), alpha=alpha, per_channel=per_channel,
                    gamma=(1.0,), beta=(0.0,), composites=False)
 
     @classmethod
-    def jitter_only(cls, gamma=(0.8, 1.0, 1.2), beta=(-0.1, 0.0, 0.1)) -> "GridSpec":
+    def jitter_only(cls, gamma, beta) -> "GridSpec":
         return cls(hue=(0.0,), alpha=(1.0,), per_channel=False,
                    gamma=gamma, beta=beta, composites=False)
 
@@ -217,16 +216,20 @@ class SkewSample:
     alpha: tuple[float, float, float]
 
 
-def random_skew(x, seed: int, scale: float = 1.0,
-                hue_range: float = 1.0 / 12.0,
-                sat_range: tuple[float, float] = (0.5, 1.5),
-                chan_range: tuple[float, float] = (0.8, 1.2),
-                ) -> tuple[np.ndarray, SkewSample]:
+# random skew draws: hue shift in turns, saturation and channel factors
+SKEW_HUE = 1.0 / 12.0
+SKEW_SAT = (0.5, 1.5)
+SKEW_CHAN = (0.8, 1.2)
+
+
+def random_skew(x, seed: int, scale: float = 1.0) -> tuple[np.ndarray, SkewSample]:
     """Model-blind recolor: a random non-empty subset of hue shift,
     saturation scale, and per-channel rescale, applied in that order.
+    Each operator returns a new array, so the result never aliases ``x``.
 
-    ``scale`` shrinks every range linearly toward the identity, which lets a
-    caller match the perceptual strength of another attack.
+    ``scale`` shrinks every range (``SKEW_HUE``, ``SKEW_SAT``,
+    ``SKEW_CHAN``) linearly toward the identity, which lets a caller match
+    the perceptual strength of another attack.
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
@@ -242,15 +245,13 @@ def random_skew(x, seed: int, scale: float = 1.0,
     alpha = (1.0, 1.0, 1.0)
     out = arr
     if use_hue:
-        delta = float(rng.uniform(-hue_range, hue_range)) * scale
+        delta = float(rng.uniform(-SKEW_HUE, SKEW_HUE)) * scale
         out = C.hue_shift(out, delta)
     if use_sat:
-        sat = 1.0 + (float(rng.uniform(*sat_range)) - 1.0) * scale
+        sat = 1.0 + (float(rng.uniform(*SKEW_SAT)) - 1.0) * scale
         out = C.saturation_scale(out, sat)
     if use_chan:
-        draws = rng.uniform(chan_range[0], chan_range[1], size=3)
+        draws = rng.uniform(*SKEW_CHAN, size=3)
         alpha = tuple(1.0 + (float(a) - 1.0) * scale for a in draws)
         out = C.channel_rescale(out, alpha)
-    if out is arr:
-        out = arr.copy()
     return out, SkewSample(use_hue, use_sat, use_chan, delta, sat, alpha)

@@ -147,10 +147,6 @@ class PerturbationParams:
     gamma: float = 1.0
     beta: float = 0.0
 
-    @classmethod
-    def identity(cls) -> "PerturbationParams":
-        return cls()
-
     def validate(self) -> None:
         if not all(0.5 <= a <= 1.5 for a in self.alpha):
             raise ValueError(f"channel scales must lie in [0.5, 1.5], got {self.alpha}")

@@ -34,10 +34,6 @@ _TAG_MODEL_B = 0x30DF
 _TAG_SKEW = 0x51E3
 
 
-def _sub_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
-
-
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -109,28 +105,32 @@ def _outdir(cfg: ExperimentConfig, command: str) -> str:
 # ---------------------------------------------------------------- data/model
 
 
-def prepare_data(cfg: ExperimentConfig) -> tuple[D.LabeledDataset, D.LabeledDataset, D.LabeledDataset]:
-    """Build (train, test, server-root) splits for the configured dataset."""
+def _splits(cfg: ExperimentConfig, root_size: int) -> list[D.LabeledDataset]:
+    """The train and test splits of the configured dataset, then a server-root
+    split of ``root_size`` images unless that is 0.  CIFAR-10 splits are
+    consecutive record slices in that order."""
     d = cfg.dataset
+    parts = [("train", d.n_train, _TAG_TRAIN), ("test", d.n_test, _TAG_TEST)]
+    if root_size:
+        parts.append(("root", root_size, _TAG_ROOT))
     if d.kind == SHAPES:
-        train = D.generate_shapes(d.n_train, classes=d.classes, size=d.size,
-                                  seed=_sub_seed(cfg.seed, _TAG_TRAIN))
-        test = D.generate_shapes(d.n_test, classes=d.classes, size=d.size,
-                                 seed=_sub_seed(cfg.seed, _TAG_TEST))
-        root = D.generate_shapes(cfg.fl.root_size, classes=d.classes, size=d.size,
-                                 seed=_sub_seed(cfg.seed, _TAG_ROOT))
-        return train, test, root
-    need = d.n_train + d.n_test + cfg.fl.root_size
+        return [D.generate_shapes(n, classes=d.classes, size=d.size,
+                                  seed=F._child_seed(cfg.seed, tag))
+                for _, n, tag in parts]
+    need = sum(n for _, n, _ in parts)
     full = D.load_cifar10(d.path, limit=need)
     if len(full) < need:
-        raise D.DataError(f"{d.path}: need {need} records "
-                          f"(train {d.n_train} + test {d.n_test} + root "
-                          f"{cfg.fl.root_size}), found {len(full)}")
-    idx = np.arange(len(full))
-    train = full.subset(idx[:d.n_train], name="cifar10-train")
-    test = full.subset(idx[d.n_train:d.n_train + d.n_test], name="cifar10-test")
-    root = full.subset(idx[d.n_train + d.n_test:need], name="cifar10-root")
-    return train, test, root
+        counts = " + ".join(f"{name} {n}" for name, n, _ in parts)
+        raise D.DataError(f"{d.path}: need {need} records ({counts}), found {len(full)}")
+    edges = np.cumsum([0] + [n for _, n, _ in parts])
+    return [full.subset(np.arange(lo, hi), name=f"cifar10-{name}")
+            for (name, _, _), lo, hi in zip(parts, edges, edges[1:])]
+
+
+def prepare_data(cfg: ExperimentConfig) -> tuple[D.LabeledDataset, D.LabeledDataset]:
+    """Build the (train, test) splits for the configured dataset."""
+    train, test = _splits(cfg, 0)
+    return train, test
 
 
 def _model_spec(cfg: ExperimentConfig, model_cfg) -> M.ModelSpec:
@@ -145,9 +145,9 @@ def train_model(cfg: ExperimentConfig, train_ds: D.LabeledDataset,
                 model_cfg=None, tag: int = _TAG_MODEL):
     """Train a fresh model for this config; returns (spec, weights)."""
     spec = _model_spec(cfg, model_cfg if model_cfg is not None else cfg.model)
-    init = M.build(spec, seed=_sub_seed(cfg.seed, tag))
+    init = M.build(spec, seed=F._child_seed(cfg.seed, tag))
     weights = M.train(spec, init, train_ds, cfg.train.epochs, lr=cfg.train.lr,
-                      batch=cfg.train.batch, seed=_sub_seed(cfg.seed, tag, 1))
+                      batch=cfg.train.batch, seed=F._child_seed(cfg.seed, tag, 1))
     return spec, weights
 
 
@@ -173,7 +173,7 @@ def _dump_pair(out_dir: str, stem: str, image: np.ndarray, cam: np.ndarray) -> N
 
 def cmd_baseline(cfg: ExperimentConfig) -> dict:
     """Single-model attack: perturb test samples, report SSIM degradation."""
-    train, test, _ = prepare_data(cfg)
+    train, test = prepare_data(cfg)
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.n_samples)
     perturbed, outcomes, base_preds, pert_preds = _attack_images(
@@ -241,18 +241,18 @@ class _FLSetup(NamedTuple):
 
 def _fl_setup(cfg: ExperimentConfig) -> _FLSetup:
     """Build the data splits, roles, clients, probe and initial global."""
-    train, test, root = prepare_data(cfg)
+    train, test, root = _splits(cfg, cfg.fl.root_size)
     spec = _model_spec(cfg, cfg.model)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
     clients = _build_clients(train, cfg, roles)
     twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
     probe = test.images[:min(cfg.metrics.probe_size, len(test))]
-    w_init = M.build(spec, seed=_sub_seed(cfg.seed, _TAG_MODEL))
+    w_init = M.build(spec, seed=F._child_seed(cfg.seed, _TAG_MODEL))
     if cfg.fl.pretrain_epochs:
         # warm-started global, shared bit-for-bit by both streams
         w_init = M.train(spec, w_init, train, cfg.fl.pretrain_epochs,
                          lr=cfg.train.lr, batch=cfg.train.batch,
-                         seed=_sub_seed(cfg.seed, _TAG_MODEL, 1))
+                         seed=F._child_seed(cfg.seed, _TAG_MODEL, 1))
     return _FLSetup(spec, clients, twin_clients, roles.count(F.ADVERSARIAL) / len(roles),
                     root, test, probe, w_init)
 
@@ -280,7 +280,6 @@ def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
     server_root = root if cfg.fl.aggregator == F.FLTRUST else None
     w_twin = w_main = w_init
     rounds: list[F.RoundMetrics] = []
-    drift_rows = []
     heatmaps = []
     for t in range(1, cfg.fl.rounds + 1):
         same_start = w_main is w_twin
@@ -295,22 +294,12 @@ def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
         metrics, cams = F.compute_round_metrics(spec, w_twin, w_main, probe, test,
                                                 round_index=t, adv_ratio=adv_share)
         rounds.append(metrics)
-        drift_rows.append((t, cfg.fl.adv_ratio, 1.0 - metrics.ssim_gc_mean,
-                           metrics.accuracy, metrics.reference_accuracy))
         # copies and a del, so no round's full probe stack outlives the round
         heatmaps.append([cam.copy() for cam in cams[:cfg.metrics.heatmap_dumps]])
         del cams
 
-    series = [(t, r, d) for t, r, d, _, _ in drift_rows]
-    try:
-        alpha = F.fit_drift_slope(series)
-        r_squared = F.drift_r_squared(series, alpha)
-    except ValueError:
-        alpha, r_squared = float("nan"), float("nan")
-
     return {"spec": spec, "weights": w_main, "twin_weights": w_twin,
-            "rounds": rounds, "drift": drift_rows, "heatmaps": heatmaps,
-            "alpha": alpha, "r_squared": r_squared, "probe": probe, "test": test}
+            "rounds": rounds, "heatmaps": heatmaps, "probe": probe, "test": test}
 
 
 def _check_clients_fit(cfg: ExperimentConfig) -> None:
@@ -320,9 +309,18 @@ def _check_clients_fit(cfg: ExperimentConfig) -> None:
 
 
 def cmd_fl(cfg: ExperimentConfig) -> dict:
-    """Federated attack run plus its vanilla twin; per-round CSV reports."""
+    """Federated attack run plus its vanilla twin; per-round CSV reports,
+    and the drift series and its slope fit derived from the rounds."""
     _check_clients_fit(cfg)
     res = run_fl_streams(cfg, _fl_setup(cfg))
+    drift = [(m.round, cfg.fl.adv_ratio, 1.0 - m.ssim_gc_mean, m.accuracy,
+              m.reference_accuracy) for m in res["rounds"]]
+    series = [row[:3] for row in drift]
+    try:
+        alpha = F.fit_drift_slope(series)
+        r_squared = F.drift_r_squared(series, alpha)
+    except ValueError:
+        alpha, r_squared = float("nan"), float("nan")
     out = _outdir(cfg, "fl")
     if cfg.metrics.heatmap_dumps:
         heat = os.path.join(out, "heatmaps")
@@ -336,12 +334,12 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
                            [m.as_row() for m in res["rounds"]])
     drift_csv = write_csv(os.path.join(out, "drift.csv"),
                           ("round", "adv_ratio", "drift", "accuracy",
-                           "twin_accuracy"), res["drift"])
+                           "twin_accuracy"), drift)
     final = res["rounds"][-1]
     summary = {"rounds": cfg.fl.rounds, "adv_ratio": cfg.fl.adv_ratio,
-               "aggregator": cfg.fl.aggregator, "alpha_hat": res["alpha"],
-               "r_squared": res["r_squared"], "final_accuracy": final.accuracy,
-               "final_twin_accuracy": res["drift"][-1][4],
+               "aggregator": cfg.fl.aggregator, "alpha_hat": alpha,
+               "r_squared": r_squared, "final_accuracy": final.accuracy,
+               "final_twin_accuracy": final.reference_accuracy,
                "final_ssim_gc": final.ssim_gc_mean,
                "final_peak_pct": final.peak_pct_mean, "final_l1": final.l1_mean}
     summary_csv = write_csv(os.path.join(out, "summary.csv"),
@@ -351,7 +349,8 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
 
     return {"out_dir": out, "rounds_csv": rounds_csv, "drift_csv": drift_csv,
             "summary_csv": summary_csv, "weights_path": weights_path,
-            "summary": summary, **res}
+            "summary": summary, "drift": drift, "alpha": alpha,
+            "r_squared": r_squared, **res}
 
 
 # ---------------------------------------------------------------- ablation
@@ -359,7 +358,7 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
 
 def cmd_ablation(cfg: ExperimentConfig) -> dict:
     """Attack the same samples with single-operator grids and the full grid."""
-    train, test, _ = prepare_data(cfg)
+    train, test = prepare_data(cfg)
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.n_samples)
 
@@ -385,20 +384,21 @@ def cmd_ablation(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------- compare
 
 
-def _eval_skew(spec, weights, images, base_preds, cams_base, seed_root, scale,
-               with_cams=True):
-    skewed = np.stack([A.random_skew(x, seed=_sub_seed(seed_root, _TAG_SKEW, i),
+def _render_skew(images, seed: int, scale: float) -> tuple[np.ndarray, float]:
+    """Every image's random skew at ``scale``, and their mean ΔE00."""
+    skewed = np.stack([A.random_skew(x, seed=F._child_seed(seed, _TAG_SKEW, i),
                                      scale=scale)[0]
                        for i, x in enumerate(images)])
     delta_e = np.array([C.mean_delta_e(x, s) for x, s in zip(images, skewed)])
+    return skewed, float(delta_e.mean())
+
+
+def _score_skew(spec, weights, skewed, base_preds, cams_base) -> dict:
+    """Label flips, CAM SSIM and preserved share of a rendered skew stack."""
     preds = M.predict_labels(spec, weights, skewed)
-    flips = int((preds != base_preds).sum())
-    if not with_cams:
-        return {"delta_e_mean": float(delta_e.mean()), "flips": flips}
     cams_skew = S.grad_cam(spec, weights, skewed, base_preds)
-    ssim = S.ssim(cams_base, cams_skew)
-    return {"delta_e_mean": float(delta_e.mean()), "flips": flips,
-            "ssim_mean": float(ssim.mean()),
+    return {"flips": int((preds != base_preds).sum()),
+            "ssim_mean": float(S.ssim(cams_base, cams_skew).mean()),
             "preserved_pct": 100.0 * float((preds == base_preds).mean())}
 
 
@@ -407,9 +407,11 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 
     The skew arm is reported twice: at full strength, and rescaled (by
     bisection on its strength knob) until its mean ΔE00 matches the grid
-    attack's within the configured tolerance.
+    attack's within the configured tolerance.  A bisection probe only
+    renders; the matched arm scores the last probe's rendering, or reuses
+    the full arm when no bisection was needed.
     """
-    train, test, _ = prepare_data(cfg)
+    train, test = prepare_data(cfg)
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.compare_samples)
     images = subset.images
@@ -421,30 +423,27 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
            "ssim_mean": stats["ssim_mean"], "delta_e_mean": stats["delta_e_mean"]}
 
     cams_base = S.grad_cam(spec, weights, images, base_preds)
-    full = _eval_skew(spec, weights, images, base_preds, cams_base, cfg.seed, 1.0)
-    full["scale"] = 1.0
+    skewed, delta_e = _render_skew(images, cfg.seed, 1.0)
+    full = {"scale": 1.0, "delta_e_mean": delta_e,
+            **_score_skew(spec, weights, skewed, base_preds, cams_base)}
+    matched = full
 
     # bisect the skew strength until its mean recoloring magnitude matches
     target = cpm["delta_e_mean"]
     tol = cfg.attack.delta_e_tol
-    if full["delta_e_mean"] <= target + tol:
-        matched_scale = 1.0
-    else:
+    if delta_e > target + tol:
         lo, hi = 0.0, 1.0
-        matched_scale = 0.5
         for _ in range(40):
-            matched_scale = 0.5 * (lo + hi)
-            probe = _eval_skew(spec, weights, images, base_preds, cams_base,
-                               cfg.seed, matched_scale, with_cams=False)
-            if abs(probe["delta_e_mean"] - target) <= 0.25 * tol:
+            scale = 0.5 * (lo + hi)
+            skewed, delta_e = _render_skew(images, cfg.seed, scale)
+            if abs(delta_e - target) <= 0.25 * tol:
                 break
-            if probe["delta_e_mean"] > target:
-                hi = matched_scale
+            if delta_e > target:
+                hi = scale
             else:
-                lo = matched_scale
-    matched = _eval_skew(spec, weights, images, base_preds, cams_base,
-                         cfg.seed, matched_scale)
-    matched["scale"] = matched_scale
+                lo = scale
+        matched = {"scale": scale, "delta_e_mean": delta_e,
+                   **_score_skew(spec, weights, skewed, base_preds, cams_base)}
 
     header = ("arm", "scale", "n", "flips", "preserved_pct", "ssim_mean",
               "delta_e_mean")
@@ -462,7 +461,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 
 def cmd_transfer(cfg: ExperimentConfig) -> dict:
     """Craft attacks on one architecture, replay them on another."""
-    train, test, _ = prepare_data(cfg)
+    train, test = prepare_data(cfg)
     spec_a, w_a = train_model(cfg, train, cfg.model, tag=_TAG_MODEL)
     spec_b, w_b = train_model(cfg, train, cfg.transfer_model, tag=_TAG_MODEL_B)
     subset = _attack_set(test, cfg.attack.n_samples)
@@ -524,14 +523,14 @@ def cmd_gen_data(cfg: ExperimentConfig) -> dict:
     out = _outdir(cfg, "gen_data")
     d = cfg.dataset
     ds = D.generate_shapes(d.n_train, classes=d.classes, size=d.size,
-                           seed=_sub_seed(cfg.seed, _TAG_TRAIN))
+                           seed=F._child_seed(cfg.seed, _TAG_TRAIN))
     D.dump_ppm_dir(ds, out)
     return {"out_dir": out, "count": len(ds), "classes": d.classes}
 
 
 def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
     """Attack one test sample and dump its image/heatmap pair."""
-    train, test, _ = prepare_data(cfg)
+    train, test = prepare_data(cfg)
     if not 0 <= sample_id < len(test):
         raise ConfigError(f"sample id {sample_id} outside test set "
                           f"(0..{len(test) - 1})")

@@ -79,16 +79,15 @@ class ModelSpec:
     def stages(self) -> tuple[_Stage, ...]:
         return _ARCHS[self.arch]
 
-    def feature_size(self, stage_name: str | None = None) -> int:
-        """Spatial side of a stage's output (defaults to the capture stage)."""
-        want = stage_name or self.capture
+    def feature_size(self, stage_name: str) -> int:
+        """Spatial side of a stage's output."""
         size = self.input_size
         for st in self.stages:
             if st.pool:
                 size //= 2
-            if st.name == want:
+            if st.name == stage_name:
                 return size
-        raise ValueError(f"unknown stage {want!r}")
+        raise ValueError(f"unknown stage {stage_name!r}")
 
     def flat_features(self) -> int:
         last = self.stages[-1]
@@ -182,25 +181,20 @@ def _run_stages(spec: ModelSpec, params: list[T.Tensor], x: np.ndarray,
     return logits, captured
 
 
-def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None,
-            capture: str | None = None):
+def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None):
     """Run the network; returns ``(logits, captured, tape)`` as tape tensors.
 
-    ``captured`` is the configured stage's final activation and sits on the
-    same tape as the logits, so saliency code can differentiate through it.
+    ``captured`` is the final activation of ``spec.capture``, the stage
+    that ``ModelSpec`` checked, and sits on the same tape as the logits, so
+    saliency code can differentiate through it.
     The stages up to it run on blocks of at most ``FORWARD_BLOCK`` images
     and the later ones and ``dense`` on the whole batch, with the bits of
     one whole-batch pass (see :func:`_run_stages`).
     The tape holds only the layers after the capture stage, so it gives
     gradients w.r.t. ``captured`` and later tensors; asking it for a
-    gradient w.r.t. an earlier weight raises ``ValueError``, as does a
-    ``capture`` that names no stage of the architecture.  Non-finite logits
-    raise ``FloatingPointError``.
+    gradient w.r.t. an earlier weight raises ``ValueError``.  Non-finite
+    logits raise ``FloatingPointError``.
     """
-    want = capture or spec.capture
-    names = [st.name for st in spec.stages]
-    if want not in names:
-        raise ValueError(f"capture stage {want!r} not in {names}")
     ws = _check_weights(spec, weights)
     xb, _ = _batched(x)
     if xb.shape[1] != spec.input_size or xb.shape[2] != spec.input_size or xb.shape[3] != 3:
@@ -209,7 +203,7 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None,
     params = [T.Tensor(w) for w in ws]
     # an overflow shows as non-finite logits, which raise: no warning needed
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, captured = _run_stages(spec, params, xb, tape, want)
+        logits, captured = _run_stages(spec, params, xb, tape, spec.capture)
     if not np.isfinite(logits.data).all():
         raise FloatingPointError(f"{spec.arch} produced non-finite logits")
     return logits, captured, tape

@@ -4,8 +4,8 @@ Primitives cover exactly what the model zoo needs: stride-1 zero-padded
 convolution, 2x2 max pooling, ReLU, dense layers, global average pooling and
 a fused softmax cross-entropy.  Every primitive optionally records onto a
 :class:`Tape`; gradients of any recorded scalar with respect to any recorded
-tensor are obtained by replaying the tape in reverse.  A tape records only
-what it is handed: training tapes every layer, while a Grad-CAM forward
+tensor are obtained by replaying the whole tape in reverse.  A tape records
+only what it is handed: training tapes every layer, while a Grad-CAM forward
 (``models.forward`` with a tape) holds only the layers after the capture
 stage, which are all its gradient can reach.  ``models.forward`` runs the
 untaped convolution stages on blocks of at most ``models.FORWARD_BLOCK``
@@ -61,8 +61,8 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.size == 0:
             raise ValueError("tensor dimensions must all be >= 1")
         self.data = arr
@@ -109,14 +109,12 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._seen: set[int] = set()
-        self._made_by: dict[int, int] = {}  # id of a node's output -> node index
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...],
                backward: Callable[[np.ndarray], tuple]) -> None:
-        self._made_by[id(out)] = len(self._nodes)
         self._nodes.append(_Node(out, inputs, backward))
         self._seen.add(id(out))
         for t in inputs:
@@ -132,10 +130,9 @@ class Tape:
         zero adjoint; an unrecorded target is an error (it was never part of
         this computation, so asking for its gradient is a bug).
 
-        Only the nodes recorded after the earliest node that produced a target
-        are replayed: the nodes before it cannot reach any target, so every
-        adjoint keeps its value and summation order.  If a target is a leaf
-        (no node produced it, like a weight), the whole tape is replayed.
+        The whole tape is replayed, last node first.  Every target the
+        commands ask for is a leaf that no node produced (a weight, or a
+        Grad-CAM ``captured`` built untaped), so each node may feed one.
         """
         if output.size != 1:
             raise ValueError("gradients() expects a scalar output tensor")
@@ -147,9 +144,7 @@ class Tape:
         table: dict[int, np.ndarray] = {
             id(output): np.ones_like(output.data)
         }
-        start = min((self._made_by.get(id(t), -1) for t in targets),
-                    default=len(self._nodes)) + 1
-        for node in reversed(self._nodes[start:]):
+        for node in reversed(self._nodes):
             g = table.get(id(node.out))
             if g is None:
                 continue

@@ -34,7 +34,7 @@ def trained():
 def test_default_grid_structure():
     grid = A.GridSpec()
     cands = grid.candidates()
-    assert cands[0] == C.PerturbationParams.identity()
+    assert cands[0] == C.PerturbationParams()
     rows = [c.as_row() for c in cands]
     assert len(rows) == len(set(rows)), "duplicate candidates"
     # singles: 6 hue + 4 uniform alpha + 12 per-channel + 8 jitter,
@@ -48,25 +48,32 @@ def test_grid_truncation_keeps_identity():
     grid = A.GridSpec(max_candidates=5)
     cands = grid.candidates()
     assert len(cands) == 5
-    assert cands[0] == C.PerturbationParams.identity()
+    assert cands[0] == C.PerturbationParams()
+
+
+def _single_operator_grids(grid):
+    """The ablation's single-operator grids over ``grid``'s values."""
+    return (A.GridSpec.hue_only(grid.hue),
+            A.GridSpec.rescale_only(grid.alpha, grid.per_channel),
+            A.GridSpec.jitter_only(grid.gamma, grid.beta))
 
 
 def test_single_operator_grids_are_pure():
-    for cand in A.GridSpec.hue_only().candidates()[1:]:
+    hue, rescale, jitter = _single_operator_grids(A.GridSpec())
+    for cand in hue.candidates()[1:]:
         assert cand.delta != 0.0
         assert cand.alpha == (1.0, 1.0, 1.0) and cand.gamma == 1.0 and cand.beta == 0.0
-    for cand in A.GridSpec.rescale_only().candidates()[1:]:
+    for cand in rescale.candidates()[1:]:
         assert cand.delta == 0.0 and cand.gamma == 1.0 and cand.beta == 0.0
         assert cand.alpha != (1.0, 1.0, 1.0)
-    for cand in A.GridSpec.jitter_only().candidates()[1:]:
+    for cand in jitter.candidates()[1:]:
         assert cand.delta == 0.0 and cand.alpha == (1.0, 1.0, 1.0)
         assert (cand.gamma, cand.beta) != (1.0, 0.0)
 
 
 def test_combined_grid_is_superset_of_singles():
     combined = {c.as_row() for c in A.GridSpec().candidates()}
-    for sub in (A.GridSpec.hue_only(), A.GridSpec.rescale_only(),
-                A.GridSpec.jitter_only()):
+    for sub in _single_operator_grids(A.GridSpec()):
         assert {c.as_row() for c in sub.candidates()} <= combined
 
 
@@ -103,7 +110,7 @@ def test_cpm_identity_only_grid_falls_back(trained):
     assert outcome.fallback
     assert outcome.ssim == 1.0
     assert outcome.n_feasible == 1
-    assert outcome.theta == C.PerturbationParams.identity()
+    assert outcome.theta == C.PerturbationParams()
     assert outcome.delta_e == 0.0
 
 
@@ -270,6 +277,7 @@ def test_random_skew_applies_at_least_one_operator():
         out, params = A.random_skew(x, seed=seed)
         assert params.use_hue or params.use_saturation or params.use_channels
         assert out.shape == x.shape
+        assert not np.shares_memory(out, x)
 
 
 def test_random_skew_parameters_respect_ranges():

@@ -136,7 +136,7 @@ def test_contrast_jitter_clamps_and_validates():
 def test_apply_identity_is_exact():
     rng = np.random.default_rng(17)
     img = rng.uniform(0, 1, size=(8, 8, 3)).astype(np.float32)
-    out = C.apply(C.PerturbationParams.identity(), img)
+    out = C.apply(C.PerturbationParams(), img)
     assert np.array_equal(out, img)
     assert out is not img  # fresh array, no aliasing into datasets
 

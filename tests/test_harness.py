@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import chromafl
 import chromafl.attack as A
 import chromafl.cli as cli
+import chromafl.color as C
 import chromafl.data as D
 import chromafl.federated as F
 import chromafl.harness as H
@@ -242,48 +243,70 @@ def strip_timestamp(path):
 
 def test_prepare_data_shapes_split_sizes_and_determinism(tmp_path):
     cfg = tiny_cfg(tmp_path)
-    train, test, root = H.prepare_data(cfg)
-    assert (len(train), len(test), len(root)) == (60, 24, 32)
-    train2, _, _ = H.prepare_data(cfg)
+    train, test = H.prepare_data(cfg)
+    assert (len(train), len(test)) == (60, 24)
+    train2, _ = H.prepare_data(cfg)
     np.testing.assert_array_equal(train.images, train2.images)
     # train and test streams must not collide
     assert not np.array_equal(train.images[:24], test.images)
+    # the federated commands add a server-root split and leave the others as is
+    fl_train, fl_test, root = H._splits(cfg, cfg.fl.root_size)
+    assert len(root) == 32
+    np.testing.assert_array_equal(fl_train.images, train.images)
+    np.testing.assert_array_equal(fl_test.images, test.images)
+
+
+def _cifar_doc(tmp_path, records: int, seed: int, **dataset):
+    ds = D.generate_shapes(records, classes=4, size=32, seed=seed)
+    D.write_cifar10(str(tmp_path / "batch_0.bin"), ds)
+    doc = tiny_doc(tmp_path / "out")
+    doc["dataset"] = {"kind": "cifar10", "path": str(tmp_path), **dataset}
+    return doc
 
 
 def test_prepare_data_cifar_splits_are_disjoint_slices(tmp_path):
-    ds = D.generate_shapes(40, classes=4, size=32, seed=5)
-    D.write_cifar10(str(tmp_path / "batch_0.bin"), ds)
-    doc = tiny_doc(tmp_path)
-    doc["dataset"] = {"kind": "cifar10", "path": str(tmp_path),
-                      "n_train": 20, "n_test": 10}
+    doc = _cifar_doc(tmp_path, 40, 5, n_train=20, n_test=10)
     doc["fl"]["root_size"] = 4
     cfg = parse_config(doc)
-    train, test, root = H.prepare_data(cfg)
-    assert (len(train), len(test), len(root)) == (20, 10, 4)
+    train, test = H.prepare_data(cfg)
+    assert (len(train), len(test)) == (20, 10)
     full = D.load_cifar10(str(tmp_path))
     np.testing.assert_array_equal(test.images, full.images[20:30])
+    _, _, root = H._splits(cfg, cfg.fl.root_size)
+    np.testing.assert_array_equal(root.images, full.images[30:34])
     doc["dataset"]["n_train"] = 60
-    with pytest.raises(D.DataError, match="need"):
+    with pytest.raises(D.DataError, match=r"need 70 records \(train 60 \+ test 10\)"):
         H.prepare_data(parse_config(doc))
 
 
 def test_prepare_data_cifar_decodes_only_needed_records(tmp_path, monkeypatch):
-    ds = D.generate_shapes(50, classes=4, size=32, seed=6)
-    D.write_cifar10(str(tmp_path / "batch_0.bin"), ds)
+    doc = _cifar_doc(tmp_path, 50, 6, n_train=20, n_test=10)
+    doc["fl"]["root_size"] = 4
+    cfg = parse_config(doc)
     full = D.load_cifar10(str(tmp_path))
     decoded = []
     decode = D._decode_cifar_planes
     monkeypatch.setattr(D, "_decode_cifar_planes",
                         lambda raw: decoded.append(len(raw)) or decode(raw))
-    doc = tiny_doc(tmp_path)
-    doc["dataset"] = {"kind": "cifar10", "path": str(tmp_path),
-                      "n_train": 20, "n_test": 10}
-    doc["fl"]["root_size"] = 4
-    train, test, root = H.prepare_data(parse_config(doc))
-    assert decoded == [34]
+    train, test = H.prepare_data(cfg)
+    _, _, root = H._splits(cfg, cfg.fl.root_size)
+    assert decoded == [30, 34]
     np.testing.assert_array_equal(train.images, full.images[:20])
     np.testing.assert_array_equal(test.labels, full.labels[20:30])
     np.testing.assert_array_equal(root.images, full.images[30:34])
+
+
+def test_only_the_federated_commands_need_the_root_records(tmp_path, capsys):
+    # 30 records hold train and test but not the default 32-image root
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_cifar_doc(tmp_path, 30, 7, n_train=20, n_test=10)))
+    for command in ("baseline", "inspect"):
+        assert cli.main([command, "--config", str(path)]) == 0, capsys.readouterr().err
+    for command in ("fl", "robust"):
+        assert cli.main([command, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "need 62 records (train 20 + test 10 + root 32), found 30" in err
+        assert not (tmp_path / "out" / command).exists()
 
 
 # ---------------------------------------------------------------- baseline
@@ -407,7 +430,7 @@ def _stream_cfg(tmp_path, case) -> ExperimentConfig:
 def _unshared_streams(cfg):
     """Both streams of ``run_fl_streams`` rebuilt from ``run_round`` and
     ``compute_round_metrics`` alone, each call on its own weight copies."""
-    train, test, root = H.prepare_data(cfg)
+    train, test, root = H._splits(cfg, cfg.fl.root_size)
     spec = H._model_spec(cfg, cfg.model)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
     adv_share = roles.count(F.ADVERSARIAL) / len(roles)
@@ -415,7 +438,7 @@ def _unshared_streams(cfg):
     twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
     server_root = root if cfg.fl.aggregator == F.FLTRUST else None
     probe = test.images[:cfg.metrics.probe_size]
-    w_init = M.build(spec, seed=H._sub_seed(cfg.seed, H._TAG_MODEL))
+    w_init = M.build(spec, seed=F._child_seed(cfg.seed, H._TAG_MODEL))
     w_twin, w_main = [w.copy() for w in w_init], [w.copy() for w in w_init]
     rounds, heatmaps = [], []
     for t in range(1, cfg.fl.rounds + 1):
@@ -534,15 +557,60 @@ def test_ablation_combined_dominates_singles(tmp_path):
 # ---------------------------------------------------------------- compare
 
 
-def test_compare_rows_and_cpm_preservation(tmp_path):
+def _spy_skew_scales(monkeypatch) -> list[float]:
+    """The ``scale`` of every ``random_skew`` call, in call order."""
+    scales, real = [], A.random_skew
+    monkeypatch.setattr(A, "random_skew",
+                        lambda x, seed, scale: scales.append(scale) or real(x, seed, scale))
+    return scales
+
+
+def test_compare_rows_and_cpm_preservation(tmp_path, monkeypatch):
     cfg = tiny_cfg(tmp_path)
+    scales = _spy_skew_scales(monkeypatch)
     rep = H.cmd_compare(cfg)
     assert rep["cpm"]["preserved_pct"] == 100.0
     assert rep["cpm"]["flips"] == 0
     assert rep["skew_matched"]["delta_e_mean"] > 0.0
     header, rows = H.read_csv(rep["compare_csv"])
     assert [r[0] for r in rows] == ["cpm", "skew_full", "skew_matched"]
-    assert 0.0 < rep["skew_matched"]["scale"] <= 1.0
+    # the full-strength skew already sits within the grid's ΔE00, so the
+    # matched arm is the full arm, rendered once
+    assert rep["skew_matched"]["scale"] == 1.0
+    assert rows[2][1:] == rows[1][1:]
+    assert scales == [1.0] * cfg.attack.compare_samples
+
+
+def test_compare_matched_arm_equals_an_inline_skew_oracle(tmp_path, monkeypatch):
+    # a grid of small hue shifts only: the full-strength skew recolors far
+    # more, so the skew strength is bisected down
+    cfg = tiny_cfg(tmp_path, grid={"hue": [0.0, 0.02, -0.02], "alpha": [1.0],
+                                   "per_channel": False, "gamma": [1.0],
+                                   "beta": [0.0], "composites": False})
+    scales = _spy_skew_scales(monkeypatch)
+    rep = H.cmd_compare(cfg)
+    n, scale = cfg.attack.compare_samples, rep["skew_matched"]["scale"]
+    assert scale < 1.0
+    # each strength is rendered once, each probe's stack whole, and the
+    # matched arm is the last probe
+    probes = scales[::n]
+    assert scales == [s for s in probes for _ in range(n)]
+    assert len(set(probes)) == len(probes) > 1 and probes[0] == 1.0 and probes[-1] == scale
+
+    train, test = H.prepare_data(cfg)
+    spec, weights = H.train_model(cfg, train)
+    images = test.images[:n]
+    base = M.predict_labels(spec, weights, images)
+    skewed = np.stack([A.random_skew(x, F._child_seed(cfg.seed, H._TAG_SKEW, i), scale)[0]
+                       for i, x in enumerate(images)])
+    delta_e = float(np.array([C.mean_delta_e(x, y) for x, y in zip(images, skewed)]).mean())
+    preds = M.predict_labels(spec, weights, skewed)
+    ssim = S.ssim(S.grad_cam(spec, weights, images, base),
+                  S.grad_cam(spec, weights, skewed, base))
+    want = ("skew_matched", scale, n, int((preds != base).sum()),
+            100.0 * float((preds == base).mean()), float(ssim.mean()), delta_e)
+    assert rep["rows"][2] == want
+    assert abs(delta_e - rep["cpm"]["delta_e_mean"]) <= 0.25 * cfg.attack.delta_e_tol
 
 
 # ---------------------------------------------------------------- transfer
@@ -587,19 +655,19 @@ def test_robust_emits_one_row_per_aggregator(tmp_path):
 def test_robust_builds_its_data_and_pretrained_global_once(tmp_path, monkeypatch):
     cfg = tiny_cfg(tmp_path, fl={"n_clients": 4, "select_k": 3, "rounds": 1,
                                  "adv_ratio": 0.5, "pretrain_epochs": 1})
-    pretrain_seed = H._sub_seed(cfg.seed, H._TAG_MODEL, 1)
-    real_prepare, real_train = H.prepare_data, M.train
+    pretrain_seed = F._child_seed(cfg.seed, H._TAG_MODEL, 1)
+    real_splits, real_train = H._splits, M.train
     prepared, pretrained = [], []
 
-    def spy_prepare(*args, **kwargs):
+    def spy_splits(*args, **kwargs):
         prepared.append(1)
-        return real_prepare(*args, **kwargs)
+        return real_splits(*args, **kwargs)
 
     def spy_train(*args, **kwargs):
         pretrained.append(kwargs["seed"] == pretrain_seed)
         return real_train(*args, **kwargs)
 
-    monkeypatch.setattr(H, "prepare_data", spy_prepare)
+    monkeypatch.setattr(H, "_splits", spy_splits)
     monkeypatch.setattr(M, "train", spy_train)
     H.cmd_robust(cfg)
     assert len(prepared) == 1
@@ -616,16 +684,35 @@ def test_robust_rejects_untrimmable_selection(tmp_path):
 # ---------------------------------------------------------------- repro
 
 
+def _report_bytes(out) -> dict[str, bytes]:
+    """Every file under ``out`` by relative path: CSVs without their
+    timestamp line, the image dumps and weights whole."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out)] = (
+                    strip_timestamp(path) if name.endswith(".csv") else fh.read())
+    return files
+
+
 def test_rerun_reproduces_csv_bytes_modulo_timestamp(tmp_path):
-    cfg_a = tiny_cfg(tmp_path / "a")
-    cfg_b = tiny_cfg(tmp_path / "b")
-    rep_a = H.cmd_baseline(cfg_a)
-    rep_b = H.cmd_baseline(cfg_b)
-    assert strip_timestamp(rep_a["samples_csv"]) == strip_timestamp(rep_b["samples_csv"])
-    assert strip_timestamp(rep_a["summary_csv"]) == strip_timestamp(rep_b["summary_csv"])
-    fl_a = H.cmd_fl(cfg_a)
-    fl_b = H.cmd_fl(cfg_b)
-    assert strip_timestamp(fl_a["rounds_csv"]) == strip_timestamp(fl_b["rounds_csv"])
+    reports = []
+    for run in ("a", "b"):
+        cfg = tiny_cfg(tmp_path / run)
+        for command in (H.cmd_baseline, H.cmd_fl, H.cmd_ablation, H.cmd_compare,
+                        H.cmd_transfer, H.cmd_robust):
+            command(cfg)
+        H.cmd_inspect(cfg, sample_id=3)
+        reports.append(_report_bytes(tmp_path / run))
+    a, b = reports
+    assert sorted(a) == sorted(b)
+    assert {os.path.dirname(name).split(os.sep)[0] for name in a} == {
+        "baseline", "fl", "ablation", "compare", "transfer", "robust", "inspect"}
+    assert {os.path.splitext(name)[1] for name in a} == {".csv", ".ppm", ".pgm", ".cdwt"}
+    for name in a:
+        assert a[name] == b[name], name
 
 
 def test_different_seed_changes_report(tmp_path):
@@ -774,26 +861,36 @@ def _non_finite(cell) -> bool:
         return False
 
 
+@st.composite
+def _fl_sections(draw):
+    """Valid ``fl`` sections: ``select_k`` within ``n_clients``, and
+    trimmed_mean only where ``select_k`` exceeds ``2 * trim_k``."""
+    n_clients = draw(st.integers(1, 4))
+    select_k = draw(st.integers(1, n_clients))
+    aggregators = ["fedavg", "median", "fltrust"] + ["trimmed_mean"] * (select_k > 2)
+    return {"rounds": draw(st.integers(1, 2)), "n_clients": n_clients,
+            "select_k": select_k, "adv_ratio": draw(st.sampled_from([0.0, 0.5, 1.0])),
+            "aggregator": draw(st.sampled_from(aggregators)),
+            "partition": draw(st.sampled_from(["iid", "label_skew"])),
+            "pretrain_epochs": draw(st.integers(0, 1)),
+            "root_size": draw(st.sampled_from([1, 4]))}
+
+
 _TINY_DOCS = st.fixed_dictionaries({
     "dataset": st.fixed_dictionaries({
-        "size": st.sampled_from([16, 24, 8, 17]),
-        "classes": st.integers(1, 11),
+        "size": st.sampled_from([16, 24]),
+        "classes": st.integers(2, 10),
         "n_train": st.integers(1, 40),
         "n_test": st.integers(1, 40)}),
     "train": st.fixed_dictionaries({"epochs": st.integers(0, 1)}),
-    "fl": st.fixed_dictionaries({
-        "rounds": st.integers(1, 2),
-        "n_clients": st.integers(1, 4),
-        "select_k": st.integers(1, 4),
-        "adv_ratio": st.sampled_from([0.0, 0.5, 1.0]),
-        "aggregator": st.sampled_from(["fedavg", "trimmed_mean", "median", "fltrust"]),
-        "root_size": st.integers(1, 4)}),
+    "fl": _fl_sections(),
     "grid": st.fixed_dictionaries({
-        "hue": st.sampled_from([[0.0], [0.0, 0.1], [0.1, -0.1]]),
-        "alpha": st.sampled_from([[1.0], [0.8, 1.2]]),
+        # hue deltas are turns: 0.75 and -0.6 wrap around the hue circle
+        "hue": st.sampled_from([[], [0.0], [0.0, 0.1], [0.1, -0.1], [0.75, -0.6]]),
+        "alpha": st.sampled_from([[], [1.0], [0.8, 1.2]]),
         "per_channel": st.booleans(),
-        "gamma": st.sampled_from([[1.0], [0.8]]),
-        "beta": st.sampled_from([[0.0], [0.1]]),
+        "gamma": st.sampled_from([[], [1.0], [0.8]]),
+        "beta": st.sampled_from([[], [0.0], [0.1]]),
         "composites": st.booleans(),
         "max_candidates": st.integers(1, 6)}),
     "metrics": st.fixed_dictionaries({
@@ -806,13 +903,31 @@ _TINY_DOCS = st.fixed_dictionaries({
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(doc=_TINY_DOCS)
+# config errors, which every command reports with exit 2
 @example(doc={"dataset": {"size": 8}})
+@example(doc={"dataset": {"size": 17}})
+@example(doc={"dataset": {"classes": 1}})
+@example(doc={"dataset": {"classes": 11}})
+@example(doc={"fl": {"n_clients": 2, "select_k": 3}})
+@example(doc={"fl": {"aggregator": "trimmed_mean", "select_k": 2}})
 @example(doc={"dataset": {"size": 16, "classes": 3, "n_train": 24, "n_test": 34},
               "train": {"epochs": 1},
               "fl": {"rounds": 1, "n_clients": 3, "select_k": 3, "root_size": 2},
               "grid": {"hue": [0.0, 0.1], "alpha": [1.0], "per_channel": False,
                        "gamma": [1.0], "beta": [0.0], "composites": False},
               "metrics": {"probe_size": 33}, "attack": {"n_samples": 1}})
+# a one-image FLTrust root, a label-skewed partition, a pretrained global,
+# wrapping hue deltas, and empty and one-value grid lists
+@example(doc={"dataset": {"size": 16, "classes": 4, "n_train": 16, "n_test": 6},
+              "train": {"epochs": 1},
+              "fl": {"rounds": 2, "n_clients": 4, "select_k": 3, "adv_ratio": 0.5,
+                     "aggregator": "fltrust", "root_size": 1,
+                     "partition": "label_skew", "pretrain_epochs": 1},
+              "grid": {"hue": [0.75, -0.6], "alpha": [], "per_channel": True,
+                       "gamma": [0.8], "beta": [], "composites": True,
+                       "max_candidates": 3},
+              "metrics": {"probe_size": 2, "heatmap_dumps": 1},
+              "attack": {"n_samples": 2}})
 def test_cli_fuzzed_tiny_configs_keep_the_exit_code_contract(doc):
     # an exception escaping cli.main is the traceback the contract forbids
     n_test = doc.get("dataset", {}).get("n_test", ExperimentConfig().dataset.n_test)
