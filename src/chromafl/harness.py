@@ -520,10 +520,13 @@ def cmd_robust(cfg: ExperimentConfig) -> dict:
 
 def cmd_gen_data(cfg: ExperimentConfig) -> dict:
     """Generate the synthetic shapes dataset and dump it as PPM + labels CSV."""
-    out = _outdir(cfg, "gen_data")
     d = cfg.dataset
+    if d.kind != SHAPES:
+        raise ConfigError(f"gen-data writes the synthetic {SHAPES} dataset only; "
+                          f"dataset.kind is {d.kind!r}")
     ds = D.generate_shapes(d.n_train, classes=d.classes, size=d.size,
                            seed=F._child_seed(cfg.seed, _TAG_TRAIN))
+    out = _outdir(cfg, "gen_data")
     D.dump_ppm_dir(ds, out)
     return {"out_dir": out, "count": len(ds), "classes": d.classes}
 

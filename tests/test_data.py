@@ -1,5 +1,7 @@
 """Dataset readers, the shapes generator, and client partitioning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,107 @@ def test_cifar10_decode_encode_roundtrip_is_byte_exact(tmp_path):
 
 
 # ---------------------------------------------------------------- shapes
+
+def reference_shapes(n, classes, size, seed):
+    """The generator drawn one image and one value at a time, with the
+    background redrawn until it contrasts: the oracle for the chunked one."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A9E5)))
+    images = np.zeros((n, size, size, 3), dtype=np.float32)
+    labels = (np.arange(n) % classes).astype(np.int64)
+    masks = np.zeros((n, size, size), dtype=bool)
+    for i in range(n):
+        cls = int(labels[i])
+        hue = (cls / classes + rng.uniform(-0.02, 0.02)) % 1.0
+        fg = C.hsv_to_rgb(np.array([hue, rng.uniform(0.8, 1.0), rng.uniform(0.75, 0.95)]))
+        for _ in range(200):
+            bg = C.hsv_to_rgb(np.array([rng.uniform(0.0, 1.0),
+                                        rng.uniform(0.0, 0.2),
+                                        rng.uniform(0.05, 0.35)]))
+            if C.delta_e2000(fg, bg) >= D.MIN_FG_BG_DELTA_E:
+                break
+        else:
+            raise RuntimeError("could not find a contrasting background")
+        cy = size / 2.0 + rng.uniform(-size / 8.0, size / 8.0)
+        cx = size / 2.0 + rng.uniform(-size / 8.0, size / 8.0)
+        r = size * rng.uniform(0.26, 0.36)
+        mask = D._shape_mask(cls, size, cy, cx, r)
+        img = np.empty((size, size, 3), dtype=np.float64)
+        img[:] = bg
+        img[mask] = fg
+        img += rng.uniform(-0.02, 0.02, size=img.shape)
+        images[i] = np.clip(img, 0.0, 1.0).astype(np.float32)
+        masks[i] = mask
+    return images, labels, masks
+
+
+@pytest.mark.parametrize("n, classes, size, seed", [
+    (1, 3, 17, 2),
+    (D.SHAPES_CHUNK - 1, 10, 32, 0),
+    (D.SHAPES_CHUNK, 2, 16, 1),
+    (D.SHAPES_CHUNK + 1, 3, 33, 9),
+    (D.SHAPES_CHUNK + 1, 10, 24, 4),
+    (552, 10, 32, 3),
+    (552, 3, 16, 13),
+    (2300, 2, 24, 777),
+])
+def test_shapes_generator_matches_the_per_image_reference_bytewise(n, classes, size, seed):
+    ds, masks = D.generate_shapes(n, classes=classes, size=size, seed=seed,
+                                  return_masks=True)
+    images, labels, ref_masks = reference_shapes(n, classes, size, seed)
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+    assert masks.tobytes() == ref_masks.tobytes()
+
+
+def test_shapes_draw_box_keeps_fg_bg_contrast_well_above_the_threshold():
+    # corners and middles of every S/V range, fg hue over the whole circle
+    # (any class count's band lies inside it), bg hue every 5 degrees
+    lo, hi = D._draw_box(32)
+    ends = lo + (hi - lo) * np.linspace(0.0, 1.0, 3)[:, None]  # (low, middle, high) x 9
+
+    def lab(h, s, v):
+        hsv = np.stack(np.broadcast_arrays(h[:, None, None], s[None, :, None],
+                                           v[None, None, :]), axis=-1)
+        return C.srgb_to_lab(C.hsv_to_rgb(hsv.reshape(-1, 3)))
+
+    fg = lab(np.linspace(0.0, 1.0, 721), ends[:, 1], ends[:, 2])
+    bg = lab(np.linspace(0.0, 1.0, 73), ends[:, 4], ends[:, 5])
+    low = min(C.delta_e2000_lab(fg[i:i + 64, None], bg[None]).min()
+              for i in range(0, len(fg), 64))
+    assert low >= 12.0 > D.MIN_FG_BG_DELTA_E
+
+
+def test_shapes_generator_raises_when_a_pair_lacks_contrast(monkeypatch):
+    # the first chunk holds a pair under 40 units, so the check must fire
+    monkeypatch.setattr(D, "MIN_FG_BG_DELTA_E", 40.0)
+    with pytest.raises(RuntimeError, match="under 40.0 CIEDE2000"):
+        D.generate_shapes(D.SHAPES_CHUNK)
+
+
+@pytest.mark.parametrize("size", [16, 17, 32, 33])
+def test_generator_uniform_is_lo_plus_span_times_random(size):
+    # the chunked generator draws rng.random and maps it itself
+    bounds = list(zip(*D._draw_box(size))) + [D._NOISE]
+    for j, (lo, hi) in enumerate(bounds):
+        a = np.random.default_rng(j)
+        b = np.random.default_rng(j)
+        scalars = np.array([a.uniform(lo, hi) for _ in range(200)])
+        assert scalars.tobytes() == (lo + (hi - lo) * b.random(200)).tobytes()
+        block = a.uniform(lo, hi, size=(7, 3))
+        assert block.tobytes() == (lo + (hi - lo) * b.random((7, 3))).tobytes()
+
+
+def test_shapes_generator_memory_is_its_outputs_plus_one_chunk():
+    D.generate_shapes(40)  # first-call allocations are not the generator's
+    tracemalloc.start()
+    try:
+        ds, masks = D.generate_shapes(552, return_masks=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = ds.images.nbytes + ds.labels.nbytes + masks.nbytes
+    assert peak < outputs + 2 * 2**20
+
 
 def test_shapes_generator_is_deterministic():
     a = D.generate_shapes(20, classes=4, size=32, seed=9)

@@ -747,6 +747,18 @@ def test_cli_gen_data_and_inspect(tmp_path, capsys):
     assert (tmp_path / "out" / "inspect" / "sample_00002_orig.ppm").exists()
 
 
+def test_cli_gen_data_rejects_a_cifar10_config(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": {"kind": "cifar10",
+                                            "path": str(tmp_path / "nodir")},
+                                "out": str(tmp_path / "out")}))
+    assert cli.main(["gen-data", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: gen-data writes the synthetic shapes dataset only; "
+                   "dataset.kind is 'cifar10'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"fl": {"bogus_key": 1}}))
