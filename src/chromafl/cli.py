@@ -61,6 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_in_the_way(path: str) -> str | None:
+    """The nearest existing ancestor of ``path`` (or ``path`` itself) if it is
+    not a directory, so that ``os.makedirs(path)`` would fail; else None."""
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return None if os.path.isdir(path) else path
+
+
 def _print_report(command: str, report: dict) -> None:
     if command == "inspect":
         print(report["line"])
@@ -97,6 +106,10 @@ def main(argv=None) -> int:
         out_env = os.environ.get("CHROMAFL_OUT")
         out = args.out if args.out is not None else out_env
         cfg = override(cfg, seed=args.seed, out=out, limit=args.limit)
+        # checked before any work, as the reports are written after all of it
+        blocker = _file_in_the_way(os.path.join(cfg.out, args.command.replace("-", "_")))
+        if blocker is not None:
+            raise ConfigError(f"out: {blocker} is not a directory")
         dispatch = {"baseline": H.cmd_baseline, "fl": H.cmd_fl,
                     "ablation": H.cmd_ablation, "compare": H.cmd_compare,
                     "transfer": H.cmd_transfer, "robust": H.cmd_robust,

@@ -31,6 +31,7 @@ def _check_rgb(x) -> np.ndarray:
 
 
 def _rgb_to_hsv64(rgb: np.ndarray) -> np.ndarray:
+    """Hexcone RGB -> float64 HSV with H in [0, 1); achromatic pixels get H = 0."""
     rgb = _clamped01(rgb.astype(np.float64, copy=True))
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     maxc = rgb.max(axis=-1)
@@ -68,13 +69,6 @@ def _hsv_to_rgb64(hsv: np.ndarray) -> np.ndarray:
     g = np.choose(i, [t, v, v, q, p, p])
     b = np.choose(i, [p, p, t, v, v, q])
     return np.stack([r, g, b], axis=-1)
-
-
-def rgb_to_hsv(x) -> np.ndarray:
-    """Hexcone RGB -> HSV with H in [0, 1); achromatic pixels get H = 0."""
-    arr = _check_rgb(x)
-    out = _rgb_to_hsv64(arr)
-    return out.astype(arr.dtype, copy=False) if arr.dtype.kind == "f" else out
 
 
 def hsv_to_rgb(x) -> np.ndarray:
@@ -265,13 +259,6 @@ def delta_e2000_lab(lab1, lab2) -> np.ndarray:
                    + rt * (dcp / sc) * (dhbig / sh))
 
 
-def delta_e2000(c1, c2) -> float:
-    """CIEDE2000 between two sRGB colors given as length-3 arrays in [0,1]."""
-    lab1 = srgb_to_lab(np.asarray(c1, dtype=np.float64))
-    lab2 = srgb_to_lab(np.asarray(c2, dtype=np.float64))
-    return float(delta_e2000_lab(lab1, lab2))
-
-
 def mean_delta_e(x, y) -> float:
     """Mean per-pixel CIEDE2000 between two same-shape RGB images."""
     a = _check_rgb(x)
@@ -298,20 +285,3 @@ def write_ppm(path, img) -> None:
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(quantize_u8(arr).tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary P6 PPM written by :func:`write_ppm` back to [0,1] floats."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    parts = blob.split(maxsplit=4)
-    if len(parts) < 5 or parts[0] != b"P6":
-        raise ValueError(f"{path}: not a binary P6 PPM")
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
-    if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
-    raw = parts[4][: h * w * 3]
-    if len(raw) != h * w * 3:
-        raise ValueError(f"{path}: truncated pixel payload")
-    img = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return img.astype(np.float32) / np.float32(255.0)

@@ -48,6 +48,8 @@ class DatasetConfig:
                              f"got {self.kind!r}")
         if self.kind == CIFAR10 and not self.path:
             raise ValueError("path is required for cifar10")
+        if self.kind == SHAPES and self.path is not None:
+            raise ValueError(f"path is read only for {CIFAR10}; kind is {SHAPES!r}")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be >= 1")
         if self.kind == SHAPES:
@@ -221,6 +223,8 @@ def load_config(path: str | None) -> ExperimentConfig:
             doc = json.load(fh)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
+    except OSError as e:  # a directory, no read permission
+        raise ConfigError(f"{path}: cannot read config file: {e.strerror}") from e
     except ValueError as e:  # bad syntax, bad UTF-8, an integer too long to parse
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     return parse_config(doc)

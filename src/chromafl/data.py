@@ -128,8 +128,10 @@ def write_cifar10(path, dataset: LabeledDataset) -> None:
 
 # ---------------------------------------------------------------- shapes
 
-def _shape_mask(shape_id: int, size: int, cy: float, cx: float, r: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+def _shape_mask(shape_id: int, yy: np.ndarray, xx: np.ndarray,
+                cy: float, cx: float, r: float) -> np.ndarray:
+    """Pixels of shape ``shape_id`` centred at (cy, cx) with size ``r`` on the
+    float64 row and column grids ``yy`` and ``xx``."""
     dy = yy - cy
     dx = xx - cx
     if shape_id == 0:  # disc
@@ -180,8 +182,8 @@ def _draw_box(size: int) -> tuple[np.ndarray, np.ndarray]:
             np.array([0.02, 1.0, 0.95, 1.0, 0.2, 0.35, e, e, 0.36]))
 
 
-def generate_shapes(n: int, classes: int = 10, size: int = 32, seed: int = 0,
-                    return_masks: bool = False):
+def generate_shapes(n: int, classes: int = 10, size: int = 32,
+                    seed: int = 0) -> LabeledDataset:
     """Synthesize the shapes dataset: one geometric figure per image.
 
     Classes map one-to-one onto shapes, and each class owns a band of hue
@@ -196,9 +198,9 @@ def generate_shapes(n: int, classes: int = 10, size: int = 32, seed: int = 0,
     ``uniform`` in turn.  Each image draws one background: over the whole
     draw box the smallest foreground/background CIEDE2000 is about 13.7, so
     the contrast check always passes, and a failure raises ``RuntimeError``.
-    The check runs vectorized, which may differ from the scalar
-    ``color.delta_e2000`` in the last bits; that cannot flip a threshold
-    with a 3.7-unit margin.
+    The check runs on the whole chunk's Lab arrays, whose last bits may
+    differ from a one-pair call; that cannot flip a threshold with a
+    3.7-unit margin.
     """
     if not 2 <= classes <= 10:
         raise ValueError(f"classes must be in 2..10, got {classes}")
@@ -209,12 +211,13 @@ def generate_shapes(n: int, classes: int = 10, size: int = 32, seed: int = 0,
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A9E5)))
     images = np.empty((n, size, size, 3), dtype=np.float32)
     labels = (np.arange(n) % classes).astype(np.int64)
-    masks = np.zeros((n, size, size), dtype=bool)
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     lo, hi = _draw_box(size)
     span = hi - lo
     chunk = min(n, SHAPES_CHUNK)
     draws = np.empty((chunk, 9 + 3 * size * size))
     canvas = np.empty((chunk, size, size, 3))
+    masks = np.empty((chunk, size, size), dtype=bool)
     for start in range(0, n, chunk):
         k = min(chunk, n - start)
         u = rng.random(out=draws[:k])
@@ -232,10 +235,10 @@ def generate_shapes(n: int, classes: int = 10, size: int = 32, seed: int = 0,
         cy = size / 2.0 + scalars[:, 6, None, None]
         cx = size / 2.0 + scalars[:, 7, None, None]
         r = size * scalars[:, 8, None, None]
-        mask = masks[start:start + k]
+        mask = masks[:k]
         for first in range(min(classes, k)):  # rows of one class are `classes` apart
             rows = slice(first, k, classes)
-            mask[rows] = _shape_mask(int(labels[start + first]), size,
+            mask[rows] = _shape_mask(int(labels[start + first]), yy, xx,
                                      cy[rows], cx[rows], r[rows])
         noise = u[:, 9:]  # in place on 2-D views: a 4-D view would be copied
         noise *= _NOISE[1] - _NOISE[0]
@@ -247,8 +250,7 @@ def generate_shapes(n: int, classes: int = 10, size: int = 32, seed: int = 0,
         flat += noise
         np.clip(flat, 0.0, 1.0, out=flat)
         images[start:start + k] = img
-    ds = LabeledDataset(images, labels, classes=classes, name="shapes")
-    return (ds, masks) if return_masks else ds
+    return LabeledDataset(images, labels, classes=classes, name="shapes")
 
 
 # ---------------------------------------------------------------- partition

@@ -105,7 +105,8 @@ def _outdir(cfg: ExperimentConfig, command: str) -> str:
 # ---------------------------------------------------------------- data/model
 
 
-def _splits(cfg: ExperimentConfig, root_size: int) -> list[D.LabeledDataset]:
+def prepare_data(cfg: ExperimentConfig,
+                 root_size: int = 0) -> list[D.LabeledDataset]:
     """The train and test splits of the configured dataset, then a server-root
     split of ``root_size`` images unless that is 0.  CIFAR-10 splits are
     consecutive record slices in that order."""
@@ -125,12 +126,6 @@ def _splits(cfg: ExperimentConfig, root_size: int) -> list[D.LabeledDataset]:
     edges = np.cumsum([0] + [n for _, n, _ in parts])
     return [full.subset(np.arange(lo, hi), name=f"cifar10-{name}")
             for (name, _, _), lo, hi in zip(parts, edges, edges[1:])]
-
-
-def prepare_data(cfg: ExperimentConfig) -> tuple[D.LabeledDataset, D.LabeledDataset]:
-    """Build the (train, test) splits for the configured dataset."""
-    train, test = _splits(cfg, 0)
-    return train, test
 
 
 def _model_spec(cfg: ExperimentConfig, model_cfg) -> M.ModelSpec:
@@ -241,7 +236,7 @@ class _FLSetup(NamedTuple):
 
 def _fl_setup(cfg: ExperimentConfig) -> _FLSetup:
     """Build the data splits, roles, clients, probe and initial global."""
-    train, test, root = _splits(cfg, cfg.fl.root_size)
+    train, test, root = prepare_data(cfg, cfg.fl.root_size)
     spec = _model_spec(cfg, cfg.model)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
     clients = _build_clients(train, cfg, roles)
@@ -310,10 +305,11 @@ def _check_clients_fit(cfg: ExperimentConfig) -> None:
 
 def cmd_fl(cfg: ExperimentConfig) -> dict:
     """Federated attack run plus its vanilla twin; per-round CSV reports,
-    and the drift series and its slope fit derived from the rounds."""
+    and the drift series and its slope fit derived from the rounds at the
+    realized adversary share (``summary.csv`` echoes ``fl.adv_ratio``)."""
     _check_clients_fit(cfg)
     res = run_fl_streams(cfg, _fl_setup(cfg))
-    drift = [(m.round, cfg.fl.adv_ratio, 1.0 - m.ssim_gc_mean, m.accuracy,
+    drift = [(m.round, m.adv_ratio, 1.0 - m.ssim_gc_mean, m.accuracy,
               m.reference_accuracy) for m in res["rounds"]]
     series = [row[:3] for row in drift]
     try:

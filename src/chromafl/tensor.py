@@ -1,11 +1,12 @@
 """Dense tensors with reverse-mode differentiation for small CNNs.
 
 Primitives cover exactly what the model zoo needs: stride-1 zero-padded
-convolution, 2x2 max pooling, ReLU, dense layers, global average pooling and
-a fused softmax cross-entropy.  Every primitive optionally records onto a
-:class:`Tape`; gradients of any recorded scalar with respect to any recorded
-tensor are obtained by replaying the whole tape in reverse.  A tape records
-only what it is handed: training tapes every layer, while a Grad-CAM forward
+convolution, 2x2 max pooling, ReLU, dense layers and a fused softmax
+cross-entropy (:func:`global_avg_pool` serves the acceptance suite only).
+Every primitive optionally records onto a :class:`Tape`; gradients of any
+recorded scalar with respect to any recorded tensor are obtained by
+replaying the whole tape in reverse.  A tape records only what it is
+handed: training tapes every layer, while a Grad-CAM forward
 (``models.forward`` with a tape) holds only the layers after the capture
 stage, which are all its gradient can reach.  ``models.forward`` runs the
 untaped convolution stages on blocks of at most ``models.FORWARD_BLOCK``
@@ -415,7 +416,9 @@ def sgd_step(weights: Sequence[np.ndarray], grads: Sequence[np.ndarray],
 
 
 def save_weights(path, weights: Sequence[np.ndarray]) -> None:
-    """Write tensors to the binary weights container (bit-exact float32)."""
+    """Write tensors to the binary weights container (bit-exact float32):
+    ``CDWT``, then ``<II`` version and count, then per tensor ``<I`` rank,
+    ``<{rank}I`` dims and the little-endian float32 payload."""
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC)
         f.write(struct.pack("<II", WEIGHTS_VERSION, len(weights)))
@@ -426,36 +429,3 @@ def save_weights(path, weights: Sequence[np.ndarray]) -> None:
             f.write(struct.pack("<I", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             f.write(arr.tobytes())
-
-
-def load_weights(path) -> list[np.ndarray]:
-    """Read tensors back from the binary weights container."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 12 or blob[:4] != WEIGHTS_MAGIC:
-        raise ValueError(f"{path}: not a weights container (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != WEIGHTS_VERSION:
-        raise ValueError(f"{path}: unsupported weights container version {version}")
-    off = 12
-    out: list[np.ndarray] = []
-    for i in range(count):
-        if off + 4 > len(blob):
-            raise ValueError(f"{path}: truncated weights container (tensor {i})")
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if rank == 0 or off + 4 * rank > len(blob):
-            raise ValueError(f"{path}: corrupt tensor header (tensor {i})")
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        if any(d == 0 for d in dims):
-            raise ValueError(f"{path}: zero-sized dimension (tensor {i})")
-        n = int(np.prod(dims))
-        if off + 4 * n > len(blob):
-            raise ValueError(f"{path}: truncated tensor payload (tensor {i})")
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
-        out.append(arr.astype(np.float32, copy=True))
-        off += 4 * n
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes after last tensor")
-    return out

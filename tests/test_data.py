@@ -7,6 +7,11 @@ import pytest
 
 from chromafl import color as C
 from chromafl import data as D
+from readers import read_ppm
+
+
+def de00(rgb1, rgb2) -> float:
+    return float(C.delta_e2000_lab(C.srgb_to_lab(rgb1), C.srgb_to_lab(rgb2)))
 
 
 # ---------------------------------------------------------------- cifar
@@ -88,6 +93,7 @@ def reference_shapes(n, classes, size, seed):
     images = np.zeros((n, size, size, 3), dtype=np.float32)
     labels = (np.arange(n) % classes).astype(np.int64)
     masks = np.zeros((n, size, size), dtype=bool)
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     for i in range(n):
         cls = int(labels[i])
         hue = (cls / classes + rng.uniform(-0.02, 0.02)) % 1.0
@@ -96,14 +102,14 @@ def reference_shapes(n, classes, size, seed):
             bg = C.hsv_to_rgb(np.array([rng.uniform(0.0, 1.0),
                                         rng.uniform(0.0, 0.2),
                                         rng.uniform(0.05, 0.35)]))
-            if C.delta_e2000(fg, bg) >= D.MIN_FG_BG_DELTA_E:
+            if de00(fg, bg) >= D.MIN_FG_BG_DELTA_E:
                 break
         else:
             raise RuntimeError("could not find a contrasting background")
         cy = size / 2.0 + rng.uniform(-size / 8.0, size / 8.0)
         cx = size / 2.0 + rng.uniform(-size / 8.0, size / 8.0)
         r = size * rng.uniform(0.26, 0.36)
-        mask = D._shape_mask(cls, size, cy, cx, r)
+        mask = D._shape_mask(cls, yy, xx, cy, cx, r)
         img = np.empty((size, size, 3), dtype=np.float64)
         img[:] = bg
         img[mask] = fg
@@ -124,12 +130,10 @@ def reference_shapes(n, classes, size, seed):
     (2300, 2, 24, 777),
 ])
 def test_shapes_generator_matches_the_per_image_reference_bytewise(n, classes, size, seed):
-    ds, masks = D.generate_shapes(n, classes=classes, size=size, seed=seed,
-                                  return_masks=True)
-    images, labels, ref_masks = reference_shapes(n, classes, size, seed)
+    ds = D.generate_shapes(n, classes=classes, size=size, seed=seed)
+    images, labels, _ = reference_shapes(n, classes, size, seed)
     assert ds.images.tobytes() == images.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()
-    assert masks.tobytes() == ref_masks.tobytes()
 
 
 def test_shapes_draw_box_keeps_fg_bg_contrast_well_above_the_threshold():
@@ -174,11 +178,11 @@ def test_shapes_generator_memory_is_its_outputs_plus_one_chunk():
     D.generate_shapes(40)  # first-call allocations are not the generator's
     tracemalloc.start()
     try:
-        ds, masks = D.generate_shapes(552, return_masks=True)
+        ds = D.generate_shapes(552)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = ds.images.nbytes + ds.labels.nbytes + masks.nbytes
+    outputs = ds.images.nbytes + ds.labels.nbytes
     assert peak < outputs + 2 * 2**20
 
 
@@ -201,7 +205,8 @@ def test_shapes_labels_cover_classes_evenly():
 
 
 def test_shapes_fg_bg_perceptual_contrast_holds():
-    ds, masks = D.generate_shapes(30, classes=10, size=32, seed=12, return_masks=True)
+    ds = D.generate_shapes(30, classes=10, size=32, seed=12)
+    masks = reference_shapes(30, 10, 32, 12)[2]
     for i in range(len(ds)):
         mask = masks[i]
         assert 0 < mask.sum() < mask.size
@@ -209,17 +214,18 @@ def test_shapes_fg_bg_perceptual_contrast_holds():
         bg = ds.images[i][~mask].mean(axis=0)
         # mean colors keep most of the generator's >= 10 dE00 guarantee;
         # noise and anti-edge effects may nibble a little
-        assert C.delta_e2000(fg, bg) >= 8.0
+        assert de00(fg, bg) >= 8.0
 
 
 def test_shapes_classes_use_distinct_hues():
-    ds, masks = D.generate_shapes(100, classes=10, size=32, seed=13, return_masks=True)
+    ds = D.generate_shapes(100, classes=10, size=32, seed=13)
+    masks = reference_shapes(100, 10, 32, 13)[2]
     mean_hue = np.zeros(10)
     for c in range(10):
         hues = []
         for i in np.flatnonzero(ds.labels == c):
             fg = ds.images[i][masks[i]].mean(axis=0)
-            hues.append(float(C.rgb_to_hsv(fg)[0]))
+            hues.append(float(C._rgb_to_hsv64(fg)[0]))
         ang = 2 * np.pi * np.asarray(hues)  # circular mean: hue wraps at 1
         mean_hue[c] = np.mod(np.arctan2(np.sin(ang).mean(), np.cos(ang).mean())
                              / (2 * np.pi), 1.0)
@@ -326,7 +332,7 @@ def test_dump_ppm_dir_roundtrip(tmp_path):
     files = sorted(p.name for p in out.iterdir())
     assert files == ["labels.csv", "sample_00000.ppm", "sample_00001.ppm",
                      "sample_00002.ppm", "sample_00003.ppm"]
-    img = C.read_ppm(out / "sample_00002.ppm")
+    img = read_ppm(out / "sample_00002.ppm")
     assert np.abs(img - ds.images[2]).max() <= 0.5 / 255.0 + 1e-9
     lines = (out / "labels.csv").read_text().strip().splitlines()
     assert lines[0] == "index,label"

@@ -25,8 +25,8 @@ import chromafl.federated as F
 import chromafl.harness as H
 import chromafl.models as M
 import chromafl.saliency as S
-import chromafl.tensor as T
 from chromafl.config import ConfigError, ExperimentConfig, load_config, override, parse_config
+from readers import load_weights
 
 F_FIELDS = F.RoundMetrics.FIELDS
 
@@ -106,6 +106,8 @@ def test_value_validation():
         parse_config({"dataset": {"kind": "imagenet"}})
     with pytest.raises(ConfigError, match="path is required"):
         parse_config({"dataset": {"kind": "cifar10"}})
+    with pytest.raises(ConfigError, match="^dataset: path is read only for cifar10"):
+        parse_config({"dataset": {"path": "/data/cifar"}})
     with pytest.raises(ConfigError, match="trim_k"):
         parse_config({"fl": {"aggregator": "trimmed_mean", "select_k": 2,
                              "trim_k": 1}})
@@ -195,6 +197,8 @@ def test_load_config_file_roundtrip_and_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(str(bad))
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(str(tmp_path))
 
 
 def test_override_applies_seed_out_and_limit(tmp_path):
@@ -250,7 +254,7 @@ def test_prepare_data_shapes_split_sizes_and_determinism(tmp_path):
     # train and test streams must not collide
     assert not np.array_equal(train.images[:24], test.images)
     # the federated commands add a server-root split and leave the others as is
-    fl_train, fl_test, root = H._splits(cfg, cfg.fl.root_size)
+    fl_train, fl_test, root = H.prepare_data(cfg, cfg.fl.root_size)
     assert len(root) == 32
     np.testing.assert_array_equal(fl_train.images, train.images)
     np.testing.assert_array_equal(fl_test.images, test.images)
@@ -272,7 +276,7 @@ def test_prepare_data_cifar_splits_are_disjoint_slices(tmp_path):
     assert (len(train), len(test)) == (20, 10)
     full = D.load_cifar10(str(tmp_path))
     np.testing.assert_array_equal(test.images, full.images[20:30])
-    _, _, root = H._splits(cfg, cfg.fl.root_size)
+    _, _, root = H.prepare_data(cfg, cfg.fl.root_size)
     np.testing.assert_array_equal(root.images, full.images[30:34])
     doc["dataset"]["n_train"] = 60
     with pytest.raises(D.DataError, match=r"need 70 records \(train 60 \+ test 10\)"):
@@ -289,7 +293,7 @@ def test_prepare_data_cifar_decodes_only_needed_records(tmp_path, monkeypatch):
     monkeypatch.setattr(D, "_decode_cifar_planes",
                         lambda raw: decoded.append(len(raw)) or decode(raw))
     train, test = H.prepare_data(cfg)
-    _, _, root = H._splits(cfg, cfg.fl.root_size)
+    _, _, root = H.prepare_data(cfg, cfg.fl.root_size)
     assert decoded == [30, 34]
     np.testing.assert_array_equal(train.images, full.images[:20])
     np.testing.assert_array_equal(test.labels, full.labels[20:30])
@@ -365,7 +369,7 @@ def test_fl_round_csv_shape_and_weights_artifact(tmp_path):
     header, rows = H.read_csv(rep["rounds_csv"])
     assert tuple(header) == F_FIELDS
     assert len(rows) == cfg.fl.rounds
-    loaded = T.load_weights(rep["weights_path"])
+    loaded = load_weights(rep["weights_path"])
     for a, b in zip(loaded, rep["weights"]):
         np.testing.assert_array_equal(a, b)
     assert os.path.exists(os.path.join(rep["out_dir"], "heatmaps",
@@ -430,7 +434,7 @@ def _stream_cfg(tmp_path, case) -> ExperimentConfig:
 def _unshared_streams(cfg):
     """Both streams of ``run_fl_streams`` rebuilt from ``run_round`` and
     ``compute_round_metrics`` alone, each call on its own weight copies."""
-    train, test, root = H._splits(cfg, cfg.fl.root_size)
+    train, test, root = H.prepare_data(cfg, cfg.fl.root_size)
     spec = H._model_spec(cfg, cfg.model)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
     adv_share = roles.count(F.ADVERSARIAL) / len(roles)
@@ -505,6 +509,25 @@ def test_fl_reports_drift_fit_when_attacked(tmp_path):
     assert header == ["round", "adv_ratio", "drift", "accuracy",
                       "twin_accuracy"]
     assert len(rows) == cfg.fl.rounds
+
+
+@pytest.mark.parametrize("adv_ratio, realized", [(0.6, 0.5), (0.1, 0.0)])
+def test_fl_drift_is_fitted_on_the_realized_adversary_share(tmp_path, adv_ratio, realized):
+    # 4 clients hold round(4 * r) adversaries: 2 for 0.6, none for 0.1
+    cfg = tiny_cfg(tmp_path, fl={"n_clients": 4, "select_k": 3, "rounds": 2,
+                                 "adv_ratio": adv_ratio})
+    rep = H.cmd_fl(cfg)
+    _, rounds = H.read_csv(rep["rounds_csv"])
+    _, drift = H.read_csv(rep["drift_csv"])
+    assert [r[1] for r in drift] == [r[1] for r in rounds] == [f"{realized:.9f}"] * 2
+    header, (summary,) = H.read_csv(rep["summary_csv"])
+    summary = dict(zip(header, summary))
+    assert summary["adv_ratio"] == f"{adv_ratio:.9f}"  # the config echo
+    fit = (summary["alpha_hat"], summary["r_squared"])
+    if realized:
+        assert all(np.isfinite(float(v)) for v in fit)
+    else:  # no round is attacked, so there is no slope to fit
+        assert fit == ("nan", "nan")
 
 
 def _load_perfbench(name, monkeypatch):
@@ -656,18 +679,18 @@ def test_robust_builds_its_data_and_pretrained_global_once(tmp_path, monkeypatch
     cfg = tiny_cfg(tmp_path, fl={"n_clients": 4, "select_k": 3, "rounds": 1,
                                  "adv_ratio": 0.5, "pretrain_epochs": 1})
     pretrain_seed = F._child_seed(cfg.seed, H._TAG_MODEL, 1)
-    real_splits, real_train = H._splits, M.train
+    real_prepare, real_train = H.prepare_data, M.train
     prepared, pretrained = [], []
 
-    def spy_splits(*args, **kwargs):
+    def spy_prepare(*args, **kwargs):
         prepared.append(1)
-        return real_splits(*args, **kwargs)
+        return real_prepare(*args, **kwargs)
 
     def spy_train(*args, **kwargs):
         pretrained.append(kwargs["seed"] == pretrain_seed)
         return real_train(*args, **kwargs)
 
-    monkeypatch.setattr(H, "_splits", spy_splits)
+    monkeypatch.setattr(H, "prepare_data", spy_prepare)
     monkeypatch.setattr(M, "train", spy_train)
     H.cmd_robust(cfg)
     assert len(prepared) == 1
@@ -846,6 +869,7 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
      "dataset: cifar10 images are 32x32 in 10 classes"),
     ({"kind": "cifar10", "path": "data", "classes": 4},
      "dataset: cifar10 images are 32x32 in 10 classes"),
+    ({"path": "/data/cifar"}, "dataset: path is read only for cifar10; kind is 'shapes'"),
 ])
 def test_cli_dataset_size_and_classes_out_of_range_are_config_errors(
         tmp_path, capsys, dataset, message):
@@ -928,6 +952,9 @@ _TINY_DOCS = st.fixed_dictionaries({
               "grid": {"hue": [0.0, 0.1], "alpha": [1.0], "per_channel": False,
                        "gamma": [1.0], "beta": [0.0], "composites": False},
               "metrics": {"probe_size": 33}, "attack": {"n_samples": 1}})
+# an --out under a regular file (the config file itself), relative to the run's
+# temporary directory
+@example(doc={"out": "c.json/sub"})
 # a one-image FLTrust root, a label-skewed partition, a pretrained global,
 # wrapping hue deltas, and empty and one-value grid lists
 @example(doc={"dataset": {"size": 16, "classes": 4, "n_train": 16, "n_test": 6},
@@ -943,6 +970,8 @@ _TINY_DOCS = st.fixed_dictionaries({
 def test_cli_fuzzed_tiny_configs_keep_the_exit_code_contract(doc):
     # an exception escaping cli.main is the traceback the contract forbids
     n_test = doc.get("dataset", {}).get("n_test", ExperimentConfig().dataset.n_test)
+    fl = {**dataclasses.asdict(ExperimentConfig().fl), **doc.get("fl", {})}
+    adversaries = F.assign_roles(fl["n_clients"], fl["adv_ratio"], 0).count(F.ADVERSARIAL)
     calls = [[c] for c in ("gen-data", "baseline", "fl", "ablation", "compare",
                            "transfer", "robust")]
     calls += [["inspect", "--sample", str(n_test - 1)], ["inspect", "--sample", str(n_test)]]
@@ -952,7 +981,7 @@ def test_cli_fuzzed_tiny_configs_keep_the_exit_code_contract(doc):
             json.dump(doc, fh)
         for call in calls:
             command = call[0]
-            out = os.path.join(tmp, "_".join(call))
+            out = os.path.join(tmp, doc.get("out", "_".join(call)))
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
                     warnings.catch_warnings(record=True) as caught:
@@ -962,7 +991,7 @@ def test_cli_fuzzed_tiny_configs_keep_the_exit_code_contract(doc):
             # an FLTrust round with no trusted update is skipped, and says so
             assert all(str(w.message).startswith("fltrust: ") for w in caught), call
             assert "Traceback" not in err.getvalue()
-            if call[-1] == str(n_test):
+            if call[-1] == str(n_test) or "out" in doc:
                 assert rc == 2, (call, err.getvalue())
             if rc != 0:
                 assert not os.path.exists(out), (call, rc, err.getvalue())
@@ -972,11 +1001,11 @@ def test_cli_fuzzed_tiny_configs_keep_the_exit_code_contract(doc):
                     if not name.endswith(".csv"):
                         continue
                     for first, col, cell in _csv_cells(os.path.join(root, name)):
-                        # the drift fit is undefined when no round is
-                        # attacked, and compare's grid arm has no skew scale
+                        # the drift fit is undefined when no client is
+                        # adversarial, and compare's grid arm has no skew scale
                         undefined = ((name == "summary.csv" and command == "fl"
                                       and col in ("alpha_hat", "r_squared")
-                                      and doc.get("fl", {}).get("adv_ratio") == 0.0)
+                                      and not adversaries)
                                      or (name == "compare.csv" and col == "scale"
                                          and first == "cpm"))
                         assert _non_finite(cell) == undefined, (call, name, col, cell)
@@ -1057,6 +1086,28 @@ def test_cli_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert cli.main(["baseline", "--config", str(path)]) == 2
     assert capsys.readouterr().err == "config error: out must be a non-empty path string\n"
     assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+
+def test_cli_filesystem_errors_are_config_errors(tmp_path, capsys, monkeypatch):
+    def one_config_error_line(fragment):
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and fragment in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    assert cli.main(["baseline", "--config", str(tmp_path)]) == 2
+    one_config_error_line("cannot read config file")
+    # an unusable --out is found before any data is built
+    monkeypatch.setattr(D, "generate_shapes",
+                        lambda *a, **k: pytest.fail("data built before the --out check"))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "baseline").write_text("")
+    for command, out in (("gen-data", afile / "sub"), ("fl", afile),
+                         ("baseline", tmp_path / "o")):
+        assert cli.main([command, "--out", str(out), "--limit", "5"]) == 2
+        one_config_error_line("is not a directory")
+    assert afile.read_text() == "" and sorted(os.listdir(tmp_path / "o")) == ["baseline"]
 
 
 def test_cli_out_env_fallback(tmp_path, monkeypatch):

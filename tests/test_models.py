@@ -12,6 +12,7 @@ from chromafl import data as D
 from chromafl import models as M
 from chromafl import saliency as S
 from chromafl import tensor as T
+from readers import load_weights
 
 
 def color_blobs(n, size=16, classes=2, seed=0):
@@ -369,7 +370,7 @@ def test_weights_roundtrip_through_container(tmp_path):
     ws = M.build(spec, seed=6)
     path = tmp_path / "model.cdwt"
     T.save_weights(path, ws)
-    back = T.load_weights(path)
+    back = load_weights(path)
     assert all(np.array_equal(a, b) for a, b in zip(ws, back))
     # loaded weights drive the model identically
     x = np.random.default_rng(16).uniform(0, 1, (2, 32, 32, 3)).astype(np.float32)
