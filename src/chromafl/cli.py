@@ -107,7 +107,8 @@ def main(argv=None) -> int:
         out = args.out if args.out is not None else out_env
         cfg = override(cfg, seed=args.seed, out=out, limit=args.limit)
         # checked before any work, as the reports are written after all of it
-        blocker = _file_in_the_way(os.path.join(cfg.out, args.command.replace("-", "_")))
+        out_dir = os.path.join(cfg.out, args.command.replace("-", "_"))
+        blocker = _file_in_the_way(out_dir)
         if blocker is not None:
             raise ConfigError(f"out: {blocker} is not a directory")
         dispatch = {"baseline": H.cmd_baseline, "fl": H.cmd_fl,
@@ -122,6 +123,12 @@ def main(argv=None) -> int:
     except D.DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
+    except OSError as e:
+        # dataset reads raise DataError, so this is a report that cannot be
+        # written; a failed write() names no file, so name the directory
+        path = e.filename if e.filename is not None else out_dir
+        print(f"config error: out: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        return 2
     except (FloatingPointError, ZeroDivisionError, OverflowError,
             np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

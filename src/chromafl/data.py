@@ -70,8 +70,14 @@ def _decode_cifar_planes(raw: np.ndarray) -> np.ndarray:
 
 
 def _cifar_files(path) -> list[str]:
+    """The batch files to read: ``path`` itself, or the regular ``.bin``
+    files of the directory ``path``, in name order."""
     if os.path.isdir(path):
-        names = sorted(n for n in os.listdir(path) if n.endswith(".bin"))
+        try:
+            names = sorted(n for n in os.listdir(path)
+                           if n.endswith(".bin") and os.path.isfile(os.path.join(path, n)))
+        except OSError as e:
+            raise DataError(f"{path}: cannot read: {e.strerror or e}") from e
         if not names:
             raise DataError(f"{path}: directory holds no .bin batch files")
         return [os.path.join(path, n) for n in names]
@@ -81,8 +87,11 @@ def _cifar_files(path) -> list[str]:
 
 
 def _read_records(path: str, record: int) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e.strerror or e}") from e
     if len(blob) == 0 or len(blob) % record:
         raise DataError(
             f"{path}: size {len(blob)} is not a positive multiple of {record}")

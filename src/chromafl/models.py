@@ -170,12 +170,10 @@ def _run_stages(spec: ModelSpec, params: list[T.Tensor], x: np.ndarray,
     h = x
     captured = None
     if cut:
-        n = x.shape[0]
-        blocks = max(1, -(-n // FORWARD_BLOCK))
-        edges = [n * i // blocks for i in range(blocks + 1)]
+        edges = T._block_edges(x.shape[0], FORWARD_BLOCK)
         parts = [_stages(spec, params, x[lo:hi], None, range(cut)).data
                  for lo, hi in zip(edges, edges[1:])]
-        h = captured = T.Tensor(parts[0] if blocks == 1 else np.concatenate(parts))
+        h = captured = T.Tensor(parts[0] if len(parts) == 1 else np.concatenate(parts))
     h = _stages(spec, params, h, tape, range(cut, len(names)))
     logits = T.dense(tape, h, params[-2], params[-1])
     return logits, captured

@@ -8,12 +8,23 @@ recorded scalar with respect to any recorded tensor are obtained by
 replaying the whole tape in reverse.  A tape records only what it is
 handed: training tapes every layer, while a Grad-CAM forward
 (``models.forward`` with a tape) holds only the layers after the capture
-stage, which are all its gradient can reach.  ``models.forward`` runs the
-untaped convolution stages on blocks of at most ``models.FORWARD_BLOCK``
-images, so their im2col buffers stay in cache; each output row of
-:func:`conv2d` is one GEMM row, whose bits do not depend on the block.
-:func:`dense` always sees the whole batch, as BLAS may round a GEMM with
-few rows differently.
+stage, which are all its gradient can reach.
+
+A tape keeps only what a backward reads.  It tracks tensors by serial
+number, not by holding them, and each backward closure captures only the
+arrays it reads plus the shapes and dtypes it needs: :func:`conv2d` keeps
+its im2col columns and not its input, :func:`maxpool2` its window indices,
+:func:`relu` its mask.  So an activation is freed in the forward pass once
+the next layer has consumed it, and the replay drops a tensor's adjoint
+once its producer's backward has run.
+
+``models.forward`` runs the untaped convolution stages on blocks of at most
+``models.FORWARD_BLOCK`` images, so their im2col buffers stay in cache, and
+:func:`conv2d` forms its input gradient on blocks of at most ``DX_BLOCK``
+images.  Each row of either GEMM is one row of the whole-batch GEMM (its
+reduction runs over taps or channels, never over images), so no block
+moves a bit.  :func:`dense` always sees the whole batch, as BLAS may round
+a GEMM with few rows differently.
 
 Conventions:
 
@@ -42,31 +53,39 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import Callable, Sequence
 
 import numpy as np
 
 DTYPE = np.float32
+DX_BLOCK = 8  # most images per block of conv2d's input gradient
 
 WEIGHTS_MAGIC = b"CDWT"
 WEIGHTS_VERSION = 1
 
 
+_serials = itertools.count()
+
+
 class Tensor:
-    """A shaped float array whose identity is what tapes track.
+    """A shaped float array with a process-wide serial number, which is
+    what tapes track.
 
     Thin wrapper over a numpy array.  Operations never mutate ``data`` in
-    place, so a Tensor seen by a tape keeps the values it had when recorded.
+    place.  Unlike ``id()``, a serial is never reused, so a tape can name
+    a tensor that has since been freed.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "serial")
 
     def __init__(self, data):
         arr = np.asarray(data)
         if arr.size == 0:
             raise ValueError("tensor dimensions must all be >= 1")
         self.data = arr
+        self.serial = next(_serials)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,21 +109,31 @@ class Tensor:
 
 
 class _Node:
+    """One primitive application: the serials of its output and inputs, and
+    the backward that maps the output's adjoint to the inputs' adjoints."""
+
     __slots__ = ("out", "inputs", "backward")
 
-    def __init__(self, out: Tensor, inputs: tuple[Tensor, ...],
+    def __init__(self, out: int, inputs: tuple[int, ...],
                  backward: Callable[[np.ndarray], tuple]):
         self.out = out
         self.inputs = inputs
         self.backward = backward
 
 
+def _block_edges(n: int, most: int) -> list[int]:
+    """Edges of the fewest near-equal blocks of at most ``most`` items that
+    cover ``range(n)``, so that no block is a sliver."""
+    blocks = max(1, -(-n // most))
+    return [n * i // blocks for i in range(blocks + 1)]
+
+
 class Tape:
     """Ordered record of primitive applications.
 
-    The tape owns references to every input/output tensor it has seen, so
-    python object ids are stable for the tape's lifetime and can serve as
-    gradient-table keys.
+    The tape holds the serials of the tensors it has seen, not the tensors,
+    and each node's backward holds only what it reads, so recording pins no
+    activation.  It can be replayed any number of times.
     """
 
     def __init__(self):
@@ -116,13 +145,13 @@ class Tape:
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...],
                backward: Callable[[np.ndarray], tuple]) -> None:
-        self._nodes.append(_Node(out, inputs, backward))
-        self._seen.add(id(out))
-        for t in inputs:
-            self._seen.add(id(t))
+        serials = tuple(t.serial for t in inputs)
+        self._nodes.append(_Node(out.serial, serials, backward))
+        self._seen.add(out.serial)
+        self._seen.update(serials)
 
     def recorded(self, t: Tensor) -> bool:
-        return id(t) in self._seen
+        return t.serial in self._seen
 
     def gradients(self, output: Tensor, targets: Sequence[Tensor]) -> list[np.ndarray]:
         """Adjoints of a recorded scalar w.r.t. each target, in target order.
@@ -131,9 +160,12 @@ class Tape:
         zero adjoint; an unrecorded target is an error (it was never part of
         this computation, so asking for its gradient is a bug).
 
-        The whole tape is replayed, last node first.  Every target the
-        commands ask for is a leaf that no node produced (a weight, or a
-        Grad-CAM ``captured`` built untaped), so each node may feed one.
+        The whole tape is replayed, last node first.  No node recorded
+        before a tensor's producer can feed it, so once the producer's
+        backward has run the tensor's adjoint is dropped, unless it is a
+        target.  Every target the commands ask for is a leaf that no node
+        produced (a weight, or a Grad-CAM ``captured`` built untaped), so
+        each node may feed one.
         """
         if output.size != 1:
             raise ValueError("gradients() expects a scalar output tensor")
@@ -142,19 +174,18 @@ class Tape:
         for t in targets:
             if not self.recorded(t):
                 raise ValueError("gradient target was not recorded on this tape")
-        table: dict[int, np.ndarray] = {
-            id(output): np.ones_like(output.data)
-        }
+        keep = {t.serial for t in targets}
+        table: dict[int, np.ndarray] = {output.serial: np.ones_like(output.data)}
         for node in reversed(self._nodes):
-            g = table.get(id(node.out))
+            g = table.get(node.out) if node.out in keep else table.pop(node.out, None)
             if g is None:
                 continue
-            for t, gi in zip(node.inputs, node.backward(g)):
+            for s, gi in zip(node.inputs, node.backward(g)):
                 if gi is None:
                     continue
-                prev = table.get(id(t))
-                table[id(t)] = gi if prev is None else prev + gi
-        return [table.get(id(t), np.zeros_like(t.data)) for t in targets]
+                prev = table.get(s)
+                table[s] = gi if prev is None else prev + gi
+        return [table.get(t.serial, np.zeros_like(t.data)) for t in targets]
 
 
 def grad_wrt(tape: Tape, scalar_output: Tensor, target: Tensor) -> np.ndarray:
@@ -206,18 +237,27 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = np.add(y, bd, out=y) if np.can_cast(bd.dtype, y.dtype) else y + bd
     out = Tensor(y.reshape(bsz, h, wdt, co))
     if tape is not None:
+        # the backward reads cols and wmat, never x or its padded copy
+        wshape, bdtype, dtype = wd.shape, bd.dtype, xd.dtype
+
         def backward(g: np.ndarray):
             gmat = g.reshape(bsz * h * wdt, co)
-            dw = (cols.T @ gmat).reshape(wd.shape)
-            db = gmat.sum(axis=0, dtype=np.float64).astype(bd.dtype, copy=False)
+            dw = (cols.T @ gmat).reshape(wshape)
+            db = gmat.sum(axis=0, dtype=np.float64).astype(bdtype, copy=False)
             if x_const:
                 return None, dw, db
-            dcols = (gmat @ wmat.T).reshape(bsz, h, wdt, kh, kw, ci)
-            dxp = np.zeros((bsz, h + 2 * ph, wdt + 2 * pw, ci), dtype=xd.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    # one contiguous copy of the tap lets the add run whole rows
-                    dxp[:, i:i + h, j:j + wdt, :] += np.ascontiguousarray(dcols[:, :, :, i, j, :])
+            dxp = np.zeros((bsz, h + 2 * ph, wdt + 2 * pw, ci), dtype=dtype)
+            edges = _block_edges(bsz, DX_BLOCK)
+            for lo, hi in zip(edges, edges[1:]):
+                # a block's dcols rows are the whole batch's rows (K = Cout)
+                dcols = gmat[lo * h * wdt:hi * h * wdt] @ wmat.T
+                dcols = dcols.reshape(hi - lo, h, wdt, kh, kw, ci)
+                dblk = dxp[lo:hi]
+                for i in range(kh):
+                    for j in range(kw):
+                        # one contiguous copy of the tap lets the add run whole rows
+                        dblk[:, i:i + h, j:j + wdt, :] += np.ascontiguousarray(
+                            dcols[:, :, :, i, j, :])
             dx = dxp[:, ph:ph + h, pw:pw + wdt, :]
             return dx, dw, db
         tape.record(out, (x, w, b), backward)
@@ -289,10 +329,11 @@ def maxpool2(tape: Tape | None, x: Tensor) -> Tensor:
         # idx = 2 + bottom where lower holds, else top
         idx = lower.view(np.int8) << 1
         idx |= (top ^ (lower & (top ^ bottom))).view(np.int8)
+        shape, dtype = xd.shape, xd.dtype  # the backward does not pin x
 
         def backward(g: np.ndarray):
-            gbits = np.asarray(g, dtype=xd.dtype).view(bits)
-            dx = np.empty_like(xd)  # the four strided views cover every element
+            gbits = np.asarray(g, dtype=dtype).view(bits)
+            dx = np.empty(shape, dtype)  # the four strided views cover every element
             dxbits = dx.view(bits)
             for k in range(4):
                 np.bitwise_and(gbits, np.negative(idx == k, dtype=bits),

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import importlib.util
 import io
 import json
@@ -1108,6 +1109,57 @@ def test_cli_filesystem_errors_are_config_errors(tmp_path, capsys, monkeypatch):
         assert cli.main([command, "--out", str(out), "--limit", "5"]) == 2
         one_config_error_line("is not a directory")
     assert afile.read_text() == "" and sorted(os.listdir(tmp_path / "o")) == ["baseline"]
+
+
+def test_cli_cifar_read_errors_are_data_errors(tmp_path, capsys, monkeypatch):
+    def one_data_error_line(fragment):
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and fragment in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    # a directory named like a batch file is not read as one
+    (tmp_path / "only_dir" / "data_batch_1.bin").mkdir(parents=True)
+    doc = tiny_doc(tmp_path / "out")
+    doc["dataset"] = {"kind": "cifar10", "path": str(tmp_path / "only_dir")}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    assert cli.main(["baseline", "--config", str(tmp_path / "c.json")]) == 3
+    one_data_error_line("holds no .bin batch files")
+    mixed = tmp_path / "mixed"
+    (mixed / "data_batch_1.bin").mkdir(parents=True)
+    D.write_cifar10(str(mixed / "data_batch_2.bin"), D.generate_shapes(3, seed=1))
+    assert len(D.load_cifar10(str(mixed))) == 3
+    # a batch file that cannot be read
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d.json").write_text(json.dumps(_cifar_doc(tmp_path / "d", 30, 7)))
+
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    monkeypatch.setattr(D, "open", unreadable, raising=False)
+    assert cli.main(["baseline", "--config", str(tmp_path / "d.json")]) == 3
+    one_data_error_line(f"batch_0.bin: cannot read: {os.strerror(errno.EACCES)}")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "d" / "out").exists()
+
+
+def test_cli_a_report_that_cannot_be_written_is_a_config_error(tmp_path, capsys,
+                                                                monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(tiny_doc(tmp_path / "out")))
+    # a failed write names no file: the command's directory stands in
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    with monkeypatch.context() as m:
+        m.setattr(H, "write_csv", full)
+        assert cli.main(["baseline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: out: cannot write {tmp_path / 'out' / 'baseline'}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+    # a failed open names its file
+    (tmp_path / "out" / "baseline" / "summary.csv").mkdir()
+    assert cli.main(["baseline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: out: cannot write "
+                   f"{tmp_path / 'out' / 'baseline' / 'summary.csv'}: "
+                   f"{os.strerror(errno.EISDIR)}\n")
 
 
 def test_cli_out_env_fallback(tmp_path, monkeypatch):

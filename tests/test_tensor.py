@@ -323,16 +323,17 @@ def test_maxpool_tie_prefers_first_in_row_major_order():
 
 
 def _full_replay(tape, output, target):
-    """Every recorded node in reverse, adjoints summed in arrival order."""
-    table = {id(output): np.ones_like(output.data)}
+    """Every recorded node in reverse, adjoints summed in arrival order and
+    kept to the end; nodes name their tensors by serial."""
+    table = {output.serial: np.ones_like(output.data)}
     for node in reversed(tape._nodes):
-        g = table.get(id(node.out))
+        g = table.get(node.out)
         if g is None:
             continue
-        for t, gi in zip(node.inputs, node.backward(g)):
+        for s, gi in zip(node.inputs, node.backward(g)):
             if gi is not None:
-                table[id(t)] = gi if id(t) not in table else table[id(t)] + gi
-    return table[id(target)]
+                table[s] = gi if s not in table else table[s] + gi
+    return table[target.serial]
 
 
 def test_gradient_of_intermediate_equals_a_full_replay():
@@ -446,7 +447,8 @@ def _conv2d_reference(x, w, b, g):
 def test_conv2d_matches_the_window_view_reference_bytewise(ci, ksize):
     rng = np.random.default_rng(ci * 10 + ksize[0] + ksize[1])
     for dtype in (np.float32, np.float64):
-        for bsz in (1, 7):
+        # 9 and 17 images split the input gradient into 2 and 3 blocks
+        for bsz in (1, 7, 9, 17):
             x = rng.normal(size=(bsz, 6, 5, ci)).astype(dtype)
             w = rng.normal(size=(*ksize, ci, 4)).astype(dtype)
             b = rng.normal(size=4).astype(dtype)
@@ -463,6 +465,24 @@ def test_conv2d_matches_the_window_view_reference_bytewise(ci, ksize):
                 else:
                     assert dx.dtype == dtype and dx.tobytes() == ref[1].tobytes()
                 assert dw.tobytes() == ref[2].tobytes() and db.tobytes() == ref[3].tobytes()
+
+
+@pytest.mark.parametrize("hw,ci", [(16, 16), (8, 32)])
+@pytest.mark.parametrize("bsz", [8, 32, 40])
+def test_conv2d_blocked_input_gradient_is_bytewise_the_whole_batch_one(hw, ci, bsz):
+    # the model's conv2 and conv3 shapes in ARCH_A, at a training batch and
+    # around it: one block, four blocks, and five
+    rng = np.random.default_rng(hw * bsz + ci)
+    x = rng.normal(size=(bsz, hw, hw, ci)).astype(np.float32)
+    w = (rng.normal(size=(3, 3, ci, 32)) * 0.2).astype(np.float32)
+    b = rng.normal(size=32).astype(np.float32)
+    g = rng.normal(size=(bsz, hw, hw, 32)).astype(np.float32)
+    ref = _conv2d_reference(x, w, b, g)
+    tape = T.Tape()
+    T.conv2d(tape, T.Tensor(x), T.Tensor(w), T.Tensor(b))
+    dx, dw, db = tape._nodes[-1].backward(g)
+    assert dx.tobytes() == ref[1].tobytes()
+    assert dw.tobytes() == ref[2].tobytes() and db.tobytes() == ref[3].tobytes()
 
 
 def test_conv2d_treats_an_ndarray_input_as_a_constant():
