@@ -10,7 +10,10 @@ definition and one set of checks.  Every section is built by ``_build``,
 which rejects values of the wrong JSON type (a field's default names the
 type) and non-finite numbers, stores numbers given for float fields as
 floats, and turns a section's ``ValueError`` into
-``ConfigError("<section>: …")``.
+``ConfigError("<section>: …")``.  ``ExperimentConfig`` then builds the
+``model`` and ``transfer_model`` specs at the dataset's image size and class
+count, so a model section that does not fit fails the same way, whichever
+command runs.
 """
 
 from __future__ import annotations
@@ -124,6 +127,13 @@ class ExperimentConfig:
     attack: AttackSection = field(default_factory=AttackSection)
     seed: int = 0
     out: str = "out"
+
+    def __post_init__(self):
+        for name in ("model", "transfer_model"):
+            try:
+                getattr(self, name).to_spec(self.dataset.size, self.dataset.classes)
+            except ValueError as e:
+                raise ConfigError(f"{name}: {e}") from e
 
 
 _SECTIONS = {

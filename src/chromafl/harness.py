@@ -8,7 +8,6 @@ the leading ``# timestamp:`` comment line.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import datetime
 import os
@@ -32,34 +31,6 @@ _TAG_ROOT = 0x0B07  # server root shard
 _TAG_MODEL = 0x30DE
 _TAG_MODEL_B = 0x30DF
 _TAG_SKEW = 0x51E3
-
-
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _pin_malloc_thresholds(libc=None) -> None:
-    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
-
-    These are the values glibc's dynamic rule reaches after one 32 MiB free.
-    Left dynamic, they stay low until some pass frees a large array, and
-    until then every training step maps, faults in and unmaps its buffers
-    afresh; pinned, speed no longer depends on which array was freed first.
-    Without a C library or a ``mallopt`` (not glibc) this does nothing.
-    No report byte depends on it.
-    """
-    try:
-        mallopt = (ctypes.CDLL(None) if libc is None else libc).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
-_pin_malloc_thresholds()
 
 
 # ---------------------------------------------------------------- reporting
@@ -129,11 +100,9 @@ def prepare_data(cfg: ExperimentConfig,
 
 
 def _model_spec(cfg: ExperimentConfig, model_cfg) -> M.ModelSpec:
-    """The model section's spec at the dataset's image size and class count."""
-    try:
-        return model_cfg.to_spec(cfg.dataset.size, cfg.dataset.classes)
-    except ValueError as e:
-        raise ConfigError(f"model: {e}") from e
+    """The model section's spec at the dataset's image size and class count;
+    ``ExperimentConfig`` has checked that both model sections fit."""
+    return model_cfg.to_spec(cfg.dataset.size, cfg.dataset.classes)
 
 
 def train_model(cfg: ExperimentConfig, train_ds: D.LabeledDataset,
@@ -150,14 +119,6 @@ def _attack_set(test: D.LabeledDataset, n: int) -> D.LabeledDataset:
     return test.subset(np.arange(min(n, len(test))))
 
 
-def _attack_images(spec: M.ModelSpec, weights, images, grid: A.GridSpec):
-    """Grid-attack each image; returns (perturbed, outcomes, base_preds, pert_preds)."""
-    perturbed, outcomes = A.attack_images(spec, weights, images, grid)
-    base_preds = M.predict_labels(spec, weights, images)
-    pert_preds = M.predict_labels(spec, weights, perturbed)
-    return perturbed, outcomes, base_preds, pert_preds
-
-
 def _dump_pair(out_dir: str, stem: str, image: np.ndarray, cam: np.ndarray) -> None:
     C.write_ppm(os.path.join(out_dir, f"{stem}.ppm"), image)
     S.save_pgm(os.path.join(out_dir, f"{stem}_cam.pgm"), cam)
@@ -171,8 +132,11 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
     train, test = prepare_data(cfg)
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.n_samples)
-    perturbed, outcomes, base_preds, pert_preds = _attack_images(
-        spec, weights, subset.images, cfg.grid)
+    perturbed, outcomes = A.attack_images(spec, weights, subset.images, cfg.grid)
+    # one pass per stack gives its labels and the maps the dumps need
+    labels = [o.label for o in outcomes]
+    base_preds, cams_orig, _ = S.predict_grad_cams(spec, weights, subset.images, labels)
+    pert_preds, cams_pert, _ = S.predict_grad_cams(spec, weights, perturbed, labels)
     attack_acc = 100.0 * float((base_preds == pert_preds).mean())
     out = _outdir(cfg, "baseline")
 
@@ -199,11 +163,8 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
     order = np.argsort([o.ssim for o in outcomes], kind="stable")
     for rank in range(min(cfg.metrics.heatmap_dumps, len(outcomes))):
         i = int(order[rank])
-        label = outcomes[i].label
-        cam_orig = S.grad_cam(spec, weights, subset.images[i], label)
-        cam_pert = S.grad_cam(spec, weights, perturbed[i], label)
-        _dump_pair(out, f"worst_{rank:02d}_orig", subset.images[i], cam_orig)
-        _dump_pair(out, f"worst_{rank:02d}_pert", perturbed[i], cam_pert)
+        _dump_pair(out, f"worst_{rank:02d}_orig", subset.images[i], cams_orig[i])
+        _dump_pair(out, f"worst_{rank:02d}_pert", perturbed[i], cams_pert[i])
 
     return {"out_dir": out, "samples_csv": samples_csv,
             "summary_csv": summary_csv, "summary": summary,
@@ -391,8 +352,7 @@ def _render_skew(images, seed: int, scale: float) -> tuple[np.ndarray, float]:
 
 def _score_skew(spec, weights, skewed, base_preds, cams_base) -> dict:
     """Label flips, CAM SSIM and preserved share of a rendered skew stack."""
-    preds = M.predict_labels(spec, weights, skewed)
-    cams_skew = S.grad_cam(spec, weights, skewed, base_preds)
+    preds, cams_skew, _ = S.predict_grad_cams(spec, weights, skewed, base_preds)
     return {"flips": int((preds != base_preds).sum()),
             "ssim_mean": float(S.ssim(cams_base, cams_skew).mean()),
             "preserved_pct": 100.0 * float((preds == base_preds).mean())}
@@ -411,14 +371,15 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.compare_samples)
     images = subset.images
-    _, outcomes, base_preds, pert_preds = _attack_images(spec, weights, images, cfg.grid)
+    perturbed, outcomes = A.attack_images(spec, weights, images, cfg.grid)
+    base_preds, cams_base, _ = S.predict_grad_cams(spec, weights, images)
+    pert_preds = M.predict_labels(spec, weights, perturbed)
     stats = A.summarize_outcomes(outcomes)
     cpm = {"scale": float("nan"),
            "flips": int((pert_preds != base_preds).sum()),
            "preserved_pct": 100.0 * float((pert_preds == base_preds).mean()),
            "ssim_mean": stats["ssim_mean"], "delta_e_mean": stats["delta_e_mean"]}
 
-    cams_base = S.grad_cam(spec, weights, images, base_preds)
     skewed, delta_e = _render_skew(images, cfg.seed, 1.0)
     full = {"scale": 1.0, "delta_e_mean": delta_e,
             **_score_skew(spec, weights, skewed, base_preds, cams_base)}
@@ -462,15 +423,15 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
     spec_b, w_b = train_model(cfg, train, cfg.transfer_model, tag=_TAG_MODEL_B)
     subset = _attack_set(test, cfg.attack.n_samples)
     images = subset.images
-    perturbed, outcomes, preds_a, pert_a = _attack_images(spec_a, w_a, images, cfg.grid)
+    perturbed, outcomes = A.attack_images(spec_a, w_a, images, cfg.grid)
+    preds_a = M.predict_labels(spec_a, w_a, images)
+    pert_a = M.predict_labels(spec_a, w_a, perturbed)
     same_row = ("same_arch", spec_a.arch,
                 100.0 * float((pert_a == preds_a).mean()),
                 A.summarize_outcomes(outcomes)["ssim_mean"])
 
-    preds_b = M.predict_labels(spec_b, w_b, images)
-    pert_b = M.predict_labels(spec_b, w_b, perturbed)
-    cams_b = S.grad_cam(spec_b, w_b, images, preds_b)
-    cams_b_pert = S.grad_cam(spec_b, w_b, perturbed, preds_b)
+    preds_b, cams_b, _ = S.predict_grad_cams(spec_b, w_b, images)
+    pert_b, cams_b_pert, _ = S.predict_grad_cams(spec_b, w_b, perturbed, preds_b)
     cross_row = ("cross_arch", spec_b.arch,
                  100.0 * float((pert_b == preds_b).mean()),
                  float(S.ssim(cams_b, cams_b_pert).mean()))
@@ -536,11 +497,10 @@ def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
     spec, weights = train_model(cfg, train)
     x = test.images[sample_id]
     pert, outcome = A.cpm_perturb(spec, weights, x, cfg.grid)
-    cam_orig = S.grad_cam(spec, weights, x, outcome.label)
-    cam_pert = S.grad_cam(spec, weights, pert, outcome.label)
+    _, cams, _ = S.predict_grad_cams(spec, weights, np.stack([x, pert]), outcome.label)
     out = _outdir(cfg, "inspect")
-    _dump_pair(out, f"sample_{sample_id:05d}_orig", x, cam_orig)
-    _dump_pair(out, f"sample_{sample_id:05d}_pert", pert, cam_pert)
+    _dump_pair(out, f"sample_{sample_id:05d}_orig", x, cams[0])
+    _dump_pair(out, f"sample_{sample_id:05d}_pert", pert, cams[1])
     line = (f"sample {sample_id}: label={int(test.labels[sample_id])} "
             f"pred={outcome.label} ssim={outcome.ssim:.4f} "
             f"delta_e={outcome.delta_e:.2f} fallback={outcome.fallback} "

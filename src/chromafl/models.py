@@ -129,15 +129,6 @@ def _check_weights(spec: ModelSpec, weights) -> list[np.ndarray]:
     return ws
 
 
-def _batched(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x)
-    if arr.ndim == 3:
-        return arr[None], True
-    if arr.ndim == 4:
-        return arr, False
-    raise ValueError(f"images must be (H, W, 3) or (B, H, W, 3), got shape {arr.shape}")
-
-
 def _stages(spec: ModelSpec, params: list[T.Tensor], h, tape: T.Tape | None,
             ks: range) -> T.Tensor:
     """Stages ``ks`` (conv, ReLU, pool where the stage has one) applied to ``h``."""
@@ -194,7 +185,10 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None):
     logits raise ``FloatingPointError``.
     """
     ws = _check_weights(spec, weights)
-    xb, _ = _batched(x)
+    xb = np.asarray(x)
+    xb = xb[None] if xb.ndim == 3 else xb
+    if xb.ndim != 4:
+        raise ValueError(f"images must be (H, W, 3) or (B, H, W, 3), got shape {xb.shape}")
     if xb.shape[1] != spec.input_size or xb.shape[2] != spec.input_size or xb.shape[3] != 3:
         raise ValueError(f"expected {spec.input_size}x{spec.input_size} RGB input, "
                          f"got shape {xb.shape[1:]}")

@@ -124,7 +124,7 @@ def test_cpm_matches_batch_identical_rescoring(trained):
         imgs = np.stack([C.apply(t, x) for t in thetas])
         labels = M.predict_labels(spec, ws, imgs)
         feasible = np.flatnonzero(labels == labels[0])
-        cams = S.grad_cam(spec, ws, imgs[feasible], int(labels[0]))
+        cams = S.predict_grad_cams(spec, ws, imgs[feasible], int(labels[0]))[1]
         base = int(np.flatnonzero(feasible == 0)[0])
         scores = S.ssim(np.broadcast_to(cams[base], cams.shape), cams)
         best = 0
@@ -143,7 +143,7 @@ def _two_pass_search(spec, ws, x, grid):
     imgs = np.stack([C.apply(t, x) for t in thetas])
     labels = M.predict_labels(spec, ws, imgs)
     feasible = np.flatnonzero(labels == labels[0])
-    cams = S.grad_cam(spec, ws, imgs[feasible], int(labels[0]))
+    cams = S.predict_grad_cams(spec, ws, imgs[feasible], int(labels[0]))[1]
     scores = S.ssim(np.broadcast_to(cams[0], cams.shape), cams)
     best = int(feasible[int(np.argmin(scores))])  # first minimum wins
     return imgs[best], thetas[best], len(feasible), float(scores.min())
@@ -191,7 +191,7 @@ def test_cpm_agrees_with_independent_per_sample_loop(trained):
         x = data.images[i]
         _, outcome = A.cpm_perturb(spec, ws, x, SMALL_GRID)
         base_label = int(M.predict_labels(spec, ws, x[None])[0])
-        cam0 = S.grad_cam(spec, ws, x, base_label)
+        cam0 = S.predict_grad_cams(spec, ws, x[None], base_label)[1][0]
         best_ssim = None
         n_feasible = 0
         for theta in thetas:
@@ -200,7 +200,7 @@ def test_cpm_agrees_with_independent_per_sample_loop(trained):
             if lab != base_label:
                 continue
             n_feasible += 1
-            s = S.ssim(cam0, S.grad_cam(spec, ws, cand, base_label))
+            s = S.ssim(cam0, S.predict_grad_cams(spec, ws, cand[None], base_label)[1][0])
             if best_ssim is None or s < best_ssim - 1e-9:
                 best_ssim = s
         assert outcome.n_feasible == n_feasible

@@ -3,10 +3,12 @@
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -220,12 +222,39 @@ def test_override_applies_seed_out_and_limit(tmp_path):
 def test_malloc_threshold_pinning_is_idempotent_and_skips_a_libc_without_mallopt():
     calls = []
     libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
-    H._pin_malloc_thresholds(libc)
-    H._pin_malloc_thresholds(libc)
-    assert calls == 2 * [(H._M_MMAP_THRESHOLD, 32 << 20), (H._M_TRIM_THRESHOLD, 64 << 20)]
-    H._pin_malloc_thresholds()  # the process's own C library, again
-    H._pin_malloc_thresholds()
-    H._pin_malloc_thresholds(SimpleNamespace())  # no mallopt: returns, raises nothing
+    chromafl._pin_malloc_thresholds(libc)
+    chromafl._pin_malloc_thresholds(libc)
+    assert calls == 2 * [(chromafl._M_MMAP_THRESHOLD, 32 << 20),
+                         (chromafl._M_TRIM_THRESHOLD, 64 << 20)]
+    chromafl._pin_malloc_thresholds()  # the process's own C library, again
+    chromafl._pin_malloc_thresholds()
+    chromafl._pin_malloc_thresholds(SimpleNamespace())  # no mallopt: returns, raises nothing
+
+
+_PIN_PROBE = """
+import ctypes, json, sys
+calls = []
+
+class RecordingLib:
+    def __init__(self, name):
+        calls.append(("CDLL", name))
+        self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+ctypes.CDLL = RecordingLib
+import chromafl.models
+print(json.dumps({"calls": calls, "harness": "chromafl.harness" in sys.modules}))
+"""
+
+
+def test_importing_only_models_pins_malloc_thresholds_without_the_harness():
+    # a fresh interpreter, so the package is imported for the first time
+    src = os.path.dirname(os.path.dirname(chromafl.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _PIN_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    assert got["calls"] == [["CDLL", None], [-3, 32 << 20], [-1, 64 << 20]]
+    assert not got["harness"]
 
 
 def test_write_csv_roundtrip_and_timestamp_comment(tmp_path):
@@ -379,7 +408,8 @@ def test_fl_round_csv_shape_and_weights_artifact(tmp_path):
     # for the final twin's label, as a single-image pass computes it
     spec, probe = rep["spec"], rep["probe"]
     label = int(M.predict_labels(spec, rep["twin_weights"], probe[:1])[0])
-    S.save_pgm(tmp_path / "expect.pgm", S.grad_cam(spec, rep["weights"], probe[0], label))
+    S.save_pgm(tmp_path / "expect.pgm",
+               S.predict_grad_cams(spec, rep["weights"], probe[:1], label)[1][0])
     got = os.path.join(rep["out_dir"], "heatmaps", f"round_{cfg.fl.rounds:02d}_probe_00.pgm")
     with open(got, "rb") as fh:
         assert fh.read() == (tmp_path / "expect.pgm").read_bytes()
@@ -629,8 +659,8 @@ def test_compare_matched_arm_equals_an_inline_skew_oracle(tmp_path, monkeypatch)
                        for i, x in enumerate(images)])
     delta_e = float(np.array([C.mean_delta_e(x, y) for x, y in zip(images, skewed)]).mean())
     preds = M.predict_labels(spec, weights, skewed)
-    ssim = S.ssim(S.grad_cam(spec, weights, images, base),
-                  S.grad_cam(spec, weights, skewed, base))
+    ssim = S.ssim(S.predict_grad_cams(spec, weights, images, base)[1],
+                  S.predict_grad_cams(spec, weights, skewed, base)[1])
     want = ("skew_matched", scale, n, int((preds != base).sum()),
             100.0 * float((preds == base).mean()), float(ssim.mean()), delta_e)
     assert rep["rows"][2] == want
@@ -649,6 +679,50 @@ def test_transfer_same_arch_is_preserved_and_cross_reported(tmp_path):
     assert cross[2] <= 100.0
     assert -1.0 <= cross[3] <= 1.0
     assert cross[1] == "ARCH_B"
+
+
+# ---------------------------------------------------------------- one pass
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command, stacks", [
+    ("baseline", 2),  # the originals and the perturbed images
+    ("compare", 3),  # originals, perturbed, full-strength skew
+    ("transfer", 4),  # originals and perturbed, on each model
+    ("inspect", 1),  # the original and its perturbation, stacked
+])
+def test_each_scored_stack_runs_through_a_model_once(tmp_path, monkeypatch, command, stacks):
+    seen = []
+    in_attack = []
+    forward, cpm_perturb = M.forward, A.cpm_perturb
+
+    def spy_forward(spec, weights, x, tape=None):
+        if not in_attack:
+            seen.append(_digest(x, *weights) + spec.arch)
+        return forward(spec, weights, x, tape)
+
+    def spy_cpm(*args, **kwargs):
+        in_attack.append(1)
+        try:
+            return cpm_perturb(*args, **kwargs)
+        finally:
+            in_attack.pop()
+    monkeypatch.setattr(M, "forward", spy_forward)
+    monkeypatch.setattr(A, "cpm_perturb", spy_cpm)
+    cfg = tiny_cfg(tmp_path)
+    if command == "inspect":
+        H.cmd_inspect(cfg, sample_id=3)
+    else:
+        getattr(H, f"cmd_{command}")(cfg)
+    assert len(seen) == len(set(seen)) == stacks
 
 
 # ---------------------------------------------------------------- robust
@@ -881,6 +955,42 @@ def test_cli_dataset_size_and_classes_out_of_range_are_config_errors(
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_an_unused_transfer_model_section_is_still_checked(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"transfer_model": {"arch": "ARCH_Z", "capture": "conv9"},
+                                "out": str(tmp_path / "out")}))
+    for command in ("baseline", "transfer"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: transfer_model: unknown architecture 'ARCH_Z'")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_gen_data_checks_the_model_section(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": {"capture": "conv9"},
+                                "out": str(tmp_path / "out")}))
+    assert cli.main(["gen-data", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model: capture stage 'conv9' not in")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_a_size_the_model_cannot_pool_fails_before_any_data(tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("generate_shapes ran")
+    monkeypatch.setattr(D, "generate_shapes", no_data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": {"size": 18}, "out": str(tmp_path / "out")}))
+    for command in ("gen-data", "baseline"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: model: input size 18 does not pool evenly at conv2\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -156,7 +156,7 @@ def shapes_models():
 def _cam_outputs(spec, ws, images):
     """Labels, maps and attack results as bytes and values, so == is byte equality."""
     labels = M.predict_labels(spec, ws, images)
-    cams = S.grad_cam(spec, ws, images, 1)
+    cams = S.predict_grad_cams(spec, ws, images, 1)[1]
     pl, gc, gcpp = S.predict_grad_cams(spec, ws, images)
     attacks = [A.cpm_perturb(spec, ws, x, CAM_GRID) for x in images[:3]]
     return ([a.tobytes() for a in (labels, cams, pl, gc, gcpp)],

@@ -374,7 +374,7 @@ def test_grad_cam_matches_closed_form_oracle():
     for trial in range(3):
         x = rng.uniform(0, 1, size=(16, 16, 3)).astype(np.float32)
         for cls in range(spec.classes):
-            got = S.grad_cam(spec, ws, x, cls)
+            got = S.predict_grad_cams(spec, ws, x[None], cls)[1][0]
             assert np.abs(got - grad_cam_oracle(spec, ws, x, cls)).max() < 1e-5
 
 
@@ -388,29 +388,35 @@ def test_grad_cam_pp_matches_closed_form_oracle():
             assert np.abs(got - grad_cam_pp_oracle(spec, ws, x, cls)).max() < 1e-5
 
 
-def test_grad_cam_batch_agrees_with_singles():
-    spec, ws = _capture_tail_model(seed=44)
+@pytest.mark.parametrize("arch,capture", [("ARCH_A", "conv3"), ("ARCH_A", "conv2"),
+                                          ("ARCH_B", "conv3"), ("ARCH_B", "conv1")])
+def test_grad_cam_batch_agrees_with_singles(arch, capture):
+    # a command scores a whole stack in one pass and dumps single maps from it
+    spec = M.ModelSpec(arch, input_size=16, classes=3, capture=capture)
+    ws = M.build(spec, seed=44)
     rng = np.random.default_rng(45)
-    xs = rng.uniform(0, 1, size=(4, 16, 16, 3)).astype(np.float32)
-    ids = np.array([0, 1, 2, 0])
-    batch = S.grad_cam(spec, ws, xs, ids)
-    assert batch.shape == (4, 16, 16)
-    for i in range(4):
-        assert np.abs(batch[i] - S.grad_cam(spec, ws, xs[i], ids[i])).max() < 1e-6
-    assert np.array_equal(S.predict_grad_cams(spec, ws, xs, ids)[1], batch)
+    xs = rng.uniform(0, 1, size=(5, 16, 16, 3)).astype(np.float32)
+    ids = np.array([0, 1, 2, 0, 1])
+    labels, gc, gcpp = S.predict_grad_cams(spec, ws, xs, ids)
+    assert gc.shape == gcpp.shape == (5, 16, 16)
+    for i in range(5):
+        one = S.predict_grad_cams(spec, ws, xs[i:i + 1], ids[i])
+        assert np.array_equal(one[0], labels[i:i + 1])
+        assert np.array_equal(one[1][0], gc[i])
+        assert np.array_equal(one[2][0], gcpp[i])
 
 
 def test_grad_cam_zero_model_yields_zero_map():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=3)
     ws = [np.zeros_like(w) for w in M.build(spec, seed=0)]
     x = np.random.default_rng(46).uniform(0, 1, size=(16, 16, 3)).astype(np.float32)
-    assert np.array_equal(S.grad_cam(spec, ws, x, 0), np.zeros((16, 16)))
+    assert np.array_equal(S.predict_grad_cams(spec, ws, x[None], 0)[1][0], np.zeros((16, 16)))
 
 
 def test_grad_cam_values_in_unit_range():
     spec, ws = _capture_tail_model(seed=47)
     x = np.random.default_rng(48).uniform(0, 1, size=(16, 16, 3)).astype(np.float32)
-    m = S.grad_cam(spec, ws, x, 1)
+    m = S.predict_grad_cams(spec, ws, x[None], 1)[1][0]
     assert m.shape == (16, 16)
     assert m.min() >= 0.0 and m.max() <= 1.0
 
