@@ -6,7 +6,9 @@ same way, and returns the feasible candidate whose Grad-CAM is least similar
 (SSIM) to the original image's.  The identity transform is always candidate
 zero, so the search can never make a sample infeasible: when nothing else
 survives the prediction check, the image passes through untouched with the
-fallback flag raised.
+fallback flag raised.  This module owns only the search: the grid, the
+feasibility rule and the argmin.  The labels, gradients and Grad-CAM maps
+come from :mod:`saliency` (``label_grads``, ``grad_cam_maps``).
 
 The random skew baseline draws a hue/saturation/per-channel recolor at
 comparable perceptual strength but with no model in the loop.
@@ -14,7 +16,7 @@ comparable perceptual strength but with no model in the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from . import color as C
 from . import data as D
 from . import models as M
 from . import saliency as S
-from . import tensor as T
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,10 @@ class GridSpec:
     identity first, then hue shifts, channel rescales (uniform, then
     single-channel when ``per_channel``), contrast jitters, and finally
     pairwise composites of the non-identity values (hue x rescale, hue x
-    jitter, rescale x jitter) when ``composites`` is on.  The list is
-    truncated to ``max_candidates`` entries, identity always surviving.
+    jitter, rescale x jitter) when ``composites`` is on.  A repeated
+    parameter set keeps only its first place, and the list is truncated to
+    ``max_candidates`` entries, identity always surviving.
+    ``single_operator()`` gives the ablation's one-operator grids.
     """
 
     hue: tuple[float, ...] = (0.0, 0.05, -0.05, 0.10, -0.10, 0.15, -0.15)
@@ -84,31 +87,16 @@ class GridSpec:
                 for g, b in jitters:
                     out.append(C.PerturbationParams(alpha=(a, a, a), gamma=g, beta=b))
 
-        seen: set[tuple] = set()
-        unique: list[C.PerturbationParams] = []
-        for theta in out:
-            key = theta.as_row()
-            if key not in seen:
-                seen.add(key)
-                unique.append(theta)
-            if len(unique) == self.max_candidates:
-                break
-        return unique
+        return list(dict.fromkeys(out))[:self.max_candidates]
 
-    @classmethod
-    def hue_only(cls, hue) -> "GridSpec":
-        return cls(hue=hue, alpha=(1.0,), per_channel=False,
-                   gamma=(1.0,), beta=(0.0,), composites=False)
-
-    @classmethod
-    def rescale_only(cls, alpha, per_channel: bool) -> "GridSpec":
-        return cls(hue=(0.0,), alpha=alpha, per_channel=per_channel,
-                   gamma=(1.0,), beta=(0.0,), composites=False)
-
-    @classmethod
-    def jitter_only(cls, gamma, beta) -> "GridSpec":
-        return cls(hue=(0.0,), alpha=(1.0,), per_channel=False,
-                   gamma=gamma, beta=beta, composites=False)
+    def single_operator(self) -> dict[str, GridSpec]:
+        """The ablation's one-operator grids by name: this grid with the other
+        operators at identity and no composites."""
+        return {"hue": replace(self, composites=False, alpha=(1.0,), gamma=(1.0,),
+                               beta=(0.0,)),
+                "rescale": replace(self, composites=False, hue=(0.0,), gamma=(1.0,),
+                                   beta=(0.0,)),
+                "jitter": replace(self, composites=False, hue=(0.0,), alpha=(1.0,))}
 
 
 @dataclass(frozen=True)
@@ -139,19 +127,12 @@ def cpm_perturb(spec: M.ModelSpec, weights, x, grid: GridSpec
     thetas = grid.candidates()
     imgs = C.apply_each(thetas, arr)
     # one taped pass gives the labels and every candidate's Grad-CAM gradient
-    logits, captured, tape = M.forward(spec, weights, imgs, tape=T.Tape())
-    labels = logits.data.argmax(axis=1)
+    labels, g, acts = S.label_grads(spec, weights, imgs)
     base_label = int(labels[0])  # candidate 0 is the untouched image
     feasible = np.flatnonzero(labels == base_label)  # starts with candidate 0
-    g, acts = S._capture_grads(logits, captured, tape, base_label)
-    g, acts = g[feasible], acts[feasible]
-    cams = S._weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size)
+    cams = S.grad_cam_maps(g[feasible], acts[feasible], spec.input_size)
     scores = S.ssim(cams, cams[0])
-
-    best_pos = 0
-    for pos in range(len(feasible)):
-        if scores[pos] < scores[best_pos]:
-            best_pos = pos
+    best_pos = int(np.argmin(scores))  # the first of equal minima
     best_idx = int(feasible[best_pos])
     # a copy, so the returned image does not pin the whole candidate stack
     out_img = imgs[best_idx].copy()

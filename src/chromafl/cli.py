@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 
 
@@ -61,13 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_in_the_way(path: str) -> str | None:
-    """The nearest existing ancestor of ``path`` (or ``path`` itself) if it is
-    not a directory, so that ``os.makedirs(path)`` would fail; else None."""
+def _nearest_existing(path: str) -> tuple[str, str | None]:
+    """The nearest existing ancestor of ``path`` (or ``path`` itself), and
+    the outermost directory ``os.makedirs(path)`` would create (None when
+    ``path`` exists)."""
     path = os.path.abspath(path)
+    missing = None
     while not os.path.lexists(path):
-        path = os.path.dirname(path)
-    return None if os.path.isdir(path) else path
+        path, missing = os.path.dirname(path), path
+    return path, missing
 
 
 def _print_report(command: str, report: dict) -> None:
@@ -108,9 +111,9 @@ def main(argv=None) -> int:
         cfg = override(cfg, seed=args.seed, out=out, limit=args.limit)
         # checked before any work, as the reports are written after all of it
         out_dir = os.path.join(cfg.out, args.command.replace("-", "_"))
-        blocker = _file_in_the_way(out_dir)
-        if blocker is not None:
-            raise ConfigError(f"out: {blocker} is not a directory")
+        existing, created = _nearest_existing(out_dir)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"out: {existing} is not a directory")
         dispatch = {"baseline": H.cmd_baseline, "fl": H.cmd_fl,
                     "ablation": H.cmd_ablation, "compare": H.cmd_compare,
                     "transfer": H.cmd_transfer, "robust": H.cmd_robust,
@@ -128,6 +131,9 @@ def main(argv=None) -> int:
         # written; a failed write() names no file, so name the directory
         path = e.filename if e.filename is not None else out_dir
         print(f"config error: out: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        if created is not None:
+            # what this run made holds no finished report set
+            shutil.rmtree(created, ignore_errors=True)
         return 2
     except (FloatingPointError, ZeroDivisionError, OverflowError,
             np.linalg.LinAlgError) as e:

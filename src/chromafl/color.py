@@ -141,12 +141,6 @@ class PerturbationParams:
     gamma: float = 1.0
     beta: float = 0.0
 
-    def validate(self) -> None:
-        if not all(0.5 <= a <= 1.5 for a in self.alpha):
-            raise ValueError(f"channel scales must lie in [0.5, 1.5], got {self.alpha}")
-        if self.gamma <= 0:
-            raise ValueError(f"contrast gamma must be positive, got {self.gamma}")
-
     def as_row(self) -> tuple:
         return (self.delta, *self.alpha, self.gamma, self.beta)
 
@@ -155,9 +149,9 @@ def apply(theta: PerturbationParams, x) -> np.ndarray:
     """Apply hue shift, channel rescale and contrast jitter, in that order.
 
     Operators sitting at their identity parameters are skipped, so the
-    identity theta returns ``x`` values untouched (as a fresh array).
+    identity theta returns ``x`` values untouched (as a fresh array).  An
+    out-of-range alpha or gamma raises ``ValueError`` from its operator.
     """
-    theta.validate()
     arr = _check_rgb(x)
     out = arr
     if theta.delta != 0.0:

@@ -182,22 +182,27 @@ def _build_clients(train: D.LabeledDataset, cfg: ExperimentConfig,
 
 
 class _FLSetup(NamedTuple):
-    """What both streams of an ``fl`` run start from.  None of it reads
-    ``fl.aggregator``, so ``cmd_robust`` builds it once for every aggregator."""
+    """What both streams of an ``fl`` run start from.  Only ``root`` depends
+    on the aggregators it is built for, so ``cmd_robust`` builds it once for
+    every aggregator."""
 
     spec: M.ModelSpec
     clients: list[F.ClientState]
     twin_clients: list[F.ClientState]
     adv_share: float
-    root: D.LabeledDataset
+    root: D.LabeledDataset | None
     test: D.LabeledDataset
     probe: np.ndarray
     w_init: list[np.ndarray]
 
 
-def _fl_setup(cfg: ExperimentConfig) -> _FLSetup:
-    """Build the data splits, roles, clients, probe and initial global."""
-    train, test, root = prepare_data(cfg, cfg.fl.root_size)
+def _fl_setup(cfg: ExperimentConfig, aggregators) -> _FLSetup:
+    """Build the data splits, roles, clients, probe and initial global; the
+    server-root split only when one of ``aggregators`` is FLTrust, the one
+    aggregator that reads it."""
+    train, test, *rest = prepare_data(
+        cfg, cfg.fl.root_size if F.FLTRUST in aggregators else 0)
+    root = rest[0] if rest else None
     spec = _model_spec(cfg, cfg.model)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
     clients = _build_clients(train, cfg, roles)
@@ -216,7 +221,7 @@ def _fl_setup(cfg: ExperimentConfig) -> _FLSetup:
 def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
     """Run the attacked stream and its benign twin round by round from
     ``setup``, the ``_fl_setup`` of ``cfg`` or of a config that differs
-    from it only in ``fl.aggregator``.
+    from it only in ``fl.aggregator``, built for ``cfg``'s aggregator.
 
     The twin shares the seed, partition, selection, and local-training
     streams, differing only in that no client poisons its shard; at
@@ -269,7 +274,7 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
     and the drift series and its slope fit derived from the rounds at the
     realized adversary share (``summary.csv`` echoes ``fl.adv_ratio``)."""
     _check_clients_fit(cfg)
-    res = run_fl_streams(cfg, _fl_setup(cfg))
+    res = run_fl_streams(cfg, _fl_setup(cfg, [cfg.fl.aggregator]))
     drift = [(m.round, m.adv_ratio, 1.0 - m.ssim_gc_mean, m.accuracy,
               m.reference_accuracy) for m in res["rounds"]]
     series = [row[:3] for row in drift]
@@ -314,19 +319,16 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_ablation(cfg: ExperimentConfig) -> dict:
-    """Attack the same samples with single-operator grids and the full grid."""
+    """Attack the same samples with single-operator grids and the full grid;
+    each single-operator grid is ``cfg.grid`` with the other operators at
+    identity (``GridSpec.single_operator``)."""
     train, test = prepare_data(cfg)
     spec, weights = train_model(cfg, train)
     subset = _attack_set(test, cfg.attack.n_samples)
 
-    grids = (("hue", A.GridSpec.hue_only(cfg.grid.hue)),
-             ("rescale", A.GridSpec.rescale_only(cfg.grid.alpha,
-                                                 cfg.grid.per_channel)),
-             ("jitter", A.GridSpec.jitter_only(cfg.grid.gamma, cfg.grid.beta)),
-             ("combined", cfg.grid))
     rows = []
     by_operator = {}
-    for name, grid in grids:
+    for name, grid in [*cfg.grid.single_operator().items(), ("combined", cfg.grid)]:
         stats = A.summarize_outcomes(A.attack_images(spec, weights, subset.images, grid)[1])
         rows.append((name, stats["n"], stats["ssim_mean"],
                      stats["attack_success_pct"]))
@@ -454,7 +456,7 @@ def cmd_robust(cfg: ExperimentConfig) -> dict:
     if cfg.fl.select_k <= 2 * cfg.fl.trim_k:
         raise ConfigError(f"fl.select_k={cfg.fl.select_k} must exceed "
                           f"2*trim_k={2 * cfg.fl.trim_k} for trimmed_mean")
-    setup = _fl_setup(cfg)
+    setup = _fl_setup(cfg, F.AGGREGATORS)
     rows = []
     runs = {}
     for agg in F.AGGREGATORS:

@@ -2,10 +2,13 @@
 
 All map producers return float64 arrays normalized to [0, 1] at input
 resolution; a map that comes out flat (all equal) normalizes to all zeros
-rather than dividing by zero.  :func:`predict_grad_cams`, the one map
-producer, gives a batch's labels, Grad-CAM and Grad-CAM++ maps from one
-taped pass.  Metric functions accept single maps ``(H, W)`` or stacks
-``(B, H, W)``; :func:`ssim` also scores one map against a stack.
+rather than dividing by zero.  This module is the one place that knows how
+a Grad-CAM is computed.  :func:`label_grads` is the one taped pass: a
+batch's labels and the class gradients at the capture stage.
+:func:`grad_cam_maps` turns those into Grad-CAM maps, and
+:func:`predict_grad_cams` gives a batch's labels, Grad-CAM and Grad-CAM++
+maps from one such pass.  Metric functions accept single maps ``(H, W)`` or
+stacks ``(B, H, W)``; :func:`ssim` also scores one map against a stack.
 
 SSIM uses the standard 11x11 Gaussian window (sigma 1.5) with C1=(0.01)^2,
 C2=(0.03)^2 on a unit dynamic range, averaged over valid windows only.
@@ -96,25 +99,39 @@ def _weighted_cam(w_k: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:
     return normalize_map(upsample_bilinear(cam, size, size))
 
 
-def predict_grad_cams(spec: M.ModelSpec, weights, xs, class_id=None):
-    """Predicted labels, Grad-CAM maps and Grad-CAM++ maps of a batch, all
-    from one taped pass; ``class_id=None`` targets each image's predicted
-    class.  The labels equal :func:`models.predict_labels`' on a batch of up
-    to ``models.PREDICT_CHUNK`` images.  For given class ids, each map's
-    bits do not depend on the other images of the batch.
-
-    Both maps are the ReLU of the capture stage's channel-weighted
-    activations, upsampled and min-max normalized.  Grad-CAM's channel
-    weights are the spatial averages of g = d(logit_class)/d(activation).
-    Grad-CAM++ pixel weights are a = g^2 / (2 g^2 + sum(A) * g^3), zero
-    wherever the denominator is smaller than 1e-12; its channel weights are
-    sum(a * relu(g)).
-    """
+def label_grads(spec: M.ModelSpec, weights, xs, class_id=None):
+    """Predicted labels of a batch, and g = d(logit_class)/d(activation) at
+    the capture stage with that activation, all from one taped pass;
+    ``class_id=None`` targets each image's predicted class.  The labels
+    equal :func:`models.predict_labels`' on a batch of up to
+    ``models.PREDICT_CHUNK`` images.  For given class ids, each image's
+    ``g`` does not depend on the other images of the batch."""
     logits, captured, tape = M.forward(spec, weights, xs, tape=T.Tape())
     labels = logits.data.argmax(axis=1)
     g, acts = _capture_grads(logits, captured, tape,
                              labels if class_id is None else class_id)
-    gc = _weighted_cam(g.mean(axis=(1, 2)), acts, spec.input_size)
+    return labels, g, acts
+
+
+def grad_cam_maps(g: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:
+    """Grad-CAM maps from :func:`label_grads`' ``g`` and ``acts``: the
+    channel weights are the spatial averages of ``g``."""
+    return _weighted_cam(g.mean(axis=(1, 2)), acts, size)
+
+
+def predict_grad_cams(spec: M.ModelSpec, weights, xs, class_id=None):
+    """Predicted labels, Grad-CAM maps and Grad-CAM++ maps of a batch, all
+    from one :func:`label_grads` pass; for given class ids, each map's bits
+    do not depend on the other images of the batch.
+
+    Both maps are the ReLU of the capture stage's channel-weighted
+    activations, upsampled and min-max normalized.  Grad-CAM++ pixel
+    weights are a = g^2 / (2 g^2 + sum(A) * g^3), zero wherever the
+    denominator is smaller than 1e-12; its channel weights are
+    sum(a * relu(g)).
+    """
+    labels, g, acts = label_grads(spec, weights, xs, class_id)
+    gc = grad_cam_maps(g, acts, spec.input_size)
     g2 = g * g
     g3 = g2 * g
     chan_sum = acts.sum(axis=(1, 2))  # (B, K)

@@ -41,7 +41,8 @@ def test_default_grid_structure():
     # composites: 6*4 + 6*8 + 4*8
     assert len(cands) == 1 + 6 + 4 + 12 + 8 + 24 + 48 + 32
     for c in cands:
-        c.validate()
+        assert all(0.5 <= a <= 1.5 for a in c.alpha), c
+        assert c.gamma > 0, c
 
 
 def test_grid_truncation_keeps_identity():
@@ -53,13 +54,15 @@ def test_grid_truncation_keeps_identity():
 
 def _single_operator_grids(grid):
     """The ablation's single-operator grids over ``grid``'s values."""
-    return (A.GridSpec.hue_only(grid.hue),
-            A.GridSpec.rescale_only(grid.alpha, grid.per_channel),
-            A.GridSpec.jitter_only(grid.gamma, grid.beta))
+    arms = grid.single_operator()
+    assert list(arms) == ["hue", "rescale", "jitter"]
+    return tuple(arms.values())
 
 
 def test_single_operator_grids_are_pure():
     hue, rescale, jitter = _single_operator_grids(A.GridSpec())
+    # 6 hue shifts; 4 uniform + 12 single-channel rescales; 8 jitters
+    assert [len(g.candidates()) for g in (hue, rescale, jitter)] == [7, 17, 9]
     for cand in hue.candidates()[1:]:
         assert cand.delta != 0.0
         assert cand.alpha == (1.0, 1.0, 1.0) and cand.gamma == 1.0 and cand.beta == 0.0
@@ -75,6 +78,63 @@ def test_combined_grid_is_superset_of_singles():
     combined = {c.as_row() for c in A.GridSpec().candidates()}
     for sub in _single_operator_grids(A.GridSpec()):
         assert {c.as_row() for c in sub.candidates()} <= combined
+
+
+def test_single_operator_grids_keep_every_grid_field():
+    grid = A.GridSpec(hue=(0.0, 0.2), alpha=(0.7,), per_channel=False,
+                      gamma=(1.3,), beta=(0.05,), max_candidates=2)
+    arms = grid.single_operator()
+    assert arms["rescale"].per_channel is False
+    for arm in arms.values():
+        assert arm.max_candidates == 2 and not arm.composites
+    assert [c.delta for c in arms["hue"].candidates()] == [0.0, 0.2]
+    assert [c.alpha for c in arms["rescale"].candidates()] == [(1.0,) * 3, (0.7,) * 3]
+    assert [(c.gamma, c.beta) for c in arms["jitter"].candidates()] == [
+        (1.0, 0.0), (1.3, 0.05)]
+
+
+def _seen_set_candidates(grid):
+    """Oracle: the candidate list as ``candidates()`` once built it, a
+    seen-set loop over the rendered list that stops at ``max_candidates``."""
+    hues = [d for d in grid.hue if d != 0.0]
+    alphas = [a for a in grid.alpha if a != 1.0]
+    jitters = [(g, b) for g in grid.gamma for b in grid.beta
+               if not (g == 1.0 and b == 0.0)]
+    out = [C.PerturbationParams()]
+    out += [C.PerturbationParams(delta=d) for d in hues]
+    out += [C.PerturbationParams(alpha=(a, a, a)) for a in alphas]
+    if grid.per_channel:
+        out += [C.PerturbationParams(alpha=tuple(a if c == ch else 1.0 for c in range(3)))
+                for ch in range(3) for a in alphas]
+    out += [C.PerturbationParams(gamma=g, beta=b) for g, b in jitters]
+    if grid.composites:
+        out += [C.PerturbationParams(delta=d, alpha=(a, a, a)) for d in hues for a in alphas]
+        out += [C.PerturbationParams(delta=d, gamma=g, beta=b) for d in hues for g, b in jitters]
+        out += [C.PerturbationParams(alpha=(a, a, a), gamma=g, beta=b)
+                for a in alphas for g, b in jitters]
+    seen, unique = set(), []
+    for theta in out:
+        key = theta.as_row()
+        if key not in seen:
+            seen.add(key)
+            unique.append(theta)
+        if len(unique) == grid.max_candidates:
+            break
+    return unique
+
+
+@pytest.mark.parametrize("max_candidates", [1, 5, 40])
+@pytest.mark.parametrize("per_channel,composites", [(True, True), (False, True), (True, False)])
+def test_candidates_equal_the_seen_set_loop(max_candidates, per_channel, composites):
+    # repeated values, and -0.0 next to 0.0 in either order
+    grid = A.GridSpec(hue=(0.0, 0.05, 0.05, -0.0, -0.05), alpha=(0.8, 0.8, 1.0, 1.2),
+                      per_channel=per_channel, gamma=(1.0, 1.2, 1.2),
+                      beta=(-0.0, 0.0, 0.1), composites=composites,
+                      max_candidates=max_candidates)
+    got = grid.candidates()
+    want = _seen_set_candidates(grid)
+    # repr tells -0.0 from 0.0, so each kept entry is the first occurrence
+    assert [repr(t) for t in got] == [repr(t) for t in want]
 
 
 def test_grid_validation():

@@ -162,11 +162,12 @@ def test_apply_composes_in_fixed_order():
     assert np.array_equal(C.apply(th, img), manual)
 
 
-def test_perturbation_params_validate():
-    with pytest.raises(ValueError):
-        C.PerturbationParams(alpha=(0.3, 1.0, 1.0)).validate()
-    with pytest.raises(ValueError):
-        C.PerturbationParams(gamma=-1.0).validate()
+def test_apply_rejects_out_of_range_params():
+    img = np.full((4, 4, 3), 0.5)
+    with pytest.raises(ValueError, match="channel scales"):
+        C.apply(C.PerturbationParams(alpha=(0.3, 1.0, 1.0)), img)
+    with pytest.raises(ValueError, match="gamma"):
+        C.apply(C.PerturbationParams(gamma=-1.0), img)
 
 
 def test_saturation_scale_desaturates_to_gray():

@@ -330,17 +330,35 @@ def test_prepare_data_cifar_decodes_only_needed_records(tmp_path, monkeypatch):
     np.testing.assert_array_equal(root.images, full.images[30:34])
 
 
-def test_only_the_federated_commands_need_the_root_records(tmp_path, capsys):
-    # 30 records hold train and test but not the default 32-image root
+def test_only_fltrust_and_robust_need_the_root_records(tmp_path, capsys):
+    # 60 records hold train and test but not the default 32-image root
+    doc = _cifar_doc(tmp_path, 60, 7, n_train=40, n_test=20)
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(_cifar_doc(tmp_path, 30, 7, n_train=20, n_test=10)))
-    for command in ("baseline", "inspect"):
+    path.write_text(json.dumps(doc))
+    for command in ("baseline", "inspect", "fl"):  # fl under the default fedavg
         assert cli.main([command, "--config", str(path)]) == 0, capsys.readouterr().err
-    for command in ("fl", "robust"):
-        assert cli.main([command, "--config", str(path)]) == 3
+    capsys.readouterr()
+    doc["fl"]["aggregator"] = "fltrust"
+    doc["out"] = str(tmp_path / "fltrust_out")
+    fltrust = tmp_path / "fltrust.json"
+    fltrust.write_text(json.dumps(doc))
+    for command, config, out in (("fl", fltrust, "fltrust_out"), ("robust", path, "out")):
+        assert cli.main([command, "--config", str(config)]) == 3
         err = capsys.readouterr().err
-        assert "need 62 records (train 20 + test 10 + root 32), found 30" in err
-        assert not (tmp_path / "out" / command).exists()
+        assert "need 92 records (train 40 + test 20 + root 32), found 60" in err
+        assert not (tmp_path / out / command).exists()
+
+
+def test_fl_without_fltrust_builds_no_root_split(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path)
+    assert cfg.fl.aggregator == F.FEDAVG
+    sizes = []
+    real = H.prepare_data
+    monkeypatch.setattr(H, "prepare_data",
+                        lambda c, root_size=0: sizes.append(root_size) or real(c, root_size))
+    assert H._fl_setup(cfg, [cfg.fl.aggregator]).root is None
+    assert len(H._fl_setup(cfg, F.AGGREGATORS).root) == cfg.fl.root_size
+    assert sizes == [0, cfg.fl.root_size]
 
 
 # ---------------------------------------------------------------- baseline
@@ -492,7 +510,7 @@ def _unshared_streams(cfg):
 @pytest.mark.parametrize("case", ["benign", "diverging"])
 def test_shared_rounds_equal_the_unshared_streams_bit_for_bit(tmp_path, case):
     cfg = _stream_cfg(tmp_path, case)
-    got = H.run_fl_streams(cfg, H._fl_setup(cfg))
+    got = H.run_fl_streams(cfg, H._fl_setup(cfg, [cfg.fl.aggregator]))
     want = _unshared_streams(cfg)
     for key in ("weights", "twin_weights"):
         assert [w.tobytes() for w in got[key]] == [w.tobytes() for w in want[key]]
@@ -525,7 +543,7 @@ def test_run_fl_streams_runs_a_shared_round_once(tmp_path, monkeypatch, case, pe
 
     monkeypatch.setattr(F, "run_round", spy_round)
     monkeypatch.setattr(S, "predict_grad_cams", spy_cams)
-    H.run_fl_streams(cfg, H._fl_setup(cfg))
+    H.run_fl_streams(cfg, H._fl_setup(cfg, [cfg.fl.aggregator]))
     rounds = range(1, cfg.fl.rounds + 1)
     assert [rounds_run.count(t) for t in rounds] == per_round
     assert [cams_after.count(t) for t in rounds] == per_round
@@ -606,6 +624,23 @@ def test_ablation_combined_dominates_singles(tmp_path):
         assert stats["combined"]["attack_success_pct"] >= stats[name]["attack_success_pct"]
     header, rows = H.read_csv(rep["ablation_csv"])
     assert [r[0] for r in rows] == ["hue", "rescale", "jitter", "combined"]
+
+
+def test_ablation_arms_keep_the_grid_candidate_cap(tmp_path, monkeypatch):
+    # the default grid's rescale arm has 17 candidates, its combined grid 135
+    cfg = tiny_cfg(tmp_path, grid={"max_candidates": 8})
+    real = A.attack_images
+    searched = []
+
+    def spy(spec, weights, images, grid):
+        searched.append(len(grid.candidates()))
+        return real(spec, weights, images, grid)
+
+    monkeypatch.setattr(A, "attack_images", spy)
+    rep = H.cmd_ablation(dataclasses.replace(cfg, attack=dataclasses.replace(
+        cfg.attack, n_samples=2)))
+    assert searched == [7, 8, 8, 8]
+    assert [r[1] for r in rep["rows"]] == [2, 2, 2, 2]
 
 
 # ---------------------------------------------------------------- compare
@@ -743,7 +778,7 @@ def test_robust_emits_one_row_per_aggregator(tmp_path):
     # standalone run of that aggregator bit for bit
     for agg in F.AGGREGATORS:
         sub = dataclasses.replace(cfg, fl=dataclasses.replace(cfg.fl, aggregator=agg))
-        want = H.run_fl_streams(sub, H._fl_setup(sub))
+        want = H.run_fl_streams(sub, H._fl_setup(sub, [agg]))
         assert rep["runs"][agg]["rounds"] == want["rounds"], agg
         for key in ("weights", "twin_weights"):
             assert [w.tobytes() for w in rep["runs"][agg][key]] == \
@@ -1263,13 +1298,36 @@ def test_cli_a_report_that_cannot_be_written_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == (f"config error: out: cannot write {tmp_path / 'out' / 'baseline'}: "
                    f"{os.strerror(errno.ENOSPC)}\n")
-    # a failed open names its file
-    (tmp_path / "out" / "baseline" / "summary.csv").mkdir()
+    assert not (tmp_path / "out").exists()  # this run made it, so it goes
+    # a failed open names its file; a directory that was there keeps its files
+    (tmp_path / "out" / "baseline" / "summary.csv").mkdir(parents=True)
     assert cli.main(["baseline", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == (f"config error: out: cannot write "
                    f"{tmp_path / 'out' / 'baseline' / 'summary.csv'}: "
                    f"{os.strerror(errno.EISDIR)}\n")
+    assert sorted(os.listdir(tmp_path / "out" / "baseline")) == ["samples.csv", "summary.csv"]
+
+
+def test_cli_a_failed_write_removes_the_directories_the_run_made(tmp_path, capsys,
+                                                                 monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(tiny_doc(tmp_path / "unused")))
+    real, calls = H.write_csv, []
+
+    def second_write_fails(*args, **kwargs):  # samples.csv is written, summary.csv not
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(H, "write_csv", second_write_fails)
+    out = tmp_path / "o2" / "fresh"
+    assert cli.main(["baseline", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out: cannot write") and err.count("\n") == 1
+    assert calls[0] == str(out / "baseline" / "samples.csv")
+    assert not (tmp_path / "o2").exists()
 
 
 def test_cli_out_env_fallback(tmp_path, monkeypatch):

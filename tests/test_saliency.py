@@ -406,6 +406,30 @@ def test_grad_cam_batch_agrees_with_singles(arch, capture):
         assert np.array_equal(one[2][0], gcpp[i])
 
 
+@pytest.mark.parametrize("arch,capture", [("ARCH_A", "conv3"), ("ARCH_A", "conv2"),
+                                          ("ARCH_B", "conv3"), ("ARCH_B", "conv1")])
+def test_label_grads_rows_do_not_depend_on_the_other_rows_targets(arch, capture):
+    # the grid search targets each candidate's own label: the rows that share
+    # a class id get the bits they get when every row targets that id
+    spec = M.ModelSpec(arch, input_size=16, classes=3, capture=capture)
+    ws = M.build(spec, seed=49)
+    xs = np.random.default_rng(50).uniform(0, 1, size=(M.FORWARD_BLOCK + 8, 16, 16, 3)
+                                           ).astype(np.float32)
+    mixed = np.arange(len(xs)) % 3
+    labels, g_mixed, acts = S.label_grads(spec, ws, xs, mixed)
+    for cls in range(3):
+        rows = mixed == cls
+        labels_c, g_c, acts_c = S.label_grads(spec, ws, xs, cls)
+        assert labels_c.tobytes() == labels.tobytes() and acts_c.tobytes() == acts.tobytes()
+        assert g_c[rows].tobytes() == g_mixed[rows].tobytes(), cls
+    own, g_own, _ = S.label_grads(spec, ws, xs)
+    assert own.tobytes() == labels.tobytes()
+    rows = own == own[0]
+    assert g_own[rows].tobytes() == S.label_grads(spec, ws, xs, own[0])[1][rows].tobytes()
+    gc = S.grad_cam_maps(g_own, acts, spec.input_size)
+    assert gc.tobytes() == S.predict_grad_cams(spec, ws, xs)[1].tobytes()
+
+
 def test_grad_cam_zero_model_yields_zero_map():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=3)
     ws = [np.zeros_like(w) for w in M.build(spec, seed=0)]
