@@ -130,6 +130,7 @@ def cpm_perturb(spec: M.ModelSpec, weights, x, grid: GridSpec
     labels, g, acts = S.label_grads(spec, weights, imgs)
     base_label = int(labels[0])  # candidate 0 is the untouched image
     feasible = np.flatnonzero(labels == base_label)  # starts with candidate 0
+    # the rows are selected in the capture dtype: only these get widened
     cams = S.grad_cam_maps(g[feasible], acts[feasible], spec.input_size)
     scores = S.ssim(cams, cams[0])
     best_pos = int(np.argmin(scores))  # the first of equal minima

@@ -4,8 +4,9 @@ All map producers return float64 arrays normalized to [0, 1] at input
 resolution; a map that comes out flat (all equal) normalizes to all zeros
 rather than dividing by zero.  This module is the one place that knows how
 a Grad-CAM is computed.  :func:`label_grads` is the one taped pass: a
-batch's labels and the class gradients at the capture stage.
-:func:`grad_cam_maps` turns those into Grad-CAM maps, and
+batch's labels and the class gradients at the capture stage, in the
+capture stage's dtype (float32 in the pipeline).  :func:`grad_cam_maps`
+widens those to float64 on entry and turns them into Grad-CAM maps, and
 :func:`predict_grad_cams` gives a batch's labels, Grad-CAM and Grad-CAM++
 maps from one such pass.  Metric functions accept single maps ``(H, W)`` or
 stacks ``(B, H, W)``; :func:`ssim` also scores one map against a stack.
@@ -89,8 +90,7 @@ def _capture_grads(logits: T.Tensor, captured: T.Tensor, tape: T.Tape, class_id)
     layers after the capture stage; the replay runs them all."""
     ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), (logits.shape[0],))
     score = T.class_score(tape, logits, ids)
-    g = T.grad_wrt(tape, score, captured).astype(np.float64)  # (B, h, w, K)
-    return g, captured.data.astype(np.float64)
+    return T.grad_wrt(tape, score, captured), captured.data  # (B, h, w, K) each
 
 
 def _weighted_cam(w_k: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:
@@ -102,8 +102,11 @@ def _weighted_cam(w_k: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:
 def label_grads(spec: M.ModelSpec, weights, xs, class_id=None):
     """Predicted labels of a batch, and g = d(logit_class)/d(activation) at
     the capture stage with that activation, all from one taped pass;
-    ``class_id=None`` targets each image's predicted class.  The labels
-    equal :func:`models.predict_labels`' on a batch of up to
+    ``class_id=None`` targets each image's predicted class.  ``g`` and the
+    activation keep the capture stage's dtype (float32 in the pipeline);
+    the map producers widen them to float64, so a caller that scores only
+    some rows selects them first and widens no others.  The labels equal
+    :func:`models.predict_labels`' on a batch of up to
     ``models.PREDICT_CHUNK`` images.  For given class ids, each image's
     ``g`` does not depend on the other images of the batch."""
     logits, captured, tape = M.forward(spec, weights, xs, tape=T.Tape())
@@ -114,8 +117,11 @@ def label_grads(spec: M.ModelSpec, weights, xs, class_id=None):
 
 
 def grad_cam_maps(g: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:
-    """Grad-CAM maps from :func:`label_grads`' ``g`` and ``acts``: the
-    channel weights are the spatial averages of ``g``."""
+    """Grad-CAM maps from :func:`label_grads`' ``g`` and ``acts``, or from
+    a selection of their rows: the channel weights are the spatial averages
+    of ``g``.  Both are widened to float64 first, an elementwise cast, so
+    a row's map does not depend on whether it was selected before or after."""
+    g, acts = np.asarray(g, dtype=np.float64), np.asarray(acts, dtype=np.float64)
     return _weighted_cam(g.mean(axis=(1, 2)), acts, size)
 
 
@@ -131,6 +137,7 @@ def predict_grad_cams(spec: M.ModelSpec, weights, xs, class_id=None):
     sum(a * relu(g)).
     """
     labels, g, acts = label_grads(spec, weights, xs, class_id)
+    g, acts = np.asarray(g, dtype=np.float64), np.asarray(acts, dtype=np.float64)
     gc = grad_cam_maps(g, acts, spec.input_size)
     g2 = g * g
     g3 = g2 * g

@@ -13,7 +13,9 @@ stage, which are all its gradient can reach.
 A tape keeps only what a backward reads.  It tracks tensors by serial
 number, not by holding them, and each backward closure captures only the
 arrays it reads plus the shapes and dtypes it needs: :func:`conv2d` keeps
-its im2col columns and not its input, :func:`maxpool2` its window indices,
+its zero-padded input and not its im2col columns (``kh * kw`` times larger;
+the backward rebuilds the same bytes for the weight gradient and drops them
+before the input gradient), :func:`maxpool2` its window indices,
 :func:`relu` its mask.  So an activation is freed in the forward pass once
 the next layer has consumed it, and the replay drops a tensor's adjoint
 once its producer's backward has run.
@@ -197,6 +199,23 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The ``(B * H * W, kh * kw * Cin)`` columns of a C-order padded input
+    ``(B, H + kh - 1, W + kw - 1, Cin)``.
+
+    Kernel row i of output pixel (y, x) is the contiguous run
+    ``xp[:, y + i, x:x + kw, :]``; one void item per run copies it whole.
+    """
+    bsz, hp, wp, ci = xp.shape
+    h, wdt = hp - kh + 1, wp - kw + 1
+    sb, sh, sw, _ = xp.strides
+    run = np.dtype((np.void, kw * ci * xp.itemsize))
+    rows = np.ndarray((bsz, h, wdt, kh), dtype=run, buffer=xp,
+                      strides=(sb, sh, sw, sh))
+    cols = np.ascontiguousarray(rows).view(xp.dtype)
+    return cols.reshape(bsz * h * wdt, kh * kw * ci)
+
+
 def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 convolution with zero padding that preserves H and W.
 
@@ -223,26 +242,19 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ph, pw = kh // 2, kw // 2
     xp = np.zeros((bsz, h + 2 * ph, wdt + 2 * pw, ci), dtype=xd.dtype)  # C order
     xp[:, ph:ph + h, pw:pw + wdt, :] = xd
-    # kernel row i of output pixel (y, x) is the contiguous run
-    # xp[:, y + i, x:x + kw, :]; one void item per run copies it whole
-    sb, sh, sw, _ = xp.strides
-    run = np.dtype((np.void, kw * ci * xp.itemsize))
-    rows = np.ndarray((bsz, h, wdt, kh), dtype=run, buffer=xp,
-                      strides=(sb, sh, sw, sh))
-    cols = np.ascontiguousarray(rows).view(xd.dtype)
-    cols = cols.reshape(bsz * h * wdt, kh * kw * ci)
     wmat = wd.reshape(kh * kw * ci, co)
-    y = cols @ wmat
+    y = _im2col(xp, kh, kw) @ wmat
     # the bias goes into the GEMM result in place unless it widens the dtype
     y = np.add(y, bd, out=y) if np.can_cast(bd.dtype, y.dtype) else y + bd
     out = Tensor(y.reshape(bsz, h, wdt, co))
     if tape is not None:
-        # the backward reads cols and wmat, never x or its padded copy
+        # the backward reads the padded input and wmat, never x; it rebuilds
+        # the columns (the same bytes) for dw and drops them before dx
         wshape, bdtype, dtype = wd.shape, bd.dtype, xd.dtype
 
         def backward(g: np.ndarray):
             gmat = g.reshape(bsz * h * wdt, co)
-            dw = (cols.T @ gmat).reshape(wshape)
+            dw = (_im2col(xp, kh, kw).T @ gmat).reshape(wshape)
             db = gmat.sum(axis=0, dtype=np.float64).astype(bdtype, copy=False)
             if x_const:
                 return None, dw, db

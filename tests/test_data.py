@@ -1,7 +1,5 @@
 """Dataset readers, the shapes generator, and client partitioning."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -174,16 +172,11 @@ def test_generator_uniform_is_lo_plus_span_times_random(size):
         assert block.tobytes() == (lo + (hi - lo) * b.random((7, 3))).tobytes()
 
 
-def test_shapes_generator_memory_is_its_outputs_plus_one_chunk():
+def test_shapes_generator_memory_is_its_outputs_plus_one_chunk(traced_mb):
     D.generate_shapes(40)  # first-call allocations are not the generator's
-    tracemalloc.start()
-    try:
-        ds = D.generate_shapes(552)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    outputs = ds.images.nbytes + ds.labels.nbytes
-    assert peak < outputs + 2 * 2**20
+    ds, _, peak = traced_mb(lambda: D.generate_shapes(552))
+    outputs = (ds.images.nbytes + ds.labels.nbytes) / 2**20
+    assert peak < outputs + 2
 
 
 def test_shapes_generator_is_deterministic():

@@ -430,6 +430,25 @@ def test_label_grads_rows_do_not_depend_on_the_other_rows_targets(arch, capture)
     assert gc.tobytes() == S.predict_grad_cams(spec, ws, xs)[1].tobytes()
 
 
+@pytest.mark.parametrize("arch,capture", [("ARCH_A", "conv3"), ("ARCH_A", "conv2"),
+                                          ("ARCH_B", "conv3"), ("ARCH_B", "conv1")])
+def test_grad_cam_maps_of_selected_rows_widen_only_those_rows(arch, capture):
+    # the grid search selects its feasible rows from label_grads' float32
+    # arrays; the oracle is the path that widened every row to float64
+    # first and then selected
+    spec = M.ModelSpec(arch, input_size=16, classes=3, capture=capture)
+    ws = M.build(spec, seed=51)
+    xs = np.random.default_rng(52).uniform(0, 1, size=(M.FORWARD_BLOCK + 8, 16, 16, 3)
+                                           ).astype(np.float32)
+    _, g, acts = S.label_grads(spec, ws, xs)
+    assert g.dtype == acts.dtype == np.float32
+    g64, acts64 = g.astype(np.float64), acts.astype(np.float64)
+    for rows in (np.arange(len(xs)), np.array([0]), np.arange(1, len(xs), 3)):
+        want = S._weighted_cam(g64[rows].mean(axis=(1, 2)), acts64[rows], spec.input_size)
+        got = S.grad_cam_maps(g[rows], acts[rows], spec.input_size)
+        assert got.tobytes() == want.tobytes(), rows
+
+
 def test_grad_cam_zero_model_yields_zero_map():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=3)
     ws = [np.zeros_like(w) for w in M.build(spec, seed=0)]

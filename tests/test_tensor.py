@@ -467,6 +467,22 @@ def test_conv2d_matches_the_window_view_reference_bytewise(ci, ksize):
                 assert dw.tobytes() == ref[2].tobytes() and db.tobytes() == ref[3].tobytes()
 
 
+def test_a_taped_conv2d_pins_its_padded_input_not_its_columns(traced_mb):
+    # ARCH_A's conv2 at a training batch: the im2col columns are 4.7 MB,
+    # seven times the 0.66 MB padded input; the backward rebuilds them for dw
+    rng = np.random.default_rng(71)
+    x = T.Tensor(rng.normal(size=(32, 16, 16, 16)).astype(np.float32))
+    w = T.Tensor((rng.normal(size=(3, 3, 16, 32)) * 0.2).astype(np.float32))
+    b = T.Tensor(rng.normal(size=32).astype(np.float32))
+
+    def taped():
+        tape = T.Tape()
+        return tape, T.conv2d(tape, x, w, b)
+    (tape, out), held, _ = traced_mb(taped)
+    padded = 32 * 18 * 18 * 16 * 4
+    assert held < (out.data.nbytes + padded) / 2**20 + 1
+
+
 @pytest.mark.parametrize("hw,ci", [(16, 16), (8, 32)])
 @pytest.mark.parametrize("bsz", [8, 32, 40])
 def test_conv2d_blocked_input_gradient_is_bytewise_the_whole_batch_one(hw, ci, bsz):
