@@ -23,6 +23,7 @@ import numpy as np
 from . import color as C
 from . import data as D
 from . import models as M
+from . import parallel as P
 from . import saliency as S
 
 
@@ -130,8 +131,10 @@ def cpm_perturb(spec: M.ModelSpec, weights, x, grid: GridSpec
     labels, g, acts = S.label_grads(spec, weights, imgs)
     base_label = int(labels[0])  # candidate 0 is the untouched image
     feasible = np.flatnonzero(labels == base_label)  # starts with candidate 0
-    # the rows are selected in the capture dtype: only these get widened
-    cams = S.grad_cam_maps(g[feasible], acts[feasible], spec.input_size)
+    # the rows are selected in the capture dtype: only these get widened, and
+    # the whole stack's g and acts are not kept alive while they are
+    g, acts = g[feasible], acts[feasible]
+    cams = S.grad_cam_maps(g, acts, spec.input_size)
     scores = S.ssim(cams, cams[0])
     best_pos = int(np.argmin(scores))  # the first of equal minima
     best_idx = int(feasible[best_pos])
@@ -153,18 +156,26 @@ def attack_images(spec: M.ModelSpec, weights, images, grid: GridSpec
                   ) -> tuple[np.ndarray, list[AttackOutcome]]:
     """Run the grid attack on each image of an (N, H, W, 3) stack; returns the
     perturbed stack and one outcome per image."""
+    return _stacked(images, (cpm_perturb(spec, weights, x, grid) for x in images))
+
+
+def _stacked(images, results) -> tuple[np.ndarray, list[AttackOutcome]]:
+    """The perturbed stack, in ``images``' dtype, and the outcomes of an
+    iterable of per-image ``cpm_perturb`` results."""
     perturbed = np.empty_like(images)
     outcomes: list[AttackOutcome] = []
-    for i, x in enumerate(images):
-        perturbed[i], outcome = cpm_perturb(spec, weights, x, grid)
+    for i, (x, outcome) in enumerate(results):
+        perturbed[i] = x
         outcomes.append(outcome)
     return perturbed, outcomes
 
 
 def poison_dataset(spec: M.ModelSpec, weights, dataset: D.LabeledDataset,
                    grid: GridSpec) -> tuple[D.LabeledDataset, list[AttackOutcome]]:
-    """Run the grid attack over every image; labels pass through untouched."""
-    images, outcomes = attack_images(spec, weights, dataset.images, grid)
+    """Run the grid attack over every image, in image blocks on the worker
+    map (:func:`parallel.fork_map`); labels pass through untouched."""
+    images, outcomes = _stacked(dataset.images, P.fork_map(
+        lambda x: cpm_perturb(spec, weights, x, grid), dataset.images))
     poisoned = D.LabeledDataset(images, dataset.labels.copy(), dataset.classes,
                                 name=f"{dataset.name}+grid")
     return poisoned, outcomes

@@ -12,6 +12,8 @@ import os
 import shutil
 import sys
 
+from .parallel import worker_count
+
 
 def _apply_thread_env() -> None:
     """Copy ``CHROMAFL_THREADS`` into each BLAS thread variable not already
@@ -92,6 +94,7 @@ def _print_report(command: str, report: dict) -> None:
 
 def main(argv=None) -> int:
     try:
+        worker_count()  # checked before any work, as the first map is deep in it
         _apply_thread_env()
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -28,6 +28,7 @@ import numpy as np
 from . import attack as A
 from . import data as D
 from . import models as M
+from . import parallel as P
 from . import saliency as S
 
 BENIGN = "benign"
@@ -271,20 +272,28 @@ def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
 
     Adversarial clients re-poison their shard with ``grid`` against the
     incoming global every round, so the attack tracks the model as it drifts.
+    The shards are poisoned first, each on the worker map; then the selected
+    clients' local trainings, and FLTrust's server update last, run on one
+    map (:func:`parallel.fork_map`).  None of them reads another's result,
+    so the new weights do not depend on the worker count.
     A non-finite aggregated weight raises ``FloatingPointError`` naming the
     round and the aggregator.
     """
+    if fl.aggregator == FLTRUST and server_root is None:
+        raise ValueError("fltrust aggregation needs a server_root dataset")
     selected = select_clients(len(clients), fl.select_k, seed, round_index)
-    updates: list[tuple[list[np.ndarray], int]] = []
+    jobs = []  # (dataset, seed) of each local training, then the server's
     for cid in selected:
         client = clients[cid]
         shard = client.data
         if client.role == ADVERSARIAL:
             shard, _ = A.poison_dataset(spec, global_weights, shard, grid)
-        local_seed = _child_seed(seed, _TAG_LOCAL, round_index, int(cid))
-        w_i = M.train(spec, global_weights, shard, fl.local_epochs,
-                      lr=fl.lr, batch=fl.batch, seed=local_seed)
-        updates.append((w_i, len(shard)))
+        jobs.append((shard, _child_seed(seed, _TAG_LOCAL, round_index, int(cid))))
+    if fl.aggregator == FLTRUST:
+        jobs.append((server_root, _child_seed(seed, _TAG_SERVER, round_index)))
+    trained = P.fork_map(lambda job: M.train(spec, global_weights, job[0], fl.local_epochs,
+                                             lr=fl.lr, batch=fl.batch, seed=job[1]), jobs)
+    updates = [(w_i, len(shard)) for w_i, (shard, _) in zip(trained, jobs)]
 
     if fl.aggregator == FEDAVG:
         new = fedavg(updates)
@@ -292,13 +301,8 @@ def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
         new = trimmed_mean([w for w, _ in updates], fl.trim_k)
     elif fl.aggregator == MEDIAN:
         new = median([w for w, _ in updates])
-    else:  # FLTRUST
-        if server_root is None:
-            raise ValueError("fltrust aggregation needs a server_root dataset")
-        server_seed = _child_seed(seed, _TAG_SERVER, round_index)
-        server_w = M.train(spec, global_weights, server_root, fl.local_epochs,
-                           lr=fl.lr, batch=fl.batch, seed=server_seed)
-        new = fltrust(global_weights, [w for w, _ in updates], server_w)
+    else:  # FLTRUST: the server's update is the last one trained
+        new = fltrust(global_weights, [w for w, _ in updates[:-1]], updates[-1][0])
     if not all(np.isfinite(w).all() for w in new):
         raise FloatingPointError(
             f"round {round_index}: {fl.aggregator} aggregation gave non-finite weights")

@@ -87,10 +87,13 @@ def upsample_bilinear(m, out_h: int, out_w: int):
 def _capture_grads(logits: T.Tensor, captured: T.Tensor, tape: T.Tape, class_id):
     """d(logit_class)/d(capture activation) and the activation, from the
     result of a taped :func:`models.forward`, whose tape holds only the
-    layers after the capture stage; the replay runs them all."""
+    layers after the capture stage; the replay runs them all.  When a
+    convolution follows the capture stage, its input gradient is a view into
+    a padded buffer, so ``g`` is copied out of it rather than pinning it."""
     ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), (logits.shape[0],))
     score = T.class_score(tape, logits, ids)
-    return T.grad_wrt(tape, score, captured), captured.data  # (B, h, w, K) each
+    g = np.ascontiguousarray(T.grad_wrt(tape, score, captured))
+    return g, captured.data  # (B, h, w, K) each
 
 
 def _weighted_cam(w_k: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:

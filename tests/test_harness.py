@@ -735,6 +735,7 @@ def _digest(*arrays) -> str:
     ("inspect", 1),  # the original and its perturbation, stacked
 ])
 def test_each_scored_stack_runs_through_a_model_once(tmp_path, monkeypatch, command, stacks):
+    monkeypatch.setenv("CHROMAFL_WORKERS", "1")  # the spies count in this process
     seen = []
     in_attack = []
     forward, cpm_perturb = M.forward, A.cpm_perturb
@@ -786,6 +787,7 @@ def test_robust_emits_one_row_per_aggregator(tmp_path):
 
 
 def test_robust_builds_its_data_and_pretrained_global_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHROMAFL_WORKERS", "1")  # the spies count in this process
     cfg = tiny_cfg(tmp_path, fl={"n_clients": 4, "select_k": 3, "rounds": 1,
                                  "adv_ratio": 0.5, "pretrain_epochs": 1})
     pretrain_seed = F._child_seed(cfg.seed, H._TAG_MODEL, 1)
@@ -1158,6 +1160,7 @@ def test_cli_fuzzed_tiny_configs_keep_the_exit_code_contract(doc):
 
 
 def test_cli_fl_non_finite_aggregate_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CHROMAFL_WORKERS", "1")  # "second" is an order in one process
     # the second client trained in round 1 comes back with one NaN weight;
     # fedavg carries it into the global, and the round must stop there
     real_train = M.train

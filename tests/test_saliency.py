@@ -449,6 +449,20 @@ def test_grad_cam_maps_of_selected_rows_widen_only_those_rows(arch, capture):
         assert got.tobytes() == want.tobytes(), rows
 
 
+@pytest.mark.parametrize("arch,capture", [("ARCH_A", "conv3"), ("ARCH_A", "conv2"),
+                                          ("ARCH_B", "conv3"), ("ARCH_B", "conv1")])
+def test_label_grads_g_owns_at_most_its_own_bytes(arch, capture):
+    # a convolution after the capture stage computes its input gradient in a
+    # padded buffer; g must not be a view that keeps that buffer alive
+    spec = M.ModelSpec(arch, input_size=32, classes=3, capture=capture)
+    ws = M.build(spec, seed=53)
+    xs = np.random.default_rng(54).uniform(0, 1, size=(6, 32, 32, 3)).astype(np.float32)
+    _, g, acts = S.label_grads(spec, ws, xs)
+    assert g.shape == acts.shape
+    assert g.flags.c_contiguous
+    assert g.base is None or g.base.nbytes <= g.nbytes
+
+
 def test_grad_cam_zero_model_yields_zero_map():
     spec = M.ModelSpec("ARCH_A", input_size=16, classes=3)
     ws = [np.zeros_like(w) for w in M.build(spec, seed=0)]
