@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 
 from .parallel import worker_count
@@ -64,32 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _nearest_existing(path: str) -> tuple[str, str | None]:
-    """The nearest existing ancestor of ``path`` (or ``path`` itself), and
-    the outermost directory ``os.makedirs(path)`` would create (None when
-    ``path`` exists)."""
-    path = os.path.abspath(path)
-    missing = None
-    while not os.path.lexists(path):
-        path, missing = os.path.dirname(path), path
-    return path, missing
-
-
 def _print_report(command: str, report: dict) -> None:
     if command == "inspect":
         print(report["line"])
     elif "summary" in report:
         for key, value in report["summary"].items():
             print(f"{key}: {value}")
-    elif "rows" in report:
+    else:
         for row in report["rows"]:
             print(",".join(str(v) for v in row))
-    else:
-        for key, value in sorted(report.items()):
-            if isinstance(value, (str, int, float)):
-                print(f"{key}: {value}")
-    if "out_dir" in report:
-        print(f"reports written to {report['out_dir']}")
+    print(f"reports written to {report['out_dir']}")
 
 
 def main(argv=None) -> int:
@@ -113,8 +96,8 @@ def main(argv=None) -> int:
         out = args.out if args.out is not None else out_env
         cfg = override(cfg, seed=args.seed, out=out, limit=args.limit)
         # checked before any work, as the reports are written after all of it
-        out_dir = os.path.join(cfg.out, args.command.replace("-", "_"))
-        existing, created = _nearest_existing(out_dir)
+        command_dir = os.path.join(cfg.out, args.command.replace("-", "_"))
+        existing = H.nearest_existing(command_dir)[0]
         if not os.path.isdir(existing):
             raise ConfigError(f"out: {existing} is not a directory")
         dispatch = {"baseline": H.cmd_baseline, "fl": H.cmd_fl,
@@ -129,15 +112,6 @@ def main(argv=None) -> int:
     except D.DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        # dataset reads raise DataError, so this is a report that cannot be
-        # written; a failed write() names no file, so name the directory
-        path = e.filename if e.filename is not None else out_dir
-        print(f"config error: out: cannot write {path}: {e.strerror or e}", file=sys.stderr)
-        if created is not None:
-            # what this run made holds no finished report set
-            shutil.rmtree(created, ignore_errors=True)
-        return 2
     except (FloatingPointError, ZeroDivisionError, OverflowError,
             np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -311,13 +311,3 @@ def partition(dataset: LabeledDataset, n_clients: int, mode: str = IID,
             assignments[i].append(leftovers.pop())
     return [np.sort(np.array(a, dtype=np.int64)) for a in assignments]
 
-
-def dump_ppm_dir(dataset: LabeledDataset, outdir) -> None:
-    """Write every image as sample_<i>.ppm plus a labels.csv alongside."""
-    os.makedirs(outdir, exist_ok=True)
-    lines = ["index,label"]
-    for i in range(len(dataset)):
-        C.write_ppm(os.path.join(outdir, f"sample_{i:05d}.ppm"), dataset.images[i])
-        lines.append(f"{i},{int(dataset.labels[i])}")
-    with open(os.path.join(outdir, "labels.csv"), "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")

@@ -1,7 +1,12 @@
 """Experiment commands behind the CLI: train, attack, simulate, report.
 
-Each command owns one subdirectory of the configured output directory and
-emits CSV reports plus PGM/PPM image dumps.  Reports are deterministic for a
+Each command owns one subdirectory of the configured output directory,
+``<out>/<command>/``, and emits CSV reports plus PGM/PPM image dumps.  A
+command computes all of its results first and then hands every file to
+:func:`publish`, the one place that writes a report directory: it writes
+them into a fresh sibling and swaps that in for the old directory whole, so
+``<out>/<command>/`` holds exactly one run's files, and a run that fails
+leaves it, and ``<out>``, as it found them.  Reports are deterministic for a
 fixed (config, seed): re-running a command reproduces every CSV byte except
 the leading ``# timestamp:`` comment line.
 """
@@ -11,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import os
+import shutil
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -64,13 +71,73 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[1:] if ln]
 
 
-def _outdir(cfg: ExperimentConfig, command: str) -> str:
-    """Make ``<out>/<command>``; commands call it once their results are
-    computed, so a config, data or numerical error leaves no empty directory
-    behind."""
-    path = os.path.join(cfg.out, command)
-    os.makedirs(path, exist_ok=True)
-    return path
+def nearest_existing(path: str) -> tuple[str, str | None]:
+    """The nearest existing ancestor of ``path`` (or ``path`` itself), and
+    the outermost directory ``os.makedirs(path)`` would create (None when
+    ``path`` exists)."""
+    path = os.path.abspath(path)
+    missing = None
+    while not os.path.lexists(path):
+        path, missing = os.path.dirname(path), path
+    return path, missing
+
+
+def _discard(path: str) -> None:
+    """Remove whatever is at ``path``, if anything; a symlink is unlinked,
+    never followed."""
+    if os.path.islink(path) or os.path.isfile(path):
+        os.unlink(path)
+    else:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def publish(cfg: ExperimentConfig, command: str, files: dict) -> dict:
+    """Make ``files`` the whole of ``<out>/<command>/``.
+
+    ``files`` maps a path relative to that directory to a CSV as ``(header,
+    rows)``, written by :func:`write_csv`, or to a writer called with the
+    file's path.  Everything is written into the sibling
+    ``<out>/.<command>.partial-<pid>/`` first; then the old directory (a
+    symlink is unlinked, never followed) is renamed aside, the sibling is
+    renamed into place and the old one is removed.  On any exception the
+    old directory is put back, and the sibling and every ancestor of
+    ``<out>`` this call made are removed; an ``OSError`` becomes a
+    ``ConfigError`` naming ``<out>/<command>``.  Returns ``out_dir`` and,
+    for each CSV, ``<stem>_csv``: the published paths."""
+    final = os.path.join(cfg.out, command)
+    stage = os.path.join(cfg.out, f".{command}.partial-{os.getpid()}")
+    aside = stage + ".old"
+    made = nearest_existing(cfg.out)[1]
+    report = {"out_dir": final}
+    moved = False
+    try:
+        _discard(stage)  # left by an earlier run that had this pid
+        _discard(aside)
+        os.makedirs(stage)
+        for rel, content in files.items():
+            path = os.path.join(stage, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            if callable(content):
+                content(path)
+            else:
+                write_csv(path, *content)
+                stem = os.path.splitext(os.path.basename(rel))[0]
+                report[f"{stem}_csv"] = os.path.join(final, rel)
+        if os.path.lexists(final):
+            os.rename(final, aside)
+            moved = True
+        os.rename(stage, final)
+    except BaseException as e:
+        if moved:
+            os.rename(aside, final)
+        _discard(stage)
+        if made is not None:
+            _discard(made)
+        if isinstance(e, OSError):
+            raise ConfigError(f"out: cannot write {final}: {e.strerror or e}") from e
+        raise
+    _discard(aside)
+    return report
 
 
 # ---------------------------------------------------------------- data/model
@@ -119,9 +186,10 @@ def _attack_set(test: D.LabeledDataset, n: int) -> D.LabeledDataset:
     return test.subset(np.arange(min(n, len(test))))
 
 
-def _dump_pair(out_dir: str, stem: str, image: np.ndarray, cam: np.ndarray) -> None:
-    C.write_ppm(os.path.join(out_dir, f"{stem}.ppm"), image)
-    S.save_pgm(os.path.join(out_dir, f"{stem}_cam.pgm"), cam)
+def _pair(stem: str, image: np.ndarray, cam: np.ndarray) -> dict:
+    """An image and its heatmap, as :func:`publish` files."""
+    return {f"{stem}.ppm": lambda path: C.write_ppm(path, image),
+            f"{stem}_cam.pgm": lambda path: S.save_pgm(path, cam)}
 
 
 # ---------------------------------------------------------------- baseline
@@ -138,17 +206,11 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
     base_preds, cams_orig, _ = S.predict_grad_cams(spec, weights, subset.images, labels)
     pert_preds, cams_pert, _ = S.predict_grad_cams(spec, weights, perturbed, labels)
     attack_acc = 100.0 * float((base_preds == pert_preds).mean())
-    out = _outdir(cfg, "baseline")
 
     sample_rows = []
     for i, o in enumerate(outcomes):
         sample_rows.append((i, int(subset.labels[i]), o.label, o.ssim, o.delta_e,
                             o.fallback, o.n_feasible) + o.theta.as_row())
-    samples_csv = write_csv(
-        os.path.join(out, "samples.csv"),
-        ("sample", "label", "pred", "ssim", "delta_e", "fallback", "n_feasible",
-         "hue_delta", "alpha_r", "alpha_g", "alpha_b", "gamma", "beta"),
-        sample_rows)
 
     stats = A.summarize_outcomes(outcomes)
     summary = {"n": stats["n"], "attack_acc_pct": attack_acc,
@@ -157,18 +219,18 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
                "success_pct": stats["attack_success_pct"],
                "delta_e_mean": stats["delta_e_mean"],
                "fallback_rate": stats["fallback_rate"]}
-    summary_csv = write_csv(os.path.join(out, "summary.csv"),
-                            tuple(summary), [tuple(summary.values())])
+    files = {"samples.csv": (("sample", "label", "pred", "ssim", "delta_e", "fallback",
+                              "n_feasible", "hue_delta", "alpha_r", "alpha_g",
+                              "alpha_b", "gamma", "beta"), sample_rows),
+             "summary.csv": (tuple(summary), [tuple(summary.values())])}
 
     order = np.argsort([o.ssim for o in outcomes], kind="stable")
     for rank in range(min(cfg.metrics.heatmap_dumps, len(outcomes))):
         i = int(order[rank])
-        _dump_pair(out, f"worst_{rank:02d}_orig", subset.images[i], cams_orig[i])
-        _dump_pair(out, f"worst_{rank:02d}_pert", perturbed[i], cams_pert[i])
+        files |= _pair(f"worst_{rank:02d}_orig", subset.images[i], cams_orig[i])
+        files |= _pair(f"worst_{rank:02d}_pert", perturbed[i], cams_pert[i])
 
-    return {"out_dir": out, "samples_csv": samples_csv,
-            "summary_csv": summary_csv, "summary": summary,
-            "outcomes": outcomes}
+    return {**publish(cfg, "baseline", files), "summary": summary, "outcomes": outcomes}
 
 
 # ---------------------------------------------------------------- federated
@@ -283,20 +345,6 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
         r_squared = F.drift_r_squared(series, alpha)
     except ValueError:
         alpha, r_squared = float("nan"), float("nan")
-    out = _outdir(cfg, "fl")
-    if cfg.metrics.heatmap_dumps:
-        heat = os.path.join(out, "heatmaps")
-        os.makedirs(heat, exist_ok=True)
-        for t, cams in enumerate(res["heatmaps"], start=1):
-            for j, cam in enumerate(cams):
-                S.save_pgm(os.path.join(heat, f"round_{t:02d}_probe_{j:02d}.pgm"), cam)
-
-    rounds_csv = write_csv(os.path.join(out, "rounds.csv"),
-                           F.RoundMetrics.FIELDS,
-                           [m.as_row() for m in res["rounds"]])
-    drift_csv = write_csv(os.path.join(out, "drift.csv"),
-                          ("round", "adv_ratio", "drift", "accuracy",
-                           "twin_accuracy"), drift)
     final = res["rounds"][-1]
     summary = {"rounds": cfg.fl.rounds, "adv_ratio": cfg.fl.adv_ratio,
                "aggregator": cfg.fl.aggregator, "alpha_hat": alpha,
@@ -304,13 +352,17 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
                "final_twin_accuracy": final.reference_accuracy,
                "final_ssim_gc": final.ssim_gc_mean,
                "final_peak_pct": final.peak_pct_mean, "final_l1": final.l1_mean}
-    summary_csv = write_csv(os.path.join(out, "summary.csv"),
-                            tuple(summary), [tuple(summary.values())])
-    weights_path = os.path.join(out, "global_weights.cdwt")
-    T.save_weights(weights_path, res["weights"])
-
-    return {"out_dir": out, "rounds_csv": rounds_csv, "drift_csv": drift_csv,
-            "summary_csv": summary_csv, "weights_path": weights_path,
+    files = {f"heatmaps/round_{t:02d}_probe_{j:02d}.pgm":
+             lambda path, cam=cam: S.save_pgm(path, cam)
+             for t, cams in enumerate(res["heatmaps"], start=1)
+             for j, cam in enumerate(cams)}
+    files |= {"rounds.csv": (F.RoundMetrics.FIELDS, [m.as_row() for m in res["rounds"]]),
+              "drift.csv": (("round", "adv_ratio", "drift", "accuracy", "twin_accuracy"),
+                            drift),
+              "summary.csv": (tuple(summary), [tuple(summary.values())]),
+              "global_weights.cdwt": lambda path: T.save_weights(path, res["weights"])}
+    report = publish(cfg, "fl", files)
+    return {**report, "weights_path": os.path.join(report["out_dir"], "global_weights.cdwt"),
             "summary": summary, "drift": drift, "alpha": alpha,
             "r_squared": r_squared, **res}
 
@@ -333,11 +385,8 @@ def cmd_ablation(cfg: ExperimentConfig) -> dict:
         rows.append((name, stats["n"], stats["ssim_mean"],
                      stats["attack_success_pct"]))
         by_operator[name] = stats
-    out = _outdir(cfg, "ablation")
-    ablation_csv = write_csv(os.path.join(out, "ablation.csv"),
-                             ("operator", "n", "ssim_mean", "success_pct"), rows)
-    return {"out_dir": out, "ablation_csv": ablation_csv, "rows": rows,
-            "by_operator": by_operator}
+    files = {"ablation.csv": (("operator", "n", "ssim_mean", "success_pct"), rows)}
+    return {**publish(cfg, "ablation", files), "rows": rows, "by_operator": by_operator}
 
 
 # ---------------------------------------------------------------- compare
@@ -409,9 +458,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     rows = [(arm, r["scale"], len(images), r["flips"], r["preserved_pct"],
              r["ssim_mean"], r["delta_e_mean"])
             for arm, r in (("cpm", cpm), ("skew_full", full), ("skew_matched", matched))]
-    out = _outdir(cfg, "compare")
-    compare_csv = write_csv(os.path.join(out, "compare.csv"), header, rows)
-    return {"out_dir": out, "compare_csv": compare_csv, "rows": rows,
+    return {**publish(cfg, "compare", {"compare.csv": (header, rows)}), "rows": rows,
             "cpm": cpm, "skew_full": full, "skew_matched": matched}
 
 
@@ -438,12 +485,9 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
                  100.0 * float((pert_b == preds_b).mean()),
                  float(S.ssim(cams_b, cams_b_pert).mean()))
 
-    out = _outdir(cfg, "transfer")
-    transfer_csv = write_csv(os.path.join(out, "transfer.csv"),
-                             ("setting", "arch", "preserved_pct", "ssim_mean"),
-                             [same_row, cross_row])
-    return {"out_dir": out, "transfer_csv": transfer_csv,
-            "rows": [same_row, cross_row],
+    rows = [same_row, cross_row]
+    files = {"transfer.csv": (("setting", "arch", "preserved_pct", "ssim_mean"), rows)}
+    return {**publish(cfg, "transfer", files), "rows": rows,
             "same_arch": same_row, "cross_arch": cross_row}
 
 
@@ -467,27 +511,29 @@ def cmd_robust(cfg: ExperimentConfig) -> dict:
                      final.ssim_gc_mean, final.ssim_gcpp_mean,
                      final.peak_pct_mean, final.l1_mean))
         runs[agg] = res
-    out = _outdir(cfg, "robust")
-    robust_csv = write_csv(os.path.join(out, "robust.csv"),
-                           ("aggregator", "accuracy", "fidelity_pct", "ssim_gc",
-                            "ssim_gcpp", "peak_pct", "l1"), rows)
-    return {"out_dir": out, "robust_csv": robust_csv, "rows": rows, "runs": runs}
+    files = {"robust.csv": (("aggregator", "accuracy", "fidelity_pct", "ssim_gc",
+                             "ssim_gcpp", "peak_pct", "l1"), rows)}
+    return {**publish(cfg, "robust", files), "rows": rows, "runs": runs}
 
 
 # ---------------------------------------------------------------- utilities
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> dict:
-    """Generate the synthetic shapes dataset and dump it as PPM + labels CSV."""
+    """Generate the synthetic shapes dataset and dump every image as
+    ``sample_<i>.ppm``, plus a ``labels.csv`` index with no timestamp line."""
     d = cfg.dataset
     if d.kind != SHAPES:
         raise ConfigError(f"gen-data writes the synthetic {SHAPES} dataset only; "
                           f"dataset.kind is {d.kind!r}")
     ds = D.generate_shapes(d.n_train, classes=d.classes, size=d.size,
                            seed=F._child_seed(cfg.seed, _TAG_TRAIN))
-    out = _outdir(cfg, "gen_data")
-    D.dump_ppm_dir(ds, out)
-    return {"out_dir": out, "count": len(ds), "classes": d.classes}
+    files = {f"sample_{i:05d}.ppm": lambda path, x=x: C.write_ppm(path, x)
+             for i, x in enumerate(ds.images)}
+    labels = "index,label\n" + "".join(f"{i},{int(y)}\n" for i, y in enumerate(ds.labels))
+    files["labels.csv"] = lambda path: Path(path).write_text(labels, encoding="ascii")
+    return {**publish(cfg, "gen_data", files),
+            "summary": {"count": len(ds), "classes": d.classes}}
 
 
 def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
@@ -500,11 +546,10 @@ def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
     x = test.images[sample_id]
     pert, outcome = A.cpm_perturb(spec, weights, x, cfg.grid)
     _, cams, _ = S.predict_grad_cams(spec, weights, np.stack([x, pert]), outcome.label)
-    out = _outdir(cfg, "inspect")
-    _dump_pair(out, f"sample_{sample_id:05d}_orig", x, cams[0])
-    _dump_pair(out, f"sample_{sample_id:05d}_pert", pert, cams[1])
+    files = (_pair(f"sample_{sample_id:05d}_orig", x, cams[0])
+             | _pair(f"sample_{sample_id:05d}_pert", pert, cams[1]))
     line = (f"sample {sample_id}: label={int(test.labels[sample_id])} "
             f"pred={outcome.label} ssim={outcome.ssim:.4f} "
             f"delta_e={outcome.delta_e:.2f} fallback={outcome.fallback} "
             f"theta={outcome.theta.as_row()}")
-    return {"out_dir": out, "line": line, "outcome": outcome}
+    return {**publish(cfg, "inspect", files), "line": line, "outcome": outcome}

@@ -64,12 +64,13 @@ def fork_map(fn, items) -> list:
     pids, fds = [], []
     try:
         for block in blocks[1:]:
-            r, w = os.pipe()
+            pipe = ()
             try:
+                pipe = r, w = os.pipe()
                 pid = os.fork()
-            except OSError:  # no process to spare: the rest runs here
-                os.close(r)
-                os.close(w)
+            except OSError:  # no descriptor or process to spare: the rest runs here
+                for fd in pipe:
+                    os.close(fd)
                 break
             if pid == 0:
                 _serve(fn, block, r, w)

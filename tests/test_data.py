@@ -5,7 +5,6 @@ import pytest
 
 from chromafl import color as C
 from chromafl import data as D
-from readers import read_ppm
 
 
 def de00(rgb1, rgb2) -> float:
@@ -316,17 +315,3 @@ def test_labeled_dataset_validation_and_subset():
     sub = ds.subset([3, 5, 7])
     assert len(sub) == 3
     assert np.array_equal(sub.images[1], ds.images[5])
-
-
-def test_dump_ppm_dir_roundtrip(tmp_path):
-    ds = D.generate_shapes(4, classes=4, size=16, seed=20)
-    out = tmp_path / "dump"
-    D.dump_ppm_dir(ds, out)
-    files = sorted(p.name for p in out.iterdir())
-    assert files == ["labels.csv", "sample_00000.ppm", "sample_00001.ppm",
-                     "sample_00002.ppm", "sample_00003.ppm"]
-    img = read_ppm(out / "sample_00002.ppm")
-    assert np.abs(img - ds.images[2]).max() <= 0.5 / 255.0 + 1e-9
-    lines = (out / "labels.csv").read_text().strip().splitlines()
-    assert lines[0] == "index,label"
-    assert lines[3] == f"2,{int(ds.labels[2])}"

@@ -8,10 +8,12 @@ import importlib.util
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +31,7 @@ import chromafl.harness as H
 import chromafl.models as M
 import chromafl.saliency as S
 from chromafl.config import ConfigError, ExperimentConfig, load_config, override, parse_config
-from readers import load_weights
+from readers import load_weights, read_ppm
 
 F_FIELDS = F.RoundMetrics.FIELDS
 
@@ -1288,49 +1290,176 @@ def test_cli_cifar_read_errors_are_data_errors(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists() and not (tmp_path / "d" / "out").exists()
 
 
+def _raw_bytes(out) -> dict:
+    """Every file under ``out`` whole, timestamp lines included."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def _fails_on_call(real, n, error):
+    """``real``, except that its ``n``-th call raises ``error``."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == n:
+            raise error
+        return real(*args, **kwargs)
+    wrapper.calls = calls
+    return wrapper
+
+
 def test_cli_a_report_that_cannot_be_written_is_a_config_error(tmp_path, capsys,
                                                                 monkeypatch):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(tiny_doc(tmp_path / "out")))
-    # a failed write names no file: the command's directory stands in
-    def full(*args, **kwargs):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    enospc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    message = (f"config error: out: cannot write {tmp_path / 'out' / 'baseline'}: "
+               f"{os.strerror(errno.ENOSPC)}\n")
     with monkeypatch.context() as m:
-        m.setattr(H, "write_csv", full)
+        m.setattr(H, "write_csv", _fails_on_call(H.write_csv, 1, enospc))
         assert cli.main(["baseline", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"config error: out: cannot write {tmp_path / 'out' / 'baseline'}: "
-                   f"{os.strerror(errno.ENOSPC)}\n")
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()  # this run made it, so it goes
-    # a failed open names its file; a directory that was there keeps its files
-    (tmp_path / "out" / "baseline" / "summary.csv").mkdir(parents=True)
+    # an earlier run survives a failed rerun byte for byte
+    assert cli.main(["baseline", "--config", str(path)]) == 0
+    earlier = _raw_bytes(tmp_path / "out")
+    capsys.readouterr()
+    monkeypatch.setattr(H, "write_csv", _fails_on_call(H.write_csv, 2, enospc))
     assert cli.main(["baseline", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"config error: out: cannot write "
-                   f"{tmp_path / 'out' / 'baseline' / 'summary.csv'}: "
-                   f"{os.strerror(errno.EISDIR)}\n")
-    assert sorted(os.listdir(tmp_path / "out" / "baseline")) == ["samples.csv", "summary.csv"]
+    assert capsys.readouterr().err == message
+    assert _raw_bytes(tmp_path / "out") == earlier
+    assert os.listdir(tmp_path / "out") == ["baseline"]
 
 
 def test_cli_a_failed_write_removes_the_directories_the_run_made(tmp_path, capsys,
                                                                  monkeypatch):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(tiny_doc(tmp_path / "unused")))
-    real, calls = H.write_csv, []
-
-    def second_write_fails(*args, **kwargs):  # samples.csv is written, summary.csv not
-        calls.append(args[0])
-        if len(calls) == 2:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(H, "write_csv", second_write_fails)
+    # samples.csv is written, summary.csv not
+    failing = _fails_on_call(H.write_csv, 2, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    monkeypatch.setattr(H, "write_csv", failing)
     out = tmp_path / "o2" / "fresh"
     assert cli.main(["baseline", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: out: cannot write") and err.count("\n") == 1
-    assert calls[0] == str(out / "baseline" / "samples.csv")
+    assert failing.calls[0] == str(out / f".baseline.partial-{os.getpid()}" / "samples.csv")
     assert not (tmp_path / "o2").exists()
+
+
+# ---------------------------------------------------------------- publish
+
+
+def _csv(value) -> tuple:
+    return ("x",), [(value,)]
+
+
+def _text(value):
+    return lambda path: Path(path).write_text(value)
+
+
+def test_publish_an_interrupt_mid_write_keeps_the_earlier_run(tmp_path):
+    cfg = parse_config({"out": str(tmp_path / "out")})
+    H.publish(cfg, "baseline", {"a.csv": _csv(1), "b.pgm": _text("b")})
+    earlier = _raw_bytes(tmp_path / "out")
+
+    def interrupted(path):
+        with open(path, "w") as fh:
+            fh.write("half")
+            raise KeyboardInterrupt
+    with pytest.raises(KeyboardInterrupt):
+        H.publish(cfg, "baseline", {"a.csv": _csv(2), "b.pgm": interrupted})
+    assert _raw_bytes(tmp_path / "out") == earlier
+    assert os.listdir(tmp_path / "out") == ["baseline"]
+
+
+def test_publish_a_failed_swap_puts_the_earlier_run_back(tmp_path, monkeypatch):
+    cfg = parse_config({"out": str(tmp_path / "out")})
+    H.publish(cfg, "baseline", {"a.csv": _csv(1)})
+    earlier = _raw_bytes(tmp_path / "out")
+    # the first rename moves the earlier run aside, the second would publish
+    monkeypatch.setattr(os, "rename", _fails_on_call(os.rename, 2, OSError(
+        errno.EXDEV, os.strerror(errno.EXDEV))))
+    with pytest.raises(ConfigError, match=f"cannot write {tmp_path / 'out' / 'baseline'}: "):
+        H.publish(cfg, "baseline", {"a.csv": _csv(2)})
+    assert _raw_bytes(tmp_path / "out") == earlier
+    assert os.listdir(tmp_path / "out") == ["baseline"]
+
+
+def test_publish_drops_a_leftover_partial_directory(tmp_path):
+    cfg = parse_config({"out": str(tmp_path)})
+    stray = tmp_path / f".baseline.partial-{os.getpid()}" / "stray.csv"
+    stray.parent.mkdir()
+    stray.write_text("stale")
+    report = H.publish(cfg, "baseline", {"a.csv": _csv(1)})
+    assert report == {"out_dir": str(tmp_path / "baseline"),
+                      "a_csv": str(tmp_path / "baseline" / "a.csv")}
+    assert os.listdir(tmp_path / "baseline") == ["a.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["baseline"]
+
+
+def test_publish_gives_the_mode_of_a_plain_makedirs(tmp_path):
+    os.makedirs(tmp_path / "plain")
+    H.publish(parse_config({"out": str(tmp_path / "out")}), "fl",
+              {"heatmaps/h.pgm": _text("")})
+    modes = {stat.S_IMODE(os.stat(p).st_mode) for p in (
+        tmp_path / "plain", tmp_path / "out", tmp_path / "out" / "fl",
+        tmp_path / "out" / "fl" / "heatmaps")}
+    assert len(modes) == 1
+
+
+def test_publish_unlinks_a_symlinked_report_directory(tmp_path):
+    target = tmp_path / "elsewhere"
+    target.mkdir()
+    (target / "keep.csv").write_text("kept")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "baseline").symlink_to(target)
+    H.publish(parse_config({"out": str(tmp_path / "out")}), "baseline", {"a.csv": _csv(1)})
+    assert not (tmp_path / "out" / "baseline").is_symlink()
+    assert os.listdir(tmp_path / "out" / "baseline") == ["a.csv"]
+    assert os.listdir(target) == ["keep.csv"] and (target / "keep.csv").read_text() == "kept"
+    assert os.listdir(tmp_path / "out") == ["baseline"]
+
+
+def test_a_rerun_leaves_no_file_of_an_earlier_run(tmp_path):
+    """Fewer heatmap dumps, another inspect sample and a smaller gen-data
+    replace the earlier files instead of adding to them."""
+    for dumps in (3, 1):
+        (tmp_path / f"d{dumps}.json").write_text(json.dumps(
+            tiny_doc(tmp_path / "unused", metrics={"probe_size": 6, "heatmap_dumps": dumps})))
+
+    def run(out, dumps, sample, limit):
+        config = ["--config", str(tmp_path / f"d{dumps}.json"), "--out", str(out)]
+        for call in (["baseline"], ["fl"], ["inspect", "--sample", str(sample)],
+                     ["gen-data", "--limit", str(limit)]):
+            assert cli.main(call + config) == 0, call
+
+    run(tmp_path / "reused", 3, 0, 12)
+    run(tmp_path / "reused", 1, 1, 3)
+    run(tmp_path / "fresh", 1, 1, 3)
+    assert _report_bytes(tmp_path / "reused") == _report_bytes(tmp_path / "fresh")
+
+
+def test_cli_gen_data_prints_its_summary_and_directory_once(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(tiny_doc(tmp_path / "out")))
+    assert cli.main(["gen-data", "--config", str(path), "--limit", "12"]) == 0
+    assert capsys.readouterr().out == (
+        f"count: 12\nclasses: 4\nreports written to {tmp_path / 'out' / 'gen_data'}\n")
+
+
+def test_gen_data_dumps_the_train_split_as_ppm_and_a_labels_index(tmp_path):
+    cfg = tiny_cfg(tmp_path, dataset={"kind": "shapes", "n_train": 4, "n_test": 2,
+                                      "classes": 4, "size": 16})
+    report = H.cmd_gen_data(cfg)
+    train = H.prepare_data(cfg)[0]
+    out = tmp_path / "gen_data"
+    assert report["out_dir"] == str(out)
+    assert sorted(os.listdir(out)) == ["labels.csv", "sample_00000.ppm", "sample_00001.ppm",
+                                       "sample_00002.ppm", "sample_00003.ppm"]
+    img = read_ppm(out / "sample_00002.ppm")
+    assert np.abs(img - train.images[2]).max() <= 0.5 / 255.0 + 1e-9
+    lines = (out / "labels.csv").read_text().splitlines()
+    assert lines == ["index,label"] + [f"{i},{int(y)}" for i, y in enumerate(train.labels)]
 
 
 def test_cli_out_env_fallback(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """The fork map: order, errors, reaping, nesting, the worker count, and
 report bytes that do not depend on how many workers ran a command."""
 
+import errno
 import json
 import os
 import subprocess
@@ -102,6 +103,25 @@ def test_a_nested_map_in_a_worker_runs_serially(workers):
     (pid0, inner0), (pid1, inner1) = got
     assert pid0 == outer and len(set(inner0)) == 2  # the caller's block may fork
     assert pid1 != outer and inner1 == [pid1] * 4
+    assert_no_child_left()
+
+
+def test_a_pipe_that_cannot_be_made_runs_the_rest_in_the_caller(workers, monkeypatch):
+    workers(3)  # blocks [0, 1], [2, 3], [4, 5]; the second block's pipe fails
+    real_pipe, calls = os.pipe, []
+
+    def pipe_fails_second():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real_pipe()
+
+    monkeypatch.setattr(os, "pipe", pipe_fails_second)
+    got = P.fork_map(lambda x: (x * x, os.getpid()), range(6))
+    assert [v for v, _ in got] == [x * x for x in range(6)]
+    pids = [pid for _, pid in got]
+    assert pids[:2] == pids[4:] == [os.getpid()] * 2 and os.getpid() not in pids[2:4]
+    assert len(calls) == 2
     assert_no_child_left()
 
 
