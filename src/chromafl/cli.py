@@ -11,20 +11,7 @@ import argparse
 import os
 import sys
 
-from .parallel import worker_count
-
-
-def _apply_thread_env() -> None:
-    """Copy ``CHROMAFL_THREADS`` into each BLAS thread variable not already
-    set; a value that is not a positive integer raises ``ValueError`` before
-    any variable is set."""
-    threads = os.environ.get("CHROMAFL_THREADS")
-    if threads is None:
-        return
-    if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
-        raise ValueError(f"CHROMAFL_THREADS must be a positive integer, got {threads!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+from .parallel import apply_thread_env, worker_count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +65,7 @@ def _print_report(command: str, report: dict) -> None:
 def main(argv=None) -> int:
     try:
         worker_count()  # checked before any work, as the first map is deep in it
-        _apply_thread_env()
+        apply_thread_env()
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -13,6 +13,14 @@ and the seed live in their own config entries and reach ``run_round`` as
 arguments; the round metrics are computed by the caller, which holds the
 probe set and the reference weights.
 
+The aggregators share one weight layout.  Each client's weight list,
+flattened in list order and widened to float64, is one row of a clients x
+parameters matrix (after one check that every list has the same shapes).
+Each aggregator reduces that matrix over its rows, coordinate by coordinate,
+and cuts the result back into the list's shapes and dtypes.  FLTrust
+stacks the global and the server's update as two more rows and scores each
+client row by its delta from the global's.
+
 Drift is measured against a reference model (normally the twin at the same
 round): Delta = mean over probe images of (1 - SSIM(reference CAM, current
 CAM)), each CAM taken for the reference model's predicted class.
@@ -141,16 +149,24 @@ def _child_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _flatten(weights) -> np.ndarray:
-    return np.concatenate([np.asarray(w, dtype=np.float64).reshape(-1)
-                           for w in weights])
+def _rows(client_weights) -> np.ndarray:
+    """One float64 row per client: its weights flattened in list order."""
+    shapes = [np.shape(w) for w in client_weights[0]]
+    if any([np.shape(w) for w in ws] != shapes for ws in client_weights[1:]):
+        raise ValueError("client updates have mismatched weight shapes")
+    rows = np.empty((len(client_weights), sum(np.size(w) for w in client_weights[0])))
+    for row, ws in zip(rows, client_weights):
+        np.concatenate([np.ravel(w) for w in ws], out=row)  # widened as it is copied
+    return rows
 
 
-def _check_same_shapes(stacks) -> None:
-    first = [np.asarray(w).shape for w in stacks[0]]
-    for ws in stacks[1:]:
-        if [np.asarray(w).shape for w in ws] != first:
-            raise ValueError("client updates have mismatched weight shapes")
+def _unflatten(flat: np.ndarray, like) -> list[np.ndarray]:
+    """``flat`` cut back into the shapes and dtypes of the arrays ``like``."""
+    out, off = [], 0
+    for w in map(np.asarray, like):
+        out.append(flat[off:off + w.size].reshape(w.shape).astype(w.dtype, copy=False))
+        off += w.size
+    return out
 
 
 # ---------------------------------------------------------------- aggregators
@@ -159,19 +175,14 @@ def fedavg(updates: list[tuple[list[np.ndarray], int]]) -> list[np.ndarray]:
     """Sample-count weighted average of client weights."""
     if not updates:
         raise ValueError("fedavg needs at least one update")
-    stacks = [ws for ws, _ in updates]
     counts = np.array([n for _, n in updates], dtype=np.float64)
     if (counts <= 0).any():
         raise ValueError("client sample counts must be positive")
-    _check_same_shapes(stacks)
-    total = counts.sum()
-    out = []
-    for layer in zip(*stacks):
-        acc = np.zeros(np.asarray(layer[0]).shape, dtype=np.float64)
-        for w, n in zip(layer, counts):
-            acc += np.asarray(w, dtype=np.float64) * n
-        out.append((acc / total).astype(np.asarray(layer[0]).dtype, copy=False))
-    return out
+    rows = _rows([ws for ws, _ in updates])
+    acc = np.zeros(rows.shape[1], dtype=np.float64)
+    for row, n in zip(rows, counts):
+        acc += row * n
+    return _unflatten(acc / counts.sum(), updates[0][0])
 
 
 def trimmed_mean(client_weights: list[list[np.ndarray]], trim_k: int) -> list[np.ndarray]:
@@ -181,27 +192,17 @@ def trimmed_mean(client_weights: list[list[np.ndarray]], trim_k: int) -> list[np
         raise ValueError("trim_k must be >= 0")
     if 2 * trim_k >= n:
         raise ValueError(f"trim_k={trim_k} removes every one of {n} updates")
-    _check_same_shapes(client_weights)
-    out = []
-    for layer in zip(*client_weights):
-        stack = np.sort(np.stack([np.asarray(w, dtype=np.float64) for w in layer]),
-                        axis=0)
-        kept = stack[trim_k: n - trim_k]
-        out.append(kept.mean(axis=0).astype(np.asarray(layer[0]).dtype, copy=False))
-    return out
+    rows = _rows(client_weights)
+    rows.sort(axis=0)
+    return _unflatten(rows[trim_k: n - trim_k].mean(axis=0), client_weights[0])
 
 
 def median(client_weights: list[list[np.ndarray]]) -> list[np.ndarray]:
     """Coordinate-wise median across client weights."""
     if not client_weights:
         raise ValueError("median needs at least one update")
-    _check_same_shapes(client_weights)
-    out = []
-    for layer in zip(*client_weights):
-        stack = np.stack([np.asarray(w, dtype=np.float64) for w in layer])
-        out.append(np.median(stack, axis=0).astype(np.asarray(layer[0]).dtype,
-                                                   copy=False))
-    return out
+    return _unflatten(np.median(_rows(client_weights), axis=0, overwrite_input=True),
+                      client_weights[0])
 
 
 def fltrust(global_weights, client_weights: list[list[np.ndarray]],
@@ -213,16 +214,16 @@ def fltrust(global_weights, client_weights: list[list[np.ndarray]],
     server delta or zero total trust leaves the global model unchanged.
     """
     g = [np.asarray(w) for w in global_weights]
-    server_delta = _flatten(server_weights) - _flatten(g)
+    flat_g, flat_server, *rows = _rows([g, server_weights, *client_weights])
+    server_delta = flat_server - flat_g
     server_norm = float(np.linalg.norm(server_delta))
     if server_norm == 0.0:
         warnings.warn("fltrust: server update is zero; round skipped")
         return [w.copy() for w in g]
-    flat_g = _flatten(g)
     agg = np.zeros_like(server_delta)
     total_trust = 0.0
-    for ws in client_weights:
-        delta = _flatten(ws) - flat_g
+    for delta in rows:
+        delta -= flat_g
         norm = float(np.linalg.norm(delta))
         if norm == 0.0:
             continue
@@ -235,14 +236,7 @@ def fltrust(global_weights, client_weights: list[list[np.ndarray]],
         warnings.warn("fltrust: no client earned trust; round skipped")
         return [w.copy() for w in g]
     agg /= total_trust
-    out = []
-    off = 0
-    for w in g:
-        n = w.size
-        out.append((w.astype(np.float64) + agg[off:off + n].reshape(w.shape))
-                   .astype(w.dtype, copy=False))
-        off += n
-    return out
+    return _unflatten(flat_g + agg, g)
 
 
 # ---------------------------------------------------------------- rounds
@@ -293,16 +287,14 @@ def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
         jobs.append((server_root, _child_seed(seed, _TAG_SERVER, round_index)))
     trained = P.fork_map(lambda job: M.train(spec, global_weights, job[0], fl.local_epochs,
                                              lr=fl.lr, batch=fl.batch, seed=job[1]), jobs)
-    updates = [(w_i, len(shard)) for w_i, (shard, _) in zip(trained, jobs)]
-
     if fl.aggregator == FEDAVG:
-        new = fedavg(updates)
+        new = fedavg([(w_i, len(shard)) for w_i, (shard, _) in zip(trained, jobs)])
     elif fl.aggregator == TRIMMED_MEAN:
-        new = trimmed_mean([w for w, _ in updates], fl.trim_k)
+        new = trimmed_mean(trained, fl.trim_k)
     elif fl.aggregator == MEDIAN:
-        new = median([w for w, _ in updates])
+        new = median(trained)
     else:  # FLTRUST: the server's update is the last one trained
-        new = fltrust(global_weights, [w for w, _ in updates[:-1]], updates[-1][0])
+        new = fltrust(global_weights, trained[:-1], trained[-1])
     if not all(np.isfinite(w).all() for w in new):
         raise FloatingPointError(
             f"round {round_index}: {fl.aggregator} aggregation gave non-finite weights")

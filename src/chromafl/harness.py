@@ -236,13 +236,6 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------- federated
 
 
-def _build_clients(train: D.LabeledDataset, cfg: ExperimentConfig,
-                   roles: list[str]) -> list[F.ClientState]:
-    shards = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
-    return [F.ClientState(i, roles[i], train.subset(idx))
-            for i, idx in enumerate(shards)]
-
-
 class _FLSetup(NamedTuple):
     """What both streams of an ``fl`` run start from.  Only ``root`` depends
     on the aggregators it is built for, so ``cmd_robust`` builds it once for
@@ -267,7 +260,8 @@ def _fl_setup(cfg: ExperimentConfig, aggregators) -> _FLSetup:
     root = rest[0] if rest else None
     spec = _model_spec(cfg, cfg.model)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
-    clients = _build_clients(train, cfg, roles)
+    shards = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
+    clients = [F.ClientState(i, roles[i], train.subset(idx)) for i, idx in enumerate(shards)]
     twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
     probe = test.images[:min(cfg.metrics.probe_size, len(test))]
     w_init = M.build(spec, seed=F._child_seed(cfg.seed, _TAG_MODEL))
@@ -497,20 +491,20 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
 def cmd_robust(cfg: ExperimentConfig) -> dict:
     """Rerun the federated attack under each aggregator with shared seeds."""
     _check_clients_fit(cfg)
-    if cfg.fl.select_k <= 2 * cfg.fl.trim_k:
-        raise ConfigError(f"fl.select_k={cfg.fl.select_k} must exceed "
-                          f"2*trim_k={2 * cfg.fl.trim_k} for trimmed_mean")
+    try:  # each aggregator's rules (trimmed_mean's trim_k) are FLConfig's checks
+        fls = [dataclasses.replace(cfg.fl, aggregator=agg) for agg in F.AGGREGATORS]
+    except ValueError as e:
+        raise ConfigError(f"fl: {e}") from e
     setup = _fl_setup(cfg, F.AGGREGATORS)
     rows = []
     runs = {}
-    for agg in F.AGGREGATORS:
-        sub = dataclasses.replace(cfg, fl=dataclasses.replace(cfg.fl, aggregator=agg))
-        res = run_fl_streams(sub, setup)
+    for fl in fls:
+        res = run_fl_streams(dataclasses.replace(cfg, fl=fl), setup)
         final = res["rounds"][-1]
-        rows.append((agg, final.accuracy, final.fidelity_pct,
+        rows.append((fl.aggregator, final.accuracy, final.fidelity_pct,
                      final.ssim_gc_mean, final.ssim_gcpp_mean,
                      final.peak_pct_mean, final.l1_mean))
-        runs[agg] = res
+        runs[fl.aggregator] = res
     files = {"robust.csv": (("aggregator", "accuracy", "fidelity_pct", "ssim_gc",
                              "ssim_gcpp", "peak_pct", "l1"), rows)}
     return {**publish(cfg, "robust", files), "rows": rows, "runs": runs}

@@ -14,6 +14,7 @@ capture stage of either architecture produces an 8x8 feature map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,33 +96,29 @@ class ModelSpec:
         return side * side * last.cout
 
 
+def _weight_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
+    """The weight list's shapes: each stage's kernel and bias, then the
+    dense head's weight and bias."""
+    shapes = []
+    for st in spec.stages:
+        shapes += [(KERNEL, KERNEL, st.cin, st.cout), (st.cout,)]
+    return shapes + [(spec.flat_features(), spec.classes), (spec.classes,)]
+
+
 def build(spec: ModelSpec, seed: int) -> list[np.ndarray]:
-    """He-uniform conv/dense weights and zero biases; order is conv stages
-    then the dense head, weights before biases."""
+    """He-uniform conv/dense weights and zero biases, in the order of
+    :func:`_weight_shapes`; the fan-in of a weight is all but its last axis."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     weights: list[np.ndarray] = []
-    for st in spec.stages:
-        fan_in = KERNEL * KERNEL * st.cin
-        limit = np.sqrt(6.0 / fan_in)
-        w = rng.uniform(-limit, limit, size=(KERNEL, KERNEL, st.cin, st.cout))
-        weights.append(w.astype(T.DTYPE))
-        weights.append(np.zeros(st.cout, dtype=T.DTYPE))
-    fan_in = spec.flat_features()
-    limit = np.sqrt(6.0 / fan_in)
-    weights.append(rng.uniform(-limit, limit,
-                               size=(fan_in, spec.classes)).astype(T.DTYPE))
-    weights.append(np.zeros(spec.classes, dtype=T.DTYPE))
+    for shape in _weight_shapes(spec):
+        limit = np.sqrt(6.0 / math.prod(shape[:-1]))
+        weights.append(rng.uniform(-limit, limit, size=shape).astype(T.DTYPE)
+                       if len(shape) > 1 else np.zeros(shape, dtype=T.DTYPE))
     return weights
 
 
 def _check_weights(spec: ModelSpec, weights) -> list[np.ndarray]:
-    expect = [(KERNEL, KERNEL, st.cin, st.cout) for st in spec.stages]
-    shapes: list[tuple] = []
-    for conv_shape, st in zip(expect, spec.stages):
-        shapes.append(conv_shape)
-        shapes.append((st.cout,))
-    shapes.append((spec.flat_features(), spec.classes))
-    shapes.append((spec.classes,))
+    shapes = _weight_shapes(spec)
     ws = [np.asarray(w) for w in weights]
     got = [w.shape for w in ws]
     if got != shapes:

@@ -14,7 +14,8 @@ copy-on-write instead of pickled, and nothing is imported again.
 The worker count is :func:`worker_count`.  A child runs any nested map
 serially, and where ``os.fork`` is missing every map is serial.  This
 module uses the standard library only and imports no numpy, so the CLI can
-check ``CHROMAFL_WORKERS`` before numpy loads.
+check ``CHROMAFL_WORKERS`` and apply ``CHROMAFL_THREADS``
+(:func:`apply_thread_env`) before numpy loads.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ def worker_count() -> int:
     pinned = [int(v) for v in map(os.environ.get, ("OPENBLAS_NUM_THREADS",
                                                    "OMP_NUM_THREADS")) if _positive(v)]
     return max(1, cpus // (pinned[0] if pinned else cpus))
+
+
+def apply_thread_env() -> None:
+    """Copy ``CHROMAFL_THREADS`` into each BLAS thread variable not already
+    set; a value that is not a positive integer raises ``ValueError`` before
+    any variable is set.  BLAS reads these variables when numpy loads, so
+    this runs before that."""
+    threads = os.environ.get("CHROMAFL_THREADS")
+    if threads is None:
+        return
+    if not _positive(threads):
+        raise ValueError(f"CHROMAFL_THREADS must be a positive integer, got {threads!r}")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, threads)
 
 
 def fork_map(fn, items) -> list:

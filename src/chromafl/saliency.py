@@ -84,18 +84,6 @@ def upsample_bilinear(m, out_h: int, out_w: int):
 
 # ---------------------------------------------------------------- producers
 
-def _capture_grads(logits: T.Tensor, captured: T.Tensor, tape: T.Tape, class_id):
-    """d(logit_class)/d(capture activation) and the activation, from the
-    result of a taped :func:`models.forward`, whose tape holds only the
-    layers after the capture stage; the replay runs them all.  When a
-    convolution follows the capture stage, its input gradient is a view into
-    a padded buffer, so ``g`` is copied out of it rather than pinning it."""
-    ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), (logits.shape[0],))
-    score = T.class_score(tape, logits, ids)
-    g = np.ascontiguousarray(T.grad_wrt(tape, score, captured))
-    return g, captured.data  # (B, h, w, K) each
-
-
 def _weighted_cam(w_k: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:
     """ReLU of the channel-weighted activations, upsampled and normalized."""
     cam = np.maximum(np.einsum("bk,bhwk->bhw", w_k, acts), 0.0)
@@ -114,9 +102,12 @@ def label_grads(spec: M.ModelSpec, weights, xs, class_id=None):
     ``g`` does not depend on the other images of the batch."""
     logits, captured, tape = M.forward(spec, weights, xs, tape=T.Tape())
     labels = logits.data.argmax(axis=1)
-    g, acts = _capture_grads(logits, captured, tape,
-                             labels if class_id is None else class_id)
-    return labels, g, acts
+    ids = np.broadcast_to(np.asarray(labels if class_id is None else class_id,
+                                     dtype=np.int64), labels.shape)
+    # when a convolution follows the capture stage, its input gradient is a
+    # view into a padded buffer, so g is copied out of it rather than pinning it
+    g = np.ascontiguousarray(T.grad_wrt(tape, T.class_score(tape, logits, ids), captured))
+    return labels, g, captured.data  # g and the activation: (B, h, w, K) each
 
 
 def grad_cam_maps(g: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:

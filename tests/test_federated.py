@@ -76,6 +76,76 @@ def test_aggregator_validation():
     bad = [stacks[0], [np.zeros((3, 2)), np.zeros((5,))]]
     with pytest.raises(ValueError, match="mismatched"):
         F.median(bad)
+    with pytest.raises(ValueError, match="mismatched"):
+        F.fltrust(stacks[1], bad, stacks[2])
+
+
+def _per_layer(client_weights, reduce):
+    """The per-layer float64 reduction, cast back to each layer's dtype."""
+    return [reduce(np.stack([np.asarray(w, dtype=np.float64) for w in layer]))
+            .astype(np.asarray(layer[0]).dtype, copy=False)
+            for layer in zip(*client_weights)]
+
+
+def _fedavg_per_layer(updates):
+    counts = np.array([n for _, n in updates], dtype=np.float64)
+
+    def weighted(stack):
+        acc = np.zeros(stack.shape[1:], dtype=np.float64)
+        for w, n in zip(stack, counts):
+            acc += w * n
+        return acc / counts.sum()
+    return _per_layer([ws for ws, _ in updates], weighted)
+
+
+def _fltrust_per_layer(g, clients, server):
+    flat = lambda ws: np.concatenate([np.asarray(w, dtype=np.float64).reshape(-1)
+                                      for w in ws])
+    server_delta = flat(server) - flat(g)
+    server_norm = float(np.linalg.norm(server_delta))
+    agg = np.zeros_like(server_delta)
+    total = 0.0
+    for ws in clients:
+        delta = flat(ws) - flat(g)
+        norm = float(np.linalg.norm(delta))
+        trust = max(0.0, float(delta @ server_delta) / (norm * server_norm))
+        agg += trust * (delta * (server_norm / norm))
+        total += trust
+    agg /= total
+    out, off = [], 0
+    for w in g:
+        out.append((w.astype(np.float64) + agg[off:off + w.size].reshape(w.shape))
+                   .astype(w.dtype, copy=False))
+        off += w.size
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_aggregators_match_the_per_layer_reduction_bytewise(dtype):
+    # one clients x parameters matrix must give the bits of reducing each
+    # layer's own stack, the order every sum ran in before.  float64 weights
+    # keep every bit of the float64 reductions, so a reordered sum shows
+    rng = np.random.default_rng(8)
+    g = [w.astype(dtype) for w in M.build(M.ModelSpec(input_size=16), seed=3)]
+
+    def perturbed(scale):
+        return [(w + scale * rng.normal(size=w.shape)).astype(dtype) for w in g]
+    stacks = [perturbed(0.05) for _ in range(5)]
+    stacks[3] = [w.copy() for w in stacks[1]]  # ties in every coordinate
+    counts = [32, 17, 40, 9, 25]
+    cases = [(F.fedavg(list(zip(stacks, counts))), _fedavg_per_layer(list(zip(stacks, counts))))]
+    for trim_k in (0, 1):
+        cases.append((F.trimmed_mean(stacks, trim_k), _per_layer(
+            stacks, lambda x, k=trim_k: np.sort(x, axis=0)[k:len(x) - k].mean(axis=0))))
+    for n in (4, 5):
+        cases.append((F.median(stacks[:n]),
+                      _per_layer(stacks[:n], lambda x: np.median(x, axis=0))))
+    server = perturbed(0.02)
+    clients = [[s + 0.5 * (c - w) for s, c, w in zip(server, ws, g)] for ws in stacks]
+    cases.append((F.fltrust(g, clients, server), _fltrust_per_layer(g, clients, server)))
+    for got, want in cases:
+        assert [w.dtype for w in got] == [dtype] * len(g)
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
 
 
 def test_fltrust_single_client_equal_to_server_recovers_server():

@@ -489,7 +489,8 @@ def _unshared_streams(cfg):
     spec = H._model_spec(cfg, cfg.model)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
     adv_share = roles.count(F.ADVERSARIAL) / len(roles)
-    clients = H._build_clients(train, cfg, roles)
+    shards = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
+    clients = [F.ClientState(i, roles[i], train.subset(idx)) for i, idx in enumerate(shards)]
     twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
     server_root = root if cfg.fl.aggregator == F.FLTRUST else None
     probe = test.images[:cfg.metrics.probe_size]
@@ -918,7 +919,8 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
     untrimmable.write_text(json.dumps({"fl": {"select_k": 2, "trim_k": 1},
                                        "out": str(tmp_path)}))
     assert cli.main(["robust", "--config", str(untrimmable)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err == ("config error: fl: select_k=2 must exceed "
+                                       "2*trim_k=2 for trimmed_mean\n")
     assert not (tmp_path / "robust").exists()
     # a value FLConfig rejects is a config error at parse time
     negative = tmp_path / "negative.json"
