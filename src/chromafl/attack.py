@@ -176,9 +176,7 @@ def poison_dataset(spec: M.ModelSpec, weights, dataset: D.LabeledDataset,
     map (:func:`parallel.fork_map`); labels pass through untouched."""
     images, outcomes = _stacked(dataset.images, P.fork_map(
         lambda x: cpm_perturb(spec, weights, x, grid), dataset.images))
-    poisoned = D.LabeledDataset(images, dataset.labels.copy(), dataset.classes,
-                                name=f"{dataset.name}+grid")
-    return poisoned, outcomes
+    return D.LabeledDataset(images, dataset.labels.copy(), dataset.classes), outcomes
 
 
 def summarize_outcomes(outcomes: list[AttackOutcome]) -> dict:

@@ -38,7 +38,6 @@ class LabeledDataset:
     images: np.ndarray
     labels: np.ndarray
     classes: int
-    name: str = "dataset"
 
     def __post_init__(self):
         self.images = np.asarray(self.images)
@@ -55,10 +54,9 @@ class LabeledDataset:
     def __len__(self) -> int:
         return int(self.images.shape[0])
 
-    def subset(self, indices, name: str | None = None) -> "LabeledDataset":
+    def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices)
-        return LabeledDataset(self.images[idx], self.labels[idx], self.classes,
-                              name or self.name)
+        return LabeledDataset(self.images[idx], self.labels[idx], self.classes)
 
 
 # ---------------------------------------------------------------- CIFAR
@@ -113,7 +111,7 @@ def load_cifar10(path, limit: int | None = None) -> LabeledDataset:
         recs = recs[:limit]
     labels = recs[:, 0].astype(np.int64)
     images = _decode_cifar_planes(recs[:, 1:])
-    return LabeledDataset(images, labels, classes=10, name="cifar10")
+    return LabeledDataset(images, labels, classes=10)
 
 
 def write_cifar10(path, dataset: LabeledDataset) -> None:
@@ -259,7 +257,7 @@ def generate_shapes(n: int, classes: int = 10, size: int = 32,
         flat += noise
         np.clip(flat, 0.0, 1.0, out=flat)
         images[start:start + k] = img
-    return LabeledDataset(images, labels, classes=classes, name="shapes")
+    return LabeledDataset(images, labels, classes=classes)
 
 
 # ---------------------------------------------------------------- partition

@@ -1,11 +1,12 @@
 """Federated rounds, robust aggregation, and saliency-drift measurement.
 
-A round selects a client subset, local-trains each from the current global,
-lets adversarial clients recolor their data against that same global first,
-and aggregates.  All randomness flows from per-purpose seed sequences of
-(seed, tag, round, client), so a run is reproducible bit-for-bit and an
-all-benign twin run shares every selection and shuffle with its attacked
-counterpart.
+A run's clients are one list of shards, indexed by client id, and one set
+of adversary ids.  A round selects a client subset, local-trains each from
+the current global, lets the selected adversaries recolor their shards
+against that same global first, and aggregates.  All randomness flows from
+per-purpose seed sequences of (seed, tag, round, client), so a run is
+reproducible bit-for-bit, and its all-benign twin, the same rounds with no
+adversaries, shares every selection and shuffle with it.
 
 ``FLConfig`` is both the knob set of a run and the ``fl`` section of the
 experiment config, so its checks are the config's checks.  The attack grid
@@ -53,21 +54,6 @@ _TAG_SELECT = 0x51
 _TAG_LOCAL = 0x7A
 _TAG_SERVER = 0x5E
 _TAG_ROLES = 0xA0
-
-
-@dataclass
-class ClientState:
-    """One simulated participant: an id, a role, and a private shard."""
-
-    cid: int
-    role: str
-    data: D.LabeledDataset
-
-    def __post_init__(self):
-        if self.role not in (BENIGN, ADVERSARIAL):
-            raise ValueError(f"role must be benign or adversarial, got {self.role!r}")
-        if len(self.data) == 0:
-            raise ValueError(f"client {self.cid} has no data")
 
 
 @dataclass(frozen=True)
@@ -259,12 +245,13 @@ def assign_roles(n_clients: int, adv_ratio: float, seed: int) -> list[str]:
     return [ADVERSARIAL if i in adv else BENIGN for i in range(n_clients)]
 
 
-def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
-              fl: FLConfig, grid: A.GridSpec, seed: int, round_index: int,
+def run_round(spec: M.ModelSpec, global_weights, shards: list[D.LabeledDataset],
+              adversaries, fl: FLConfig, grid: A.GridSpec, seed: int, round_index: int,
               server_root: D.LabeledDataset | None = None) -> list[np.ndarray]:
     """One federated round; returns the new global weights.
 
-    Adversarial clients re-poison their shard with ``grid`` against the
+    ``shards[cid]`` is client ``cid``'s dataset.  A selected client whose id
+    is in ``adversaries`` re-poisons its shard with ``grid`` against the
     incoming global every round, so the attack tracks the model as it drifts.
     The shards are poisoned first, each on the worker map; then the selected
     clients' local trainings, and FLTrust's server update last, run on one
@@ -275,14 +262,13 @@ def run_round(spec: M.ModelSpec, global_weights, clients: list[ClientState],
     """
     if fl.aggregator == FLTRUST and server_root is None:
         raise ValueError("fltrust aggregation needs a server_root dataset")
-    selected = select_clients(len(clients), fl.select_k, seed, round_index)
+    selected = select_clients(len(shards), fl.select_k, seed, round_index)
     jobs = []  # (dataset, seed) of each local training, then the server's
-    for cid in selected:
-        client = clients[cid]
-        shard = client.data
-        if client.role == ADVERSARIAL:
+    for cid in selected.tolist():
+        shard = shards[cid]
+        if cid in adversaries:
             shard, _ = A.poison_dataset(spec, global_weights, shard, grid)
-        jobs.append((shard, _child_seed(seed, _TAG_LOCAL, round_index, int(cid))))
+        jobs.append((shard, _child_seed(seed, _TAG_LOCAL, round_index, cid)))
     if fl.aggregator == FLTRUST:
         jobs.append((server_root, _child_seed(seed, _TAG_SERVER, round_index)))
     trained = P.fork_map(lambda job: M.train(spec, global_weights, job[0], fl.local_epochs,

@@ -162,20 +162,14 @@ def prepare_data(cfg: ExperimentConfig,
         counts = " + ".join(f"{name} {n}" for name, n, _ in parts)
         raise D.DataError(f"{d.path}: need {need} records ({counts}), found {len(full)}")
     edges = np.cumsum([0] + [n for _, n, _ in parts])
-    return [full.subset(np.arange(lo, hi), name=f"cifar10-{name}")
-            for (name, _, _), lo, hi in zip(parts, edges, edges[1:])]
-
-
-def _model_spec(cfg: ExperimentConfig, model_cfg) -> M.ModelSpec:
-    """The model section's spec at the dataset's image size and class count;
-    ``ExperimentConfig`` has checked that both model sections fit."""
-    return model_cfg.to_spec(cfg.dataset.size, cfg.dataset.classes)
+    return [full.subset(np.arange(lo, hi)) for lo, hi in zip(edges, edges[1:])]
 
 
 def train_model(cfg: ExperimentConfig, train_ds: D.LabeledDataset,
                 model_cfg=None, tag: int = _TAG_MODEL):
-    """Train a fresh model for this config; returns (spec, weights)."""
-    spec = _model_spec(cfg, model_cfg if model_cfg is not None else cfg.model)
+    """Train a fresh model for this config; returns (spec, weights).
+    ``ExperimentConfig`` has checked that both model sections fit the data."""
+    spec = (model_cfg or cfg.model).to_spec(cfg.dataset.size, cfg.dataset.classes)
     init = M.build(spec, seed=F._child_seed(cfg.seed, tag))
     weights = M.train(spec, init, train_ds, cfg.train.epochs, lr=cfg.train.lr,
                       batch=cfg.train.batch, seed=F._child_seed(cfg.seed, tag, 1))
@@ -242,9 +236,8 @@ class _FLSetup(NamedTuple):
     every aggregator."""
 
     spec: M.ModelSpec
-    clients: list[F.ClientState]
-    twin_clients: list[F.ClientState]
-    adv_share: float
+    shards: list[D.LabeledDataset]
+    adversaries: frozenset[int]
     root: D.LabeledDataset | None
     test: D.LabeledDataset
     probe: np.ndarray
@@ -252,17 +245,17 @@ class _FLSetup(NamedTuple):
 
 
 def _fl_setup(cfg: ExperimentConfig, aggregators) -> _FLSetup:
-    """Build the data splits, roles, clients, probe and initial global; the
-    server-root split only when one of ``aggregators`` is FLTrust, the one
-    aggregator that reads it."""
+    """Build the data splits, client shards, adversary ids, probe and initial
+    global; the server-root split only when one of ``aggregators`` is
+    FLTrust, the one aggregator that reads it."""
     train, test, *rest = prepare_data(
         cfg, cfg.fl.root_size if F.FLTRUST in aggregators else 0)
     root = rest[0] if rest else None
-    spec = _model_spec(cfg, cfg.model)
+    spec = cfg.model.to_spec(cfg.dataset.size, cfg.dataset.classes)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
-    shards = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
-    clients = [F.ClientState(i, roles[i], train.subset(idx)) for i, idx in enumerate(shards)]
-    twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
+    adversaries = frozenset(i for i, role in enumerate(roles) if role == F.ADVERSARIAL)
+    parts = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
+    shards = [train.subset(idx) for idx in parts]
     probe = test.images[:min(cfg.metrics.probe_size, len(test))]
     w_init = M.build(spec, seed=F._child_seed(cfg.seed, _TAG_MODEL))
     if cfg.fl.pretrain_epochs:
@@ -270,8 +263,7 @@ def _fl_setup(cfg: ExperimentConfig, aggregators) -> _FLSetup:
         w_init = M.train(spec, w_init, train, cfg.fl.pretrain_epochs,
                          lr=cfg.train.lr, batch=cfg.train.batch,
                          seed=F._child_seed(cfg.seed, _TAG_MODEL, 1))
-    return _FLSetup(spec, clients, twin_clients, roles.count(F.ADVERSARIAL) / len(roles),
-                    root, test, probe, w_init)
+    return _FLSetup(spec, shards, adversaries, root, test, probe, w_init)
 
 
 def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
@@ -279,9 +271,10 @@ def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
     ``setup``, the ``_fl_setup`` of ``cfg`` or of a config that differs
     from it only in ``fl.aggregator``, built for ``cfg``'s aggregator.
 
-    The twin shares the seed, partition, selection, and local-training
-    streams, differing only in that no client poisons its shard; at
-    adv_ratio = 0 the two streams are the same computation bit for bit.
+    The twin is ``run_round`` with no adversaries: it shares the seed,
+    shards, selection, and local-training streams, differing only in that
+    no client poisons its shard; at adv_ratio = 0 the two streams are the
+    same computation bit for bit.
     So a round that both streams start from the same global object and
     that selects no adversarial client is run once: the attacked global is
     the twin's new global object, which ``compute_round_metrics`` then runs
@@ -293,21 +286,21 @@ def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
     ``metrics.heatmap_dumps`` probe images on the attacked global, each for
     the twin's predicted class.
     """
-    spec, clients, twin_clients, adv_share, root, test, probe, w_init = setup
-    server_root = root if cfg.fl.aggregator == F.FLTRUST else None
+    spec, shards, adversaries, root, test, probe, w_init = setup
+    adv_share = len(adversaries) / len(shards)
     w_twin = w_main = w_init
     rounds: list[F.RoundMetrics] = []
     heatmaps = []
     for t in range(1, cfg.fl.rounds + 1):
         same_start = w_main is w_twin
-        w_twin = F.run_round(spec, w_twin, twin_clients, cfg.fl, cfg.grid,
-                             cfg.seed, t, server_root=server_root)
-        picked = F.select_clients(len(clients), cfg.fl.select_k, cfg.seed, t)
-        if same_start and all(clients[cid].role == F.BENIGN for cid in picked):
+        w_twin = F.run_round(spec, w_twin, shards, (), cfg.fl, cfg.grid,
+                             cfg.seed, t, server_root=root)
+        picked = F.select_clients(len(shards), cfg.fl.select_k, cfg.seed, t)
+        if same_start and adversaries.isdisjoint(picked):
             w_main = w_twin
         else:
-            w_main = F.run_round(spec, w_main, clients, cfg.fl, cfg.grid,
-                                 cfg.seed, t, server_root=server_root)
+            w_main = F.run_round(spec, w_main, shards, adversaries, cfg.fl, cfg.grid,
+                                 cfg.seed, t, server_root=root)
         metrics, cams = F.compute_round_metrics(spec, w_twin, w_main, probe, test,
                                                 round_index=t, adv_ratio=adv_share)
         rounds.append(metrics)

@@ -270,54 +270,75 @@ def fl_setup():
     shards = D.partition(train, 4, D.IID, seed=11)
     weights = M.build(spec, seed=11)
     weights = M.train(spec, weights, train, epochs=2, seed=11)
-    clients = [F.ClientState(i, F.BENIGN, train.subset(idx))
-               for i, idx in enumerate(shards)]
-    return spec, weights, clients, train
+    return spec, weights, [train.subset(idx) for idx in shards], train
 
 
 def test_run_round_is_deterministic(fl_setup):
-    spec, weights, clients, _ = fl_setup
+    spec, weights, shards, _ = fl_setup
     cfg = F.FLConfig(select_k=2, local_epochs=1)
-    w1 = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
-    w2 = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
+    w1 = F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 3, 1)
+    w2 = F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 3, 1)
     for a, b in zip(w1, w2):
         np.testing.assert_array_equal(a, b)
     assert any(not np.array_equal(a, b) for a, b in zip(w1, weights))
 
 
 def test_run_round_with_adversaries_diverges_from_benign_round(fl_setup):
-    spec, weights, clients, _ = fl_setup
+    spec, weights, shards, _ = fl_setup
     cfg = F.FLConfig(select_k=2, local_epochs=1)
-    attacked = [F.ClientState(c.cid, F.ADVERSARIAL, c.data) for c in clients]
-    w_benign = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
-    w_adv = F.run_round(spec, weights, attacked, cfg, SMALL_GRID, 3, 1)
+    w_benign = F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 3, 1)
+    w_adv = F.run_round(spec, weights, shards, frozenset(range(len(shards))), cfg,
+                        SMALL_GRID, 3, 1)
     assert any(not np.array_equal(a, b) for a, b in zip(w_benign, w_adv))
 
 
+@pytest.mark.parametrize("adversaries", [(), frozenset({1, 3})],
+                         ids=["none", "ids_1_3"])
+def test_run_round_poisons_exactly_the_selected_adversaries(fl_setup, monkeypatch,
+                                                            adversaries):
+    spec, weights, shards, _ = fl_setup
+    cfg = F.FLConfig(n_clients=4, select_k=3, local_epochs=0)
+    poisoned = []
+
+    def spy_poison(spec_, weights_, dataset, grid):
+        poisoned.append(next(cid for cid, s in enumerate(shards) if s is dataset))
+        return dataset, []
+
+    monkeypatch.setattr(A, "poison_dataset", spy_poison)
+    want = []
+    for t in range(1, 7):
+        F.run_round(spec, weights, shards, adversaries, cfg, SMALL_GRID, 3, t)
+        picked = F.select_clients(len(shards), cfg.select_k, 3, t).tolist()
+        want += [cid for cid in picked if cid in adversaries]
+    assert poisoned == want  # [] with no adversaries
+    if adversaries:  # some round picks both adversaries, some only one
+        assert 6 < len(want) < 12
+
+
 def test_run_round_zero_epochs_leaves_global_unchanged(fl_setup):
-    spec, weights, clients, _ = fl_setup
+    spec, weights, shards, _ = fl_setup
     cfg = F.FLConfig(select_k=3, local_epochs=0)
-    w = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
+    w = F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 3, 1)
     for a, b in zip(w, weights):
         np.testing.assert_array_equal(a, b)
 
 
 def test_run_round_single_client_returns_its_local_weights(fl_setup):
-    spec, weights, clients, _ = fl_setup
+    spec, weights, shards, _ = fl_setup
     cfg = F.FLConfig(select_k=1, local_epochs=1)
-    w = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 6, 2)
-    cid = int(F.select_clients(len(clients), 1, 6, 2)[0])
+    w = F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 6, 2)
+    cid = int(F.select_clients(len(shards), 1, 6, 2)[0])
     local_seed = F._child_seed(6, F._TAG_LOCAL, 2, cid)
-    expect = M.train(spec, weights, clients[cid].data, 1,
+    expect = M.train(spec, weights, shards[cid], 1,
                      lr=cfg.lr, batch=cfg.batch, seed=local_seed)
     for a, b in zip(w, expect):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-7)
 
 
 def test_run_round_emits_metrics_against_reference(fl_setup):
-    spec, weights, clients, train = fl_setup
+    spec, weights, shards, train = fl_setup
     cfg = F.FLConfig(select_k=2, local_epochs=1)
-    w = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
+    w = F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 3, 1)
     metrics, cams = F.compute_round_metrics(spec, weights, w, train.images[:8],
                                             train.subset(range(8)), round_index=1)
     assert cams.shape == (8, 16, 16)
@@ -328,12 +349,12 @@ def test_run_round_emits_metrics_against_reference(fl_setup):
 
 
 def test_run_round_fltrust_requires_root(fl_setup):
-    spec, weights, clients, train = fl_setup
+    spec, weights, shards, train = fl_setup
     cfg = F.FLConfig(select_k=2, aggregator=F.FLTRUST)
     with pytest.raises(ValueError, match="server_root"):
-        F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1)
+        F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 3, 1)
     root = train.subset(range(16))
-    w = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 3, 1, server_root=root)
+    w = F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 3, 1, server_root=root)
     assert any(not np.array_equal(a, b) for a, b in zip(w, weights))
 
 
@@ -360,9 +381,9 @@ def test_round_metrics_equal_the_separate_predict_and_cam_passes(fl_setup):
     # fidelity (the reference's give the twin accuracy); the numbers must
     # be exactly those of separate label and CAM passes, and the returned
     # maps exactly the current model's Grad-CAMs for the reference labels
-    spec, weights, clients, train = fl_setup
+    spec, weights, shards, train = fl_setup
     cfg = F.FLConfig(select_k=2, local_epochs=1, lr=0.2)
-    moved = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 9, 1)
+    moved = F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 9, 1)
     probe = train.images[:12]
     test = train.subset(range(20, 80))
     m, cams = F.compute_round_metrics(spec, weights, moved, probe, test,
@@ -387,9 +408,9 @@ def test_round_metrics_equal_the_separate_predict_and_cam_passes(fl_setup):
 
 
 def test_round_metrics_detect_weight_change(fl_setup):
-    spec, weights, clients, train = fl_setup
+    spec, weights, shards, train = fl_setup
     cfg = F.FLConfig(select_k=2, local_epochs=1, lr=0.2)
-    moved = F.run_round(spec, weights, clients, cfg, SMALL_GRID, 9, 1)
+    moved = F.run_round(spec, weights, shards, (), cfg, SMALL_GRID, 9, 1)
     m, _ = F.compute_round_metrics(spec, weights, moved, train.images[:12],
                                    train.subset(range(12)))
     assert m.ssim_gc_mean < 1.0
@@ -427,14 +448,6 @@ def test_fit_drift_slope_rejects_degenerate_series():
     with pytest.raises(ValueError, match="no attacked rounds"):
         F.fit_drift_slope([(t, 0.0, 0.0) for t in range(1, 5)])
     assert F.drift_r_squared([(1, 0.0, 0.0)], 0.0) == 1.0
-
-
-def test_client_state_validation():
-    ds = D.generate_shapes(4, classes=2, size=16, seed=0)
-    with pytest.raises(ValueError, match="role"):
-        F.ClientState(0, "evil", ds)
-    with pytest.raises(ValueError, match="no data"):
-        F.ClientState(0, F.BENIGN, ds.subset(np.array([], dtype=int)))
 
 
 def test_flconfig_validation():

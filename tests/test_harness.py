@@ -486,22 +486,22 @@ def _unshared_streams(cfg):
     """Both streams of ``run_fl_streams`` rebuilt from ``run_round`` and
     ``compute_round_metrics`` alone, each call on its own weight copies."""
     train, test, root = H.prepare_data(cfg, cfg.fl.root_size)
-    spec = H._model_spec(cfg, cfg.model)
+    spec = cfg.model.to_spec(cfg.dataset.size, cfg.dataset.classes)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
-    adv_share = roles.count(F.ADVERSARIAL) / len(roles)
-    shards = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
-    clients = [F.ClientState(i, roles[i], train.subset(idx)) for i, idx in enumerate(shards)]
-    twin_clients = [F.ClientState(c.cid, F.BENIGN, c.data) for c in clients]
+    adversaries = {i for i, role in enumerate(roles) if role == F.ADVERSARIAL}
+    adv_share = len(adversaries) / len(roles)
+    shards = [train.subset(idx) for idx in
+              D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)]
     server_root = root if cfg.fl.aggregator == F.FLTRUST else None
     probe = test.images[:cfg.metrics.probe_size]
     w_init = M.build(spec, seed=F._child_seed(cfg.seed, H._TAG_MODEL))
     w_twin, w_main = [w.copy() for w in w_init], [w.copy() for w in w_init]
     rounds, heatmaps = [], []
     for t in range(1, cfg.fl.rounds + 1):
-        w_twin = F.run_round(spec, w_twin, twin_clients, cfg.fl, cfg.grid,
+        w_twin = F.run_round(spec, w_twin, shards, (), cfg.fl, cfg.grid,
                              cfg.seed, t, server_root=server_root)
-        w_main = F.run_round(spec, [w.copy() for w in w_main], clients, cfg.fl,
-                             cfg.grid, cfg.seed, t, server_root=server_root)
+        w_main = F.run_round(spec, [w.copy() for w in w_main], shards, adversaries,
+                             cfg.fl, cfg.grid, cfg.seed, t, server_root=server_root)
         m, cams = F.compute_round_metrics(spec, w_twin, [w.copy() for w in w_main],
                                           probe, test, round_index=t, adv_ratio=adv_share)
         rounds.append(m)
@@ -537,7 +537,7 @@ def test_run_fl_streams_runs_a_shared_round_once(tmp_path, monkeypatch, case, pe
     rounds_run, cams_after = [], []
 
     def spy_round(*args, **kwargs):
-        rounds_run.append(args[6])
+        rounds_run.append(args[7])
         return real_round(*args, **kwargs)
 
     def spy_cams(*args, **kwargs):
@@ -608,6 +608,36 @@ def test_perfbench_tracer_wraps_the_commands(tmp_path, monkeypatch):
     metrics = tracing.layer_metrics(tracing.merge([summary]), 0.0)
     assert {m.name for m in bench.PER_LAYER} <= set(metrics)
     assert not hasattr(H.prepare_data, "__wrapped__")  # uninstalled
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """``_load_perfbench``, leaving ``sys.path`` and the modules under
+    ``perfbench/`` in ``sys.modules`` as it found them."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    yield lambda name: _load_perfbench(name, monkeypatch)
+    here = os.path.realpath(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    for name, mod in list(sys.modules.items()):
+        path = getattr(mod, "__file__", None)
+        if name not in before and path and os.path.dirname(os.path.realpath(path)) == here:
+            del sys.modules[name]
+
+
+def test_perfbench_reads_the_package_and_checks_its_reports(perfbench, baseline_report,
+                                                            tmp_path):
+    # run.py picks each workload's config seeds through the config parser,
+    # the role draw and the selection; child.py checks the command reports.
+    # A break in either shows otherwise only when a benchmark run fails.
+    run, child = perfbench("run"), perfbench("child")
+    got = {w: run.workload_inputs(w, 0, 30) for w in ("baseline", "fl_benign", "fl_attacked")}
+    assert (got["baseline"]["config_seeds"], got["baseline"]["images"]) == ([0, 1, 2], 16)
+    assert (got["fl_benign"]["config_seeds"], got["fl_benign"]["rounds"]) == ([0], 15)
+    assert (got["fl_attacked"]["config_seeds"], got["fl_attacked"]["images"]) == ([3], 80)
+    assert child.check_baseline(H, baseline_report[1]) == (0, [])
+    cfg = tiny_cfg(tmp_path, fl={"n_clients": 4, "select_k": 3, "rounds": 2,
+                                 "adv_ratio": 0.0})
+    assert child.check_fl(H, H.cmd_fl(cfg), benign=True, rounds=cfg.fl.rounds) == (0, [])
 
 
 # ---------------------------------------------------------------- ablation
