@@ -180,7 +180,8 @@ def poison_dataset(spec: M.ModelSpec, weights, dataset: D.LabeledDataset,
 
 
 def summarize_outcomes(outcomes: list[AttackOutcome]) -> dict:
-    """Aggregate stats the reports care about."""
+    """Aggregate stats the reports care about, under the names and in the
+    column order of ``baseline``'s ``summary.csv``."""
     ssims = np.array([o.ssim for o in outcomes], dtype=np.float64)
     de = np.array([o.delta_e for o in outcomes], dtype=np.float64)
     fallbacks = np.array([o.fallback for o in outcomes])
@@ -189,22 +190,10 @@ def summarize_outcomes(outcomes: list[AttackOutcome]) -> dict:
         "ssim_mean": float(ssims.mean()),
         "ssim_std": float(ssims.std()),
         "frac_below_0.7": float((ssims < 0.7).mean()),
+        "success_pct": float(100.0 * (~fallbacks).mean()),
         "delta_e_mean": float(de.mean()),
         "fallback_rate": float(fallbacks.mean()),
-        "attack_success_pct": float(100.0 * (~fallbacks).mean()),
     }
-
-
-@dataclass(frozen=True)
-class SkewSample:
-    """Parameters one random-skew draw actually applied."""
-
-    use_hue: bool
-    use_saturation: bool
-    use_channels: bool
-    delta: float
-    saturation: float
-    alpha: tuple[float, float, float]
 
 
 # random skew draws: hue shift in turns, saturation and channel factors
@@ -213,7 +202,7 @@ SKEW_SAT = (0.5, 1.5)
 SKEW_CHAN = (0.8, 1.2)
 
 
-def random_skew(x, seed: int, scale: float = 1.0) -> tuple[np.ndarray, SkewSample]:
+def random_skew(x, seed: int, scale: float = 1.0) -> np.ndarray:
     """Model-blind recolor: a random non-empty subset of hue shift,
     saturation scale, and per-channel rescale, applied in that order.
     Each operator returns a new array, so the result never aliases ``x``.
@@ -224,25 +213,14 @@ def random_skew(x, seed: int, scale: float = 1.0) -> tuple[np.ndarray, SkewSampl
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
-    arr = np.asarray(x)
+    out = np.asarray(x)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CE11)))
     mask = int(rng.integers(1, 8))  # non-empty subset of three bits
-    use_hue = bool(mask & 1)
-    use_sat = bool(mask & 2)
-    use_chan = bool(mask & 4)
-
-    delta = 0.0
-    sat = 1.0
-    alpha = (1.0, 1.0, 1.0)
-    out = arr
-    if use_hue:
-        delta = float(rng.uniform(-SKEW_HUE, SKEW_HUE)) * scale
-        out = C.hue_shift(out, delta)
-    if use_sat:
-        sat = 1.0 + (float(rng.uniform(*SKEW_SAT)) - 1.0) * scale
-        out = C.saturation_scale(out, sat)
-    if use_chan:
+    if mask & 1:
+        out = C.hue_shift(out, float(rng.uniform(-SKEW_HUE, SKEW_HUE)) * scale)
+    if mask & 2:
+        out = C.saturation_scale(out, 1.0 + (float(rng.uniform(*SKEW_SAT)) - 1.0) * scale)
+    if mask & 4:
         draws = rng.uniform(*SKEW_CHAN, size=3)
-        alpha = tuple(1.0 + (float(a) - 1.0) * scale for a in draws)
-        out = C.channel_rescale(out, alpha)
-    return out, SkewSample(use_hue, use_sat, use_chan, delta, sat, alpha)
+        out = C.channel_rescale(out, tuple(1.0 + (float(a) - 1.0) * scale for a in draws))
+    return out

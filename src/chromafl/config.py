@@ -10,7 +10,9 @@ definition and one set of checks.  Every section is built by ``_build``,
 which rejects values of the wrong JSON type (a field's default names the
 type) and non-finite numbers, stores numbers given for float fields as
 floats, and turns a section's ``ValueError`` into
-``ConfigError("<section>: …")``.  ``ExperimentConfig`` then builds the
+``ConfigError("<section>: …")``.  ``ExperimentConfig`` owns the top-level
+rules: it checks ``seed`` and ``out`` however a config is made (parsed,
+overridden from the CLI, or ``dataclasses.replace``d), then builds the
 ``model`` and ``transfer_model`` specs at the dataset's image size and class
 count, so a model section that does not fit fails the same way, whichever
 command runs.
@@ -129,6 +131,10 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+        if not isinstance(self.out, str) or not self.out:
+            raise ConfigError("out must be a non-empty path string")
         for name in ("model", "transfer_model"):
             try:
                 getattr(self, name).to_spec(self.dataset.size, self.dataset.classes)
@@ -208,19 +214,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     unknown = sorted(set(doc) - set(_SECTIONS) - {"seed", "out"})
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        if name in doc:
-            kwargs[name] = _build(cls, doc[name], name)
-    if "seed" in doc:
-        seed = doc["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        kwargs["seed"] = seed
-    if "out" in doc:
-        if not isinstance(doc["out"], str) or not doc["out"]:
-            raise ConfigError("out must be a non-empty path string")
-        kwargs["out"] = doc["out"]
+    kwargs = {name: _build(cls, doc[name], name)
+              for name, cls in _SECTIONS.items() if name in doc}
+    kwargs |= {key: doc[key] for key in ("seed", "out") if key in doc}
     return ExperimentConfig(**kwargs)
 
 
@@ -244,12 +240,8 @@ def override(cfg: ExperimentConfig, seed: int | None = None,
              out: str | None = None, limit: int | None = None) -> ExperimentConfig:
     """Apply CLI-level overrides on top of a loaded config."""
     if seed is not None:
-        if seed < 0:
-            raise ConfigError("--seed must be >= 0")
         cfg = dataclasses.replace(cfg, seed=seed)
     if out is not None:
-        if not out:
-            raise ConfigError("out must be a non-empty path string")
         cfg = dataclasses.replace(cfg, out=out)
     if limit is not None:
         if limit < 1:

@@ -165,14 +165,16 @@ def prepare_data(cfg: ExperimentConfig,
     return [full.subset(np.arange(lo, hi)) for lo, hi in zip(edges, edges[1:])]
 
 
-def train_model(cfg: ExperimentConfig, train_ds: D.LabeledDataset,
+def train_model(cfg: ExperimentConfig, train_ds: D.LabeledDataset, epochs: int,
                 model_cfg=None, tag: int = _TAG_MODEL):
-    """Train a fresh model for this config; returns (spec, weights).
+    """Build a fresh model for this config and train it for ``epochs`` (none
+    at 0: the built weights come back as they are); returns (spec, weights).
     ``ExperimentConfig`` has checked that both model sections fit the data."""
     spec = (model_cfg or cfg.model).to_spec(cfg.dataset.size, cfg.dataset.classes)
-    init = M.build(spec, seed=F._child_seed(cfg.seed, tag))
-    weights = M.train(spec, init, train_ds, cfg.train.epochs, lr=cfg.train.lr,
-                      batch=cfg.train.batch, seed=F._child_seed(cfg.seed, tag, 1))
+    weights = M.build(spec, seed=F._child_seed(cfg.seed, tag))
+    if epochs:
+        weights = M.train(spec, weights, train_ds, epochs, lr=cfg.train.lr,
+                          batch=cfg.train.batch, seed=F._child_seed(cfg.seed, tag, 1))
     return spec, weights
 
 
@@ -192,14 +194,14 @@ def _pair(stem: str, image: np.ndarray, cam: np.ndarray) -> dict:
 def cmd_baseline(cfg: ExperimentConfig) -> dict:
     """Single-model attack: perturb test samples, report SSIM degradation."""
     train, test = prepare_data(cfg)
-    spec, weights = train_model(cfg, train)
+    spec, weights = train_model(cfg, train, cfg.train.epochs)
     subset = _attack_set(test, cfg.attack.n_samples)
     perturbed, outcomes = A.attack_images(spec, weights, subset.images, cfg.grid)
     # one pass per stack gives its labels and the maps the dumps need
     labels = [o.label for o in outcomes]
     base_preds, cams_orig, _ = S.predict_grad_cams(spec, weights, subset.images, labels)
     pert_preds, cams_pert, _ = S.predict_grad_cams(spec, weights, perturbed, labels)
-    attack_acc = 100.0 * float((base_preds == pert_preds).mean())
+    attack_acc = 100.0 * M.hit_rate(pert_preds, base_preds)
 
     sample_rows = []
     for i, o in enumerate(outcomes):
@@ -207,12 +209,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
                             o.fallback, o.n_feasible) + o.theta.as_row())
 
     stats = A.summarize_outcomes(outcomes)
-    summary = {"n": stats["n"], "attack_acc_pct": attack_acc,
-               "ssim_mean": stats["ssim_mean"], "ssim_std": stats["ssim_std"],
-               "frac_below_0.7": stats["frac_below_0.7"],
-               "success_pct": stats["attack_success_pct"],
-               "delta_e_mean": stats["delta_e_mean"],
-               "fallback_rate": stats["fallback_rate"]}
+    summary = {"n": stats["n"], "attack_acc_pct": attack_acc, **stats}
     files = {"samples.csv": (("sample", "label", "pred", "ssim", "delta_e", "fallback",
                               "n_feasible", "hue_delta", "alpha_r", "alpha_g",
                               "alpha_b", "gamma", "beta"), sample_rows),
@@ -251,18 +248,13 @@ def _fl_setup(cfg: ExperimentConfig, aggregators) -> _FLSetup:
     train, test, *rest = prepare_data(
         cfg, cfg.fl.root_size if F.FLTRUST in aggregators else 0)
     root = rest[0] if rest else None
-    spec = cfg.model.to_spec(cfg.dataset.size, cfg.dataset.classes)
+    # warm-started after pretrain_epochs, shared bit for bit by both streams
+    spec, w_init = train_model(cfg, train, cfg.fl.pretrain_epochs)
     roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
     adversaries = frozenset(i for i, role in enumerate(roles) if role == F.ADVERSARIAL)
     parts = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
     shards = [train.subset(idx) for idx in parts]
     probe = test.images[:min(cfg.metrics.probe_size, len(test))]
-    w_init = M.build(spec, seed=F._child_seed(cfg.seed, _TAG_MODEL))
-    if cfg.fl.pretrain_epochs:
-        # warm-started global, shared bit-for-bit by both streams
-        w_init = M.train(spec, w_init, train, cfg.fl.pretrain_epochs,
-                         lr=cfg.train.lr, batch=cfg.train.batch,
-                         seed=F._child_seed(cfg.seed, _TAG_MODEL, 1))
     return _FLSetup(spec, shards, adversaries, root, test, probe, w_init)
 
 
@@ -362,15 +354,14 @@ def cmd_ablation(cfg: ExperimentConfig) -> dict:
     each single-operator grid is ``cfg.grid`` with the other operators at
     identity (``GridSpec.single_operator``)."""
     train, test = prepare_data(cfg)
-    spec, weights = train_model(cfg, train)
+    spec, weights = train_model(cfg, train, cfg.train.epochs)
     subset = _attack_set(test, cfg.attack.n_samples)
 
     rows = []
     by_operator = {}
     for name, grid in [*cfg.grid.single_operator().items(), ("combined", cfg.grid)]:
         stats = A.summarize_outcomes(A.attack_images(spec, weights, subset.images, grid)[1])
-        rows.append((name, stats["n"], stats["ssim_mean"],
-                     stats["attack_success_pct"]))
+        rows.append((name, stats["n"], stats["ssim_mean"], stats["success_pct"]))
         by_operator[name] = stats
     files = {"ablation.csv": (("operator", "n", "ssim_mean", "success_pct"), rows)}
     return {**publish(cfg, "ablation", files), "rows": rows, "by_operator": by_operator}
@@ -381,19 +372,20 @@ def cmd_ablation(cfg: ExperimentConfig) -> dict:
 
 def _render_skew(images, seed: int, scale: float) -> tuple[np.ndarray, float]:
     """Every image's random skew at ``scale``, and their mean ΔE00."""
-    skewed = np.stack([A.random_skew(x, seed=F._child_seed(seed, _TAG_SKEW, i),
-                                     scale=scale)[0]
+    skewed = np.stack([A.random_skew(x, seed=F._child_seed(seed, _TAG_SKEW, i), scale=scale)
                        for i, x in enumerate(images)])
     delta_e = np.array([C.mean_delta_e(x, s) for x, s in zip(images, skewed)])
     return skewed, float(delta_e.mean())
 
 
-def _score_skew(spec, weights, skewed, base_preds, cams_base) -> dict:
-    """Label flips, CAM SSIM and preserved share of a rendered skew stack."""
-    preds, cams_skew, _ = S.predict_grad_cams(spec, weights, skewed, base_preds)
+def _score_stack(spec, weights, recolored, base_preds, cams_base) -> dict:
+    """Label flips, preserved share and mean CAM SSIM of a recolored stack
+    against its originals' labels ``base_preds`` and maps ``cams_base`` on
+    the same model; each recolored map is taken for the original's label."""
+    preds, cams, _ = S.predict_grad_cams(spec, weights, recolored, base_preds)
     return {"flips": int((preds != base_preds).sum()),
-            "ssim_mean": float(S.ssim(cams_base, cams_skew).mean()),
-            "preserved_pct": 100.0 * float((preds == base_preds).mean())}
+            "ssim_mean": float(S.ssim(cams_base, cams).mean()),
+            "preserved_pct": 100.0 * M.hit_rate(preds, base_preds)}
 
 
 def cmd_compare(cfg: ExperimentConfig) -> dict:
@@ -406,7 +398,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     the full arm when no bisection was needed.
     """
     train, test = prepare_data(cfg)
-    spec, weights = train_model(cfg, train)
+    spec, weights = train_model(cfg, train, cfg.train.epochs)
     subset = _attack_set(test, cfg.attack.compare_samples)
     images = subset.images
     perturbed, outcomes = A.attack_images(spec, weights, images, cfg.grid)
@@ -415,12 +407,12 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     stats = A.summarize_outcomes(outcomes)
     cpm = {"scale": float("nan"),
            "flips": int((pert_preds != base_preds).sum()),
-           "preserved_pct": 100.0 * float((pert_preds == base_preds).mean()),
+           "preserved_pct": 100.0 * M.hit_rate(pert_preds, base_preds),
            "ssim_mean": stats["ssim_mean"], "delta_e_mean": stats["delta_e_mean"]}
 
     skewed, delta_e = _render_skew(images, cfg.seed, 1.0)
     full = {"scale": 1.0, "delta_e_mean": delta_e,
-            **_score_skew(spec, weights, skewed, base_preds, cams_base)}
+            **_score_stack(spec, weights, skewed, base_preds, cams_base)}
     matched = full
 
     # bisect the skew strength until its mean recoloring magnitude matches
@@ -438,7 +430,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
             else:
                 lo = scale
         matched = {"scale": scale, "delta_e_mean": delta_e,
-                   **_score_skew(spec, weights, skewed, base_preds, cams_base)}
+                   **_score_stack(spec, weights, skewed, base_preds, cams_base)}
 
     header = ("arm", "scale", "n", "flips", "preserved_pct", "ssim_mean",
               "delta_e_mean")
@@ -455,22 +447,20 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 def cmd_transfer(cfg: ExperimentConfig) -> dict:
     """Craft attacks on one architecture, replay them on another."""
     train, test = prepare_data(cfg)
-    spec_a, w_a = train_model(cfg, train, cfg.model, tag=_TAG_MODEL)
-    spec_b, w_b = train_model(cfg, train, cfg.transfer_model, tag=_TAG_MODEL_B)
+    spec_a, w_a = train_model(cfg, train, cfg.train.epochs)
+    spec_b, w_b = train_model(cfg, train, cfg.train.epochs, cfg.transfer_model,
+                              tag=_TAG_MODEL_B)
     subset = _attack_set(test, cfg.attack.n_samples)
     images = subset.images
     perturbed, outcomes = A.attack_images(spec_a, w_a, images, cfg.grid)
     preds_a = M.predict_labels(spec_a, w_a, images)
     pert_a = M.predict_labels(spec_a, w_a, perturbed)
-    same_row = ("same_arch", spec_a.arch,
-                100.0 * float((pert_a == preds_a).mean()),
+    same_row = ("same_arch", spec_a.arch, 100.0 * M.hit_rate(pert_a, preds_a),
                 A.summarize_outcomes(outcomes)["ssim_mean"])
 
     preds_b, cams_b, _ = S.predict_grad_cams(spec_b, w_b, images)
-    pert_b, cams_b_pert, _ = S.predict_grad_cams(spec_b, w_b, perturbed, preds_b)
-    cross_row = ("cross_arch", spec_b.arch,
-                 100.0 * float((pert_b == preds_b).mean()),
-                 float(S.ssim(cams_b, cams_b_pert).mean()))
+    cross = _score_stack(spec_b, w_b, perturbed, preds_b, cams_b)
+    cross_row = ("cross_arch", spec_b.arch, cross["preserved_pct"], cross["ssim_mean"])
 
     rows = [same_row, cross_row]
     files = {"transfer.csv": (("setting", "arch", "preserved_pct", "ssim_mean"), rows)}
@@ -529,7 +519,7 @@ def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
     if not 0 <= sample_id < len(test):
         raise ConfigError(f"sample id {sample_id} outside test set "
                           f"(0..{len(test) - 1})")
-    spec, weights = train_model(cfg, train)
+    spec, weights = train_model(cfg, train, cfg.train.epochs)
     x = test.images[sample_id]
     pert, outcome = A.cpm_perturb(spec, weights, x, cfg.grid)
     _, cams, _ = S.predict_grad_cams(spec, weights, np.stack([x, pert]), outcome.label)

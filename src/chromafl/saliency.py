@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import color as C
 from . import models as M
 from . import tensor as T
 
@@ -274,7 +275,6 @@ def save_pgm(path, m) -> None:
     if arr.ndim != 2:
         raise ValueError(f"PGM export expects (H, W), got shape {arr.shape}")
     h, w = arr.shape
-    data = np.floor(np.clip(arr, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+        f.write(C.quantize_u8(arr).tobytes())

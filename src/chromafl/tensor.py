@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,17 +110,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-class _Node:
+class _Node(NamedTuple):
     """One primitive application: the serials of its output and inputs, and
     the backward that maps the output's adjoint to the inputs' adjoints."""
 
-    __slots__ = ("out", "inputs", "backward")
-
-    def __init__(self, out: int, inputs: tuple[int, ...],
-                 backward: Callable[[np.ndarray], tuple]):
-        self.out = out
-        self.inputs = inputs
-        self.backward = backward
+    out: int
+    inputs: tuple[int, ...]
+    backward: Callable[[np.ndarray], tuple]
 
 
 def _block_edges(n: int, most: int) -> list[int]:

@@ -309,51 +309,80 @@ def test_summarize_outcomes_shape(trained):
     spec, ws, data = trained
     _, outcomes = A.poison_dataset(spec, ws, data.subset(np.arange(8)), SMALL_GRID)
     stats = A.summarize_outcomes(outcomes)
+    # the names and order of baseline's summary.csv columns after attack_acc_pct
+    assert list(stats) == ["n", "ssim_mean", "ssim_std", "frac_below_0.7", "success_pct",
+                           "delta_e_mean", "fallback_rate"]
     assert stats["n"] == 8
     assert 0.0 <= stats["ssim_mean"] <= 1.0
     assert 0.0 <= stats["fallback_rate"] <= 1.0
-    assert stats["attack_success_pct"] == pytest.approx(
-        100.0 * (1.0 - stats["fallback_rate"]))
+    assert stats["success_pct"] == pytest.approx(100.0 * (1.0 - stats["fallback_rate"]))
 
 
 # ---------------------------------------------------------------- skew
 
-def test_random_skew_is_deterministic_per_seed():
+SKEW_OPERATORS = ("hue_shift", "saturation_scale", "channel_rescale")
+
+
+@pytest.fixture
+def skew_calls(monkeypatch):
+    """The color operators ``random_skew`` applies, as (name, argument), in
+    call order."""
+    calls = []
+    for name in SKEW_OPERATORS:
+        real = getattr(C, name)
+        monkeypatch.setattr(C, name, lambda x, arg, name=name, real=real:
+                            calls.append((name, arg)) or real(x, arg))
+    return calls
+
+
+def _skew(x, seed, calls, scale=1.0):
+    """``random_skew``'s image and the operator calls it made."""
+    calls.clear()
+    out = A.random_skew(x, seed=seed, scale=scale)
+    return out, list(calls)
+
+
+def test_random_skew_is_deterministic_per_seed(skew_calls):
     rng = np.random.default_rng(60)
     x = rng.uniform(0, 1, size=(16, 16, 3)).astype(np.float32)
-    a1, p1 = A.random_skew(x, seed=5)
-    a2, p2 = A.random_skew(x, seed=5)
-    b, pb = A.random_skew(x, seed=6)
+    a1, p1 = _skew(x, 5, skew_calls)
+    a2, p2 = _skew(x, 5, skew_calls)
+    b, pb = _skew(x, 6, skew_calls)
     assert np.array_equal(a1, a2)
     assert p1 == p2
     assert not np.array_equal(a1, b) or p1 != pb
 
 
-def test_random_skew_applies_at_least_one_operator():
+def test_random_skew_applies_at_least_one_operator(skew_calls):
     rng = np.random.default_rng(61)
     x = rng.uniform(0.2, 0.8, size=(16, 16, 3)).astype(np.float32)
     for seed in range(30):
-        out, params = A.random_skew(x, seed=seed)
-        assert params.use_hue or params.use_saturation or params.use_channels
+        out, calls = _skew(x, seed, skew_calls)
+        names = [name for name, _ in calls]
+        # a non-empty subset of the operators, each once, in hue, saturation,
+        # channel order
+        assert names and names == [n for n in SKEW_OPERATORS if n in names]
         assert out.shape == x.shape
         assert not np.shares_memory(out, x)
 
 
-def test_random_skew_parameters_respect_ranges():
+def test_random_skew_parameters_respect_ranges(skew_calls):
     x = np.random.default_rng(62).uniform(0, 1, size=(8, 8, 3)).astype(np.float32)
     for seed in range(40):
-        _, p = A.random_skew(x, seed=seed)
-        assert abs(p.delta) <= 1.0 / 12.0 + 1e-12
-        assert 0.5 <= p.saturation <= 1.5 or not p.use_saturation
-        for a in p.alpha:
-            assert 0.8 <= a <= 1.2 or not p.use_channels
+        for name, arg in _skew(x, seed, skew_calls)[1]:
+            if name == "hue_shift":
+                assert abs(arg) <= 1.0 / 12.0 + 1e-12
+            elif name == "saturation_scale":
+                assert 0.5 <= arg <= 1.5
+            else:
+                assert len(arg) == 3 and all(0.8 <= a <= 1.2 for a in arg)
 
 
 def test_random_skew_scale_shrinks_perceptual_distance():
     x = np.random.default_rng(63).uniform(0.1, 0.9, size=(16, 16, 3)).astype(np.float32)
-    full = np.mean([C.mean_delta_e(x, A.random_skew(x, seed=s, scale=1.0)[0])
+    full = np.mean([C.mean_delta_e(x, A.random_skew(x, seed=s, scale=1.0))
                     for s in range(20)])
-    small = np.mean([C.mean_delta_e(x, A.random_skew(x, seed=s, scale=0.2)[0])
+    small = np.mean([C.mean_delta_e(x, A.random_skew(x, seed=s, scale=0.2))
                      for s in range(20)])
     assert small < full
 

@@ -218,6 +218,29 @@ def test_override_applies_seed_out_and_limit(tmp_path):
         override(cfg, limit=0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "seed must be a non-negative integer"),
+    ("seed", True, "seed must be a non-negative integer"),
+    ("seed", 1.0, "seed must be a non-negative integer"),
+    ("out", "", "out must be a non-empty path string"),
+    ("out", None, "out must be a non-empty path string"),
+])
+def test_every_config_checks_seed_and_out(tmp_path, capsys, field, value, message):
+    # the rule lives in ExperimentConfig, so a parsed, an overridden and a
+    # replaced config all keep it
+    cfg = tiny_cfg(tmp_path / "out")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        dataclasses.replace(cfg, **{field: value})
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config({**tiny_doc(tmp_path / "out"), field: value})
+    if field == "seed" and value == -1:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_doc(tmp_path / "out")))
+        assert cli.main(["baseline", "--config", str(path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+
 # ---------------------------------------------------------------- CSV files
 
 
@@ -363,6 +386,29 @@ def test_fl_without_fltrust_builds_no_root_split(tmp_path, monkeypatch):
     assert sizes == [0, cfg.fl.root_size]
 
 
+def test_train_model_trains_only_for_positive_epochs(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path)
+    train, _ = H.prepare_data(cfg)
+    spec = cfg.model.to_spec(cfg.dataset.size, cfg.dataset.classes)
+    built = M.build(spec, seed=F._child_seed(cfg.seed, H._TAG_MODEL))
+    # the fl warm start, pretrain_epochs 1, is one epoch at the train section's
+    # lr and batch on the model stream's second seed
+    warm = M.train(spec, built, train, 1, lr=cfg.train.lr, batch=cfg.train.batch,
+                   seed=F._child_seed(cfg.seed, H._TAG_MODEL, 1))
+    pretrained = H._fl_setup(dataclasses.replace(
+        cfg, fl=dataclasses.replace(cfg.fl, pretrain_epochs=1)), [cfg.fl.aggregator])
+    assert [w.tobytes() for w in pretrained.w_init] == [w.tobytes() for w in warm]
+
+    trained = []
+    monkeypatch.setattr(M, "train", lambda *a, **k: trained.append(a))
+    got_spec, got = H.train_model(cfg, train, 0)
+    assert got_spec == spec
+    assert [w.tobytes() for w in got] == [w.tobytes() for w in built]
+    assert [w.tobytes() for w in H._fl_setup(cfg, [cfg.fl.aggregator]).w_init] == \
+        [w.tobytes() for w in built]
+    assert trained == []
+
+
 # ---------------------------------------------------------------- baseline
 
 
@@ -384,6 +430,15 @@ def test_baseline_report_files_and_preservation(baseline_report):
     # the worst-sample heatmap dump exists as PPM/PGM pairs
     assert os.path.exists(os.path.join(rep["out_dir"], "worst_00_orig.ppm"))
     assert os.path.exists(os.path.join(rep["out_dir"], "worst_00_pert_cam.pgm"))
+
+
+def test_baseline_summary_columns_are_the_outcome_summary(baseline_report):
+    _, rep = baseline_report
+    header, (row,) = H.read_csv(rep["summary_csv"])
+    stats = A.summarize_outcomes(rep["outcomes"])
+    assert header == ["n", "attack_acc_pct", *list(stats)[1:]]
+    assert list(rep["summary"]) == header
+    assert row[2:] == [H._fmt(v) for v in list(stats.values())[1:]]
 
 
 def test_baseline_summary_matches_per_sample_rows(baseline_report):
@@ -654,7 +709,7 @@ def test_ablation_combined_dominates_singles(tmp_path):
     assert set(stats) == {"hue", "rescale", "jitter", "combined"}
     for name in ("hue", "rescale", "jitter"):
         assert stats["combined"]["ssim_mean"] <= stats[name]["ssim_mean"] + 1e-12
-        assert stats["combined"]["attack_success_pct"] >= stats[name]["attack_success_pct"]
+        assert stats["combined"]["success_pct"] >= stats[name]["success_pct"]
     header, rows = H.read_csv(rep["ablation_csv"])
     assert [r[0] for r in rows] == ["hue", "rescale", "jitter", "combined"]
 
@@ -720,10 +775,10 @@ def test_compare_matched_arm_equals_an_inline_skew_oracle(tmp_path, monkeypatch)
     assert len(set(probes)) == len(probes) > 1 and probes[0] == 1.0 and probes[-1] == scale
 
     train, test = H.prepare_data(cfg)
-    spec, weights = H.train_model(cfg, train)
+    spec, weights = H.train_model(cfg, train, cfg.train.epochs)
     images = test.images[:n]
     base = M.predict_labels(spec, weights, images)
-    skewed = np.stack([A.random_skew(x, F._child_seed(cfg.seed, H._TAG_SKEW, i), scale)[0]
+    skewed = np.stack([A.random_skew(x, F._child_seed(cfg.seed, H._TAG_SKEW, i), scale)
                        for i, x in enumerate(images)])
     delta_e = float(np.array([C.mean_delta_e(x, y) for x, y in zip(images, skewed)]).mean())
     preds = M.predict_labels(spec, weights, skewed)
