@@ -8,7 +8,10 @@ zero, so the search can never make a sample infeasible: when nothing else
 survives the prediction check, the image passes through untouched with the
 fallback flag raised.  This module owns only the search: the grid, the
 feasibility rule and the argmin.  The labels, gradients and Grad-CAM maps
-come from :mod:`saliency` (``label_grads``, ``grad_cam_maps``).
+come from :mod:`saliency` (``label_grads``, ``grad_cam_maps``).  Every
+command attacks its test images through ``attack_images``, and a federated
+adversary poisons its shard through ``poison_dataset``; both run
+``cpm_perturb`` once per image.
 
 The random skew baseline draws a hue/saturation/per-channel recolor at
 comparable perceptual strength but with no model in the loop.
@@ -156,25 +159,20 @@ def attack_images(spec: M.ModelSpec, weights, images, grid: GridSpec
                   ) -> tuple[np.ndarray, list[AttackOutcome]]:
     """Run the grid attack on each image of an (N, H, W, 3) stack; returns the
     perturbed stack and one outcome per image."""
-    return _stacked(images, (cpm_perturb(spec, weights, x, grid) for x in images))
+    return _stacked([cpm_perturb(spec, weights, x, grid) for x in images])
 
 
-def _stacked(images, results) -> tuple[np.ndarray, list[AttackOutcome]]:
-    """The perturbed stack, in ``images``' dtype, and the outcomes of an
-    iterable of per-image ``cpm_perturb`` results."""
-    perturbed = np.empty_like(images)
-    outcomes: list[AttackOutcome] = []
-    for i, (x, outcome) in enumerate(results):
-        perturbed[i] = x
-        outcomes.append(outcome)
-    return perturbed, outcomes
+def _stacked(results) -> tuple[np.ndarray, list[AttackOutcome]]:
+    """The perturbed stack and the outcomes of a list of per-image
+    ``cpm_perturb`` results."""
+    return np.stack([x for x, _ in results]), [o for _, o in results]
 
 
 def poison_dataset(spec: M.ModelSpec, weights, dataset: D.LabeledDataset,
                    grid: GridSpec) -> tuple[D.LabeledDataset, list[AttackOutcome]]:
     """Run the grid attack over every image, in image blocks on the worker
     map (:func:`parallel.fork_map`); labels pass through untouched."""
-    images, outcomes = _stacked(dataset.images, P.fork_map(
+    images, outcomes = _stacked(P.fork_map(
         lambda x: cpm_perturb(spec, weights, x, grid), dataset.images))
     return D.LabeledDataset(images, dataset.labels.copy(), dataset.classes), outcomes
 

@@ -178,10 +178,6 @@ def train_model(cfg: ExperimentConfig, train_ds: D.LabeledDataset, epochs: int,
     return spec, weights
 
 
-def _attack_set(test: D.LabeledDataset, n: int) -> D.LabeledDataset:
-    return test.subset(np.arange(min(n, len(test))))
-
-
 def _pair(stem: str, image: np.ndarray, cam: np.ndarray) -> dict:
     """An image and its heatmap, as :func:`publish` files."""
     return {f"{stem}.ppm": lambda path: C.write_ppm(path, image),
@@ -195,17 +191,17 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
     """Single-model attack: perturb test samples, report SSIM degradation."""
     train, test = prepare_data(cfg)
     spec, weights = train_model(cfg, train, cfg.train.epochs)
-    subset = _attack_set(test, cfg.attack.n_samples)
-    perturbed, outcomes = A.attack_images(spec, weights, subset.images, cfg.grid)
+    images, truth = test.images[:cfg.attack.n_samples], test.labels[:cfg.attack.n_samples]
+    perturbed, outcomes = A.attack_images(spec, weights, images, cfg.grid)
     # one pass per stack gives its labels and the maps the dumps need
     labels = [o.label for o in outcomes]
-    base_preds, cams_orig, _ = S.predict_grad_cams(spec, weights, subset.images, labels)
+    base_preds, cams_orig, _ = S.predict_grad_cams(spec, weights, images, labels)
     pert_preds, cams_pert, _ = S.predict_grad_cams(spec, weights, perturbed, labels)
     attack_acc = 100.0 * M.hit_rate(pert_preds, base_preds)
 
     sample_rows = []
     for i, o in enumerate(outcomes):
-        sample_rows.append((i, int(subset.labels[i]), o.label, o.ssim, o.delta_e,
+        sample_rows.append((i, int(truth[i]), o.label, o.ssim, o.delta_e,
                             o.fallback, o.n_feasible) + o.theta.as_row())
 
     stats = A.summarize_outcomes(outcomes)
@@ -218,7 +214,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
     order = np.argsort([o.ssim for o in outcomes], kind="stable")
     for rank in range(min(cfg.metrics.heatmap_dumps, len(outcomes))):
         i = int(order[rank])
-        files |= _pair(f"worst_{rank:02d}_orig", subset.images[i], cams_orig[i])
+        files |= _pair(f"worst_{rank:02d}_orig", images[i], cams_orig[i])
         files |= _pair(f"worst_{rank:02d}_pert", perturbed[i], cams_pert[i])
 
     return {**publish(cfg, "baseline", files), "summary": summary, "outcomes": outcomes}
@@ -254,7 +250,7 @@ def _fl_setup(cfg: ExperimentConfig, aggregators) -> _FLSetup:
     adversaries = frozenset(i for i, role in enumerate(roles) if role == F.ADVERSARIAL)
     parts = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
     shards = [train.subset(idx) for idx in parts]
-    probe = test.images[:min(cfg.metrics.probe_size, len(test))]
+    probe = test.images[:cfg.metrics.probe_size]
     return _FLSetup(spec, shards, adversaries, root, test, probe, w_init)
 
 
@@ -355,12 +351,12 @@ def cmd_ablation(cfg: ExperimentConfig) -> dict:
     identity (``GridSpec.single_operator``)."""
     train, test = prepare_data(cfg)
     spec, weights = train_model(cfg, train, cfg.train.epochs)
-    subset = _attack_set(test, cfg.attack.n_samples)
+    images = test.images[:cfg.attack.n_samples]
 
     rows = []
     by_operator = {}
     for name, grid in [*cfg.grid.single_operator().items(), ("combined", cfg.grid)]:
-        stats = A.summarize_outcomes(A.attack_images(spec, weights, subset.images, grid)[1])
+        stats = A.summarize_outcomes(A.attack_images(spec, weights, images, grid)[1])
         rows.append((name, stats["n"], stats["ssim_mean"], stats["success_pct"]))
         by_operator[name] = stats
     files = {"ablation.csv": (("operator", "n", "ssim_mean", "success_pct"), rows)}
@@ -391,16 +387,18 @@ def _score_stack(spec, weights, recolored, base_preds, cams_base) -> dict:
 def cmd_compare(cfg: ExperimentConfig) -> dict:
     """Contrast the grid search against random color skew at matched ΔE00.
 
-    The skew arm is reported twice: at full strength, and rescaled (by
-    bisection on its strength knob) until its mean ΔE00 matches the grid
-    attack's within the configured tolerance.  A bisection probe only
-    renders; the matched arm scores the last probe's rendering, or reuses
-    the full arm when no bisection was needed.
+    The skew arm is reported twice: at full strength, and matched.  When
+    the full-strength skew's mean ΔE00 exceeds the grid attack's by more
+    than ``attack.delta_e_tol``, the matched arm's strength is bisected
+    until its mean ΔE00 lies within a quarter of that tolerance of the
+    attack's; a bisection probe only renders, and the matched arm scores
+    the last probe's rendering.  Otherwise the matched arm is the full
+    arm: the strength cannot exceed 1, so its ΔE00 can sit far below the
+    attack's.
     """
     train, test = prepare_data(cfg)
     spec, weights = train_model(cfg, train, cfg.train.epochs)
-    subset = _attack_set(test, cfg.attack.compare_samples)
-    images = subset.images
+    images = test.images[:cfg.attack.compare_samples]
     perturbed, outcomes = A.attack_images(spec, weights, images, cfg.grid)
     base_preds, cams_base, _ = S.predict_grad_cams(spec, weights, images)
     pert_preds = M.predict_labels(spec, weights, perturbed)
@@ -450,8 +448,7 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
     spec_a, w_a = train_model(cfg, train, cfg.train.epochs)
     spec_b, w_b = train_model(cfg, train, cfg.train.epochs, cfg.transfer_model,
                               tag=_TAG_MODEL_B)
-    subset = _attack_set(test, cfg.attack.n_samples)
-    images = subset.images
+    images = test.images[:cfg.attack.n_samples]
     perturbed, outcomes = A.attack_images(spec_a, w_a, images, cfg.grid)
     preds_a = M.predict_labels(spec_a, w_a, images)
     pert_a = M.predict_labels(spec_a, w_a, perturbed)
@@ -521,7 +518,7 @@ def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
                           f"(0..{len(test) - 1})")
     spec, weights = train_model(cfg, train, cfg.train.epochs)
     x = test.images[sample_id]
-    pert, outcome = A.cpm_perturb(spec, weights, x, cfg.grid)
+    (pert,), (outcome,) = A.attack_images(spec, weights, x[None], cfg.grid)
     _, cams, _ = S.predict_grad_cams(spec, weights, np.stack([x, pert]), outcome.label)
     files = (_pair(f"sample_{sample_id:05d}_orig", x, cams[0])
              | _pair(f"sample_{sample_id:05d}_pert", pert, cams[1]))

@@ -1,13 +1,26 @@
 """Shared pytest hooks and fixtures.
 
+The suite runs with one BLAS thread, as the CLI does under
+``CHROMAFL_THREADS=1`` and as the benchmark does, so ``worker_count()``
+gives one worker per usable CPU and the fork maps fork.  The pin must
+happen before numpy loads: when numpy is already imported the environment
+is left alone, since two workers over a multi-threaded BLAS run slower
+than one.  A variable that is already set keeps its value.
+
 The acceptance suite (test_acceptance.py) records one line per numbered
 criterion on the pytest config object; print them after the run so the
 verdicts are visible even when per-test output is captured.
 """
 
+import os
+import sys
 import tracemalloc
 
 import pytest
+
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

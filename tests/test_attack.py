@@ -299,6 +299,10 @@ def test_poison_dataset_preserves_labels_and_is_deterministic(trained):
         assert got.dtype == subset.images.dtype
         assert got.tobytes() == np.stack([img for img, _ in loop]).tobytes()
     assert outcomes == out1 == [o for _, o in loop]
+    # a one-image stack, as inspect attacks its sample
+    (one,), (one_outcome,) = A.attack_images(spec, ws, subset.images[:1], SMALL_GRID)
+    assert one.dtype == loop[0][0].dtype and one.tobytes() == loop[0][0].tobytes()
+    assert one_outcome == loop[0][1]
     # at least some images actually moved
     changed = sum(not np.array_equal(pois1.images[i], subset.images[i])
                   for i in range(10))

@@ -751,8 +751,10 @@ def test_compare_rows_and_cpm_preservation(tmp_path, monkeypatch):
     assert rep["skew_matched"]["delta_e_mean"] > 0.0
     header, rows = H.read_csv(rep["compare_csv"])
     assert [r[0] for r in rows] == ["cpm", "skew_full", "skew_matched"]
-    # the full-strength skew already sits within the grid's ΔE00, so the
-    # matched arm is the full arm, rendered once
+    # the full-strength skew recolors less than the grid attack, by more
+    # than the tolerance (about 4.3 against 8.9 ΔE00, tol 2.0); the strength
+    # cannot exceed 1, so the matched arm is the full arm, rendered once
+    assert rep["skew_full"]["delta_e_mean"] < rep["cpm"]["delta_e_mean"] - cfg.attack.delta_e_tol
     assert rep["skew_matched"]["scale"] == 1.0
     assert rows[2][1:] == rows[1][1:]
     assert scales == [1.0] * cfg.attack.compare_samples
@@ -847,6 +849,25 @@ def test_each_scored_stack_runs_through_a_model_once(tmp_path, monkeypatch, comm
     else:
         getattr(H, f"cmd_{command}")(cfg)
     assert len(seen) == len(set(seen)) == stacks
+
+
+def test_inspect_attacks_its_sample_through_attack_images(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path)
+    train, test = H.prepare_data(cfg)
+    spec, weights = H.train_model(cfg, train, cfg.train.epochs)
+    _, want = A.cpm_perturb(spec, weights, test.images[3], cfg.grid)
+    real, stacks = A.attack_images, []
+
+    def spy(spec, weights, images, grid):
+        stacks.append(images.shape)
+        return real(spec, weights, images, grid)
+    monkeypatch.setattr(A, "attack_images", spy)
+    rep = H.cmd_inspect(cfg, sample_id=3)
+    assert stacks == [(1, 16, 16, 3)]
+    assert rep["outcome"] == want
+    assert rep["line"] == (f"sample 3: label={int(test.labels[3])} pred={want.label} "
+                           f"ssim={want.ssim:.4f} delta_e={want.delta_e:.2f} "
+                           f"fallback={want.fallback} theta={want.theta.as_row()}")
 
 
 # ---------------------------------------------------------------- robust
