@@ -1,8 +1,10 @@
-"""Color operators, perceptual difference, and PPM image export.
+"""Color operators, perceptual difference, and PPM/PGM export.
 
 Images are float arrays in [0, 1] with a trailing RGB axis.  Conversions and
-operators run internally in float64 and hand back the caller's dtype, so a
-float32 pipeline stays float32 without losing the 1e-6 round-trip guarantee.
+operators run internally in float64 and hand back a float input's own dtype
+and float64 for any other input, so a float32 pipeline stays float32 without
+losing the 1e-6 round-trip guarantee, and an integer image is read as the
+same values in float64.
 
 The three perturbation operators compose in a fixed order (hue shift, then
 channel rescale, then contrast jitter); operators at their identity settings
@@ -51,6 +53,11 @@ def _rgb_to_hsv64(rgb: np.ndarray) -> np.ndarray:
     return np.stack([h, s, maxc], axis=-1)
 
 
+def _cast_like(out: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """A float64 result in ``arr``'s dtype if that is a float, else as it is."""
+    return out.astype(arr.dtype, copy=False) if arr.dtype.kind == "f" else out
+
+
 def _hsv_to_rgb64(hsv: np.ndarray) -> np.ndarray:
     hsv = hsv.astype(np.float64, copy=True)
     h = np.mod(hsv[..., 0], 1.0)
@@ -74,8 +81,7 @@ def _hsv_to_rgb64(hsv: np.ndarray) -> np.ndarray:
 def hsv_to_rgb(x) -> np.ndarray:
     """Hexcone HSV -> RGB; H wraps modulo 1, S and V clamp to [0, 1]."""
     arr = _check_rgb(x)
-    out = _hsv_to_rgb64(arr)
-    return out.astype(arr.dtype, copy=False) if arr.dtype.kind == "f" else out
+    return _cast_like(_hsv_to_rgb64(arr), arr)
 
 
 def hue_shift(x, delta) -> np.ndarray:
@@ -94,8 +100,7 @@ def hue_shift(x, delta) -> np.ndarray:
         hsv = np.broadcast_to(hsv, d.shape + hsv.shape).copy()
         d = d.reshape(d.shape + (1,) * (arr.ndim - 1))
     hsv[..., 0] = np.mod(hsv[..., 0] + d, 1.0)
-    out = np.clip(_hsv_to_rgb64(hsv), 0.0, 1.0)
-    return out.astype(arr.dtype, copy=False) if arr.dtype.kind == "f" else out
+    return _cast_like(np.clip(_hsv_to_rgb64(hsv), 0.0, 1.0), arr)
 
 
 def saturation_scale(x, factor: float) -> np.ndarray:
@@ -105,8 +110,7 @@ def saturation_scale(x, factor: float) -> np.ndarray:
     arr = _check_rgb(x)
     hsv = _rgb_to_hsv64(arr)
     hsv[..., 1] = np.clip(hsv[..., 1] * factor, 0.0, 1.0)
-    out = np.clip(_hsv_to_rgb64(hsv), 0.0, 1.0)
-    return out.astype(arr.dtype, copy=False) if arr.dtype.kind == "f" else out
+    return _cast_like(np.clip(_hsv_to_rgb64(hsv), 0.0, 1.0), arr)
 
 
 def channel_rescale(x, alpha) -> np.ndarray:
@@ -117,8 +121,7 @@ def channel_rescale(x, alpha) -> np.ndarray:
         raise ValueError(f"alpha must have three entries, got shape {a.shape}")
     if (a < 0.5).any() or (a > 1.5).any():
         raise ValueError(f"channel scales must lie in [0.5, 1.5], got {a.tolist()}")
-    out = np.clip(arr.astype(np.float64) * a, 0.0, 1.0)
-    return out.astype(arr.dtype, copy=False)
+    return _cast_like(np.clip(arr.astype(np.float64) * a, 0.0, 1.0), arr)
 
 
 def contrast_jitter(x, gamma: float, beta: float) -> np.ndarray:
@@ -128,8 +131,7 @@ def contrast_jitter(x, gamma: float, beta: float) -> np.ndarray:
     arr = _check_rgb(x)
     xd = arr.astype(np.float64)
     mu = xd.mean(dtype=np.float64)
-    out = np.clip(gamma * (xd - mu) + mu + beta, 0.0, 1.0)
-    return out.astype(arr.dtype, copy=False)
+    return _cast_like(np.clip(gamma * (xd - mu) + mu + beta, 0.0, 1.0), arr)
 
 
 @dataclass(frozen=True)
@@ -271,11 +273,12 @@ def quantize_u8(x) -> np.ndarray:
 
 
 def write_ppm(path, img) -> None:
-    """Write an (H, W, 3) image in [0,1] as a binary P6 PPM, maxval 255."""
-    arr = _check_rgb(img)
-    if arr.ndim != 3:
-        raise ValueError(f"PPM export expects (H, W, 3), got shape {arr.shape}")
-    h, w, _ = arr.shape
+    """Write an (H, W, 3) image in [0,1] as a binary P6 PPM, or an (H, W) map
+    in [0,1] as a binary P5 PGM; maxval 255 either way."""
+    arr = np.asarray(img)
+    if arr.ndim not in (2, 3) or arr.shape[2:] not in ((), (3,)):
+        raise ValueError(f"PPM export expects (H, W, 3) or (H, W), got shape {arr.shape}")
+    h, w = arr.shape[:2]
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(f"{'P6' if arr.ndim == 3 else 'P5'}\n{w} {h}\n255\n".encode("ascii"))
         f.write(quantize_u8(arr).tobytes())

@@ -181,7 +181,7 @@ def train_model(cfg: ExperimentConfig, train_ds: D.LabeledDataset, epochs: int,
 def _pair(stem: str, image: np.ndarray, cam: np.ndarray) -> dict:
     """An image and its heatmap, as :func:`publish` files."""
     return {f"{stem}.ppm": lambda path: C.write_ppm(path, image),
-            f"{stem}_cam.pgm": lambda path: S.save_pgm(path, cam)}
+            f"{stem}_cam.pgm": lambda path: C.write_ppm(path, cam)}
 
 
 # ---------------------------------------------------------------- baseline
@@ -241,6 +241,9 @@ def _fl_setup(cfg: ExperimentConfig, aggregators) -> _FLSetup:
     """Build the data splits, client shards, adversary ids, probe and initial
     global; the server-root split only when one of ``aggregators`` is
     FLTrust, the one aggregator that reads it."""
+    if cfg.fl.n_clients > cfg.dataset.n_train:
+        raise ConfigError(f"fl.n_clients={cfg.fl.n_clients} exceeds "
+                          f"dataset.n_train={cfg.dataset.n_train} (after --limit)")
     train, test, *rest = prepare_data(
         cfg, cfg.fl.root_size if F.FLTRUST in aggregators else 0)
     root = rest[0] if rest else None
@@ -269,7 +272,6 @@ def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
     once.  That is every round at adv_ratio = 0 and the leading
     adversary-free rounds of an attacked run; once the streams diverge,
     each runs its own rounds.
-    Callers check first that every client gets a sample (``_check_clients_fit``).
     The result's ``heatmaps[t - 1]`` holds round t's Grad-CAMs of the first
     ``metrics.heatmap_dumps`` probe images on the attacked global, each for
     the twin's predicted class.
@@ -300,17 +302,10 @@ def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
             "rounds": rounds, "heatmaps": heatmaps, "probe": probe, "test": test}
 
 
-def _check_clients_fit(cfg: ExperimentConfig) -> None:
-    if cfg.fl.n_clients > cfg.dataset.n_train:
-        raise ConfigError(f"fl.n_clients={cfg.fl.n_clients} exceeds "
-                          f"dataset.n_train={cfg.dataset.n_train} (after --limit)")
-
-
 def cmd_fl(cfg: ExperimentConfig) -> dict:
     """Federated attack run plus its vanilla twin; per-round CSV reports,
     and the drift series and its slope fit derived from the rounds at the
     realized adversary share (``summary.csv`` echoes ``fl.adv_ratio``)."""
-    _check_clients_fit(cfg)
     res = run_fl_streams(cfg, _fl_setup(cfg, [cfg.fl.aggregator]))
     drift = [(m.round, m.adv_ratio, 1.0 - m.ssim_gc_mean, m.accuracy,
               m.reference_accuracy) for m in res["rounds"]]
@@ -328,7 +323,7 @@ def cmd_fl(cfg: ExperimentConfig) -> dict:
                "final_ssim_gc": final.ssim_gc_mean,
                "final_peak_pct": final.peak_pct_mean, "final_l1": final.l1_mean}
     files = {f"heatmaps/round_{t:02d}_probe_{j:02d}.pgm":
-             lambda path, cam=cam: S.save_pgm(path, cam)
+             lambda path, cam=cam: C.write_ppm(path, cam)
              for t, cams in enumerate(res["heatmaps"], start=1)
              for j, cam in enumerate(cams)}
     files |= {"rounds.csv": (F.RoundMetrics.FIELDS, [m.as_row() for m in res["rounds"]]),
@@ -470,7 +465,6 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
 
 def cmd_robust(cfg: ExperimentConfig) -> dict:
     """Rerun the federated attack under each aggregator with shared seeds."""
-    _check_clients_fit(cfg)
     try:  # each aggregator's rules (trimmed_mean's trim_k) are FLConfig's checks
         fls = [dataclasses.replace(cfg.fl, aggregator=agg) for agg in F.AGGREGATORS]
     except ValueError as e:
@@ -512,10 +506,10 @@ def cmd_gen_data(cfg: ExperimentConfig) -> dict:
 
 def cmd_inspect(cfg: ExperimentConfig, sample_id: int = 0) -> dict:
     """Attack one test sample and dump its image/heatmap pair."""
-    train, test = prepare_data(cfg)
-    if not 0 <= sample_id < len(test):
+    if not 0 <= sample_id < cfg.dataset.n_test:
         raise ConfigError(f"sample id {sample_id} outside test set "
-                          f"(0..{len(test) - 1})")
+                          f"(0..{cfg.dataset.n_test - 1})")
+    train, test = prepare_data(cfg)
     spec, weights = train_model(cfg, train, cfg.train.epochs)
     x = test.images[sample_id]
     (pert,), (outcome,) = A.attack_images(spec, weights, x[None], cfg.grid)

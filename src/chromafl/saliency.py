@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import color as C
 from . import models as M
 from . import tensor as T
 
@@ -103,11 +102,10 @@ def label_grads(spec: M.ModelSpec, weights, xs, class_id=None):
     ``g`` does not depend on the other images of the batch."""
     logits, captured, tape = M.forward(spec, weights, xs, tape=T.Tape())
     labels = logits.data.argmax(axis=1)
-    ids = np.broadcast_to(np.asarray(labels if class_id is None else class_id,
-                                     dtype=np.int64), labels.shape)
+    score = T.class_score(tape, logits, labels if class_id is None else class_id)
     # when a convolution follows the capture stage, its input gradient is a
     # view into a padded buffer, so g is copied out of it rather than pinning it
-    g = np.ascontiguousarray(T.grad_wrt(tape, T.class_score(tape, logits, ids), captured))
+    g = np.ascontiguousarray(T.grad_wrt(tape, score, captured))
     return labels, g, captured.data  # g and the activation: (B, h, w, K) each
 
 
@@ -267,14 +265,3 @@ def peak_overlap(a, b, k_fraction: float = 0.1):
     tb = _topk_mask(bm, k)
     pct = 100.0 * (ta & tb).sum(axis=1) / k
     return float(pct[0]) if (single_a and single_b) else pct
-
-
-def save_pgm(path, m) -> None:
-    """Write a single map in [0,1] as a binary P5 PGM, maxval 255."""
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"PGM export expects (H, W), got shape {arr.shape}")
-    h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(C.quantize_u8(arr).tobytes())

@@ -47,10 +47,9 @@ Conventions:
   by one unsigned ``max`` over the bits, takes the window maximum on
   signed-integer views, where integer order is float order and equal values
   have equal bits.  Any other input (negatives, ``-0.0``, NaN, integers)
-  selects with a bitwise blend on unsigned-integer views
-  (``first ^ ((first ^ later) & -mask)``), which moves the chosen bytes
-  unchanged, signed zeros and NaN payloads included, so a NaN reaches the
-  output.
+  selects each pair's winner with ``np.where`` on unsigned-integer views,
+  which copies the chosen bytes unchanged, signed zeros and NaN payloads
+  included, so a NaN reaches the output.
 """
 
 from __future__ import annotations
@@ -291,15 +290,6 @@ def _later_wins(first: np.ndarray, later: np.ndarray) -> np.ndarray:
     return ~(later <= first) & (first == first)
 
 
-def _blend(mask: np.ndarray, first: np.ndarray, later: np.ndarray) -> np.ndarray:
-    """``later`` where ``mask`` holds, else ``first``, on unsigned-integer
-    views of one width; the result is a new array of that unsigned type."""
-    bits = first ^ later
-    bits &= np.negative(mask, dtype=bits.dtype)  # all ones where mask holds
-    bits ^= first
-    return bits
-
-
 def _window(v: np.ndarray) -> tuple[np.ndarray, ...]:
     """The four elements of each 2x2 window as strided views; element
     k = 2 * i + j sits at ``v[:, i::2, j::2]``."""
@@ -329,10 +319,10 @@ def maxpool2(tape: Tape | None, x: Tensor) -> Tensor:
     else:
         a, b, c, d = _window(xd)
         top, bottom = _later_wins(a, b), _later_wins(c, d)
-        ab = _blend(top, a.view(bits), b.view(bits))
-        cd = _blend(bottom, c.view(bits), d.view(bits))
+        ab = np.where(top, b.view(bits), a.view(bits))
+        cd = np.where(bottom, d.view(bits), c.view(bits))
         lower = _later_wins(ab.view(xd.dtype), cd.view(xd.dtype))
-        out = Tensor(_blend(lower, ab, cd).view(xd.dtype))
+        out = Tensor(np.where(lower, cd, ab).view(xd.dtype))
     if tape is not None:
         # idx = 2 + bottom where lower holds, else top
         idx = lower.view(np.int8) << 1

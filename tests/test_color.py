@@ -57,7 +57,7 @@ def test_achromatic_pixels_have_zero_hue():
     assert np.array_equal(hsv[:, 1], np.zeros(3))
 
 
-def test_out_of_range_input_is_clamped_and_counted():
+def test_out_of_range_input_is_clamped():
     assert np.array_equal(C._rgb_to_hsv64(np.array([1.2, -0.1, 0.5])),
                           C._rgb_to_hsv64(np.array([1.0, 0.0, 0.5])))
 
@@ -104,6 +104,20 @@ def test_hue_shift_of_many_deltas_stacks_the_single_shifts_bytes(dtype):
                                                        C.hue_shift(pixel, 0.5).tolist()]
     with pytest.raises(ValueError, match="1-D"):
         C.hue_shift(img, [[0.1]])
+
+
+def test_operators_read_an_integer_image_as_float64():
+    img = np.ones((2, 2, 3), np.uint8)
+    ops = [C.hsv_to_rgb, lambda x: C.hue_shift(x, 0.1),
+           lambda x: C.saturation_scale(x, 0.5),
+           lambda x: C.channel_rescale(x, (0.8,) * 3),
+           lambda x: C.contrast_jitter(x, 1.0, -0.2)]
+    for op in ops:
+        got, want = op(img), op(img.astype(np.float64))
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    assert np.allclose(C.channel_rescale(img, (0.8,) * 3), 0.8)
+
 
 def test_channel_rescale_arithmetic_and_clipping():
     x = np.array([[[0.8, 0.5, 0.2]]])
@@ -350,5 +364,6 @@ def test_ppm_header_and_errors(tmp_path):
     path = tmp_path / "z.ppm"
     C.write_ppm(path, img)
     assert path.read_bytes() == b"P6\n4 3\n255\n" + b"\x00" * 36
-    with pytest.raises(ValueError, match="PPM export expects"):
-        C.write_ppm(tmp_path / "stack.ppm", np.zeros((2, 3, 4, 3)))
+    for bad in (np.zeros((2, 3, 4, 3)), np.zeros((3, 4, 4))):
+        with pytest.raises(ValueError, match="PPM export expects"):
+            C.write_ppm(tmp_path / "bad.ppm", bad)

@@ -483,8 +483,8 @@ def test_fl_round_csv_shape_and_weights_artifact(tmp_path):
     # for the final twin's label, as a single-image pass computes it
     spec, probe = rep["spec"], rep["probe"]
     label = int(M.predict_labels(spec, rep["twin_weights"], probe[:1])[0])
-    S.save_pgm(tmp_path / "expect.pgm",
-               S.predict_grad_cams(spec, rep["weights"], probe[:1], label)[1][0])
+    C.write_ppm(tmp_path / "expect.pgm",
+                S.predict_grad_cams(spec, rep["weights"], probe[:1], label)[1][0])
     got = os.path.join(rep["out_dir"], "heatmaps", f"round_{cfg.fl.rounds:02d}_probe_00.pgm")
     with open(got, "rb") as fh:
         assert fh.read() == (tmp_path / "expect.pgm").read_bytes()
@@ -870,6 +870,16 @@ def test_inspect_attacks_its_sample_through_attack_images(tmp_path, monkeypatch)
                            f"fallback={want.fallback} theta={want.theta.as_row()}")
 
 
+def test_inspect_checks_the_sample_id_before_any_data(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(H, "prepare_data", lambda *args: calls.append(args))
+    assert cli.main(["inspect", "--sample", "100000", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("config error: sample id 100000 outside test set "
+                                       "(0..119)\n")
+    assert calls == []
+    assert not (tmp_path / "inspect").exists()
+
+
 # ---------------------------------------------------------------- robust
 
 
@@ -1020,6 +1030,11 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
     assert err.startswith("config error:") and "n_clients" in err
     assert "Traceback" not in err
     assert not (tmp_path / "fl").exists()
+    assert cli.main(["robust", "--limit", "5", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n_clients" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "robust").exists()
     # robust always runs trimmed_mean, which needs select_k > 2*trim_k
     untrimmable = tmp_path / "untrimmable.json"
     untrimmable.write_text(json.dumps({"fl": {"select_k": 2, "trim_k": 1},
@@ -1083,22 +1098,45 @@ def test_cli_exit_codes_for_config_and_data_errors(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("dataset, message", [
-    ({"size": 8}, "dataset: size must be >= 16 for shapes, got 8"),
-    ({"classes": 11}, "dataset: classes must be in 2..10 for shapes, got 11"),
-    ({"classes": 1}, "dataset: classes must be in 2..10 for shapes, got 1"),
-    ({"kind": "cifar10", "path": "data", "size": 16},
+_CONFIG_ERRORS = [
+    ({"dataset": {"size": 8}}, "dataset: size must be >= 16 for shapes, got 8"),
+    ({"dataset": {"classes": 11}}, "dataset: classes must be in 2..10 for shapes, got 11"),
+    ({"dataset": {"classes": 1}}, "dataset: classes must be in 2..10 for shapes, got 1"),
+    ({"dataset": {"kind": "cifar10", "path": "data", "size": 16}},
      "dataset: cifar10 images are 32x32 in 10 classes"),
-    ({"kind": "cifar10", "path": "data", "classes": 4},
+    ({"dataset": {"kind": "cifar10", "path": "data", "classes": 4}},
      "dataset: cifar10 images are 32x32 in 10 classes"),
-    ({"path": "/data/cifar"}, "dataset: path is read only for cifar10; kind is 'shapes'"),
-])
+    ({"dataset": {"path": "/data/cifar"}},
+     "dataset: path is read only for cifar10; kind is 'shapes'"),
+    ({"dataset": {"n_train": 0}}, "dataset: n_train and n_test must be >= 1"),
+    ({"dataset": {"n_test": 0}}, "dataset: n_train and n_test must be >= 1"),
+    ({"train": {"epochs": -1}}, "train: epochs must be >= 0"),
+    ({"train": {"lr": 0}}, "train: lr must be > 0"),
+    ({"train": {"batch": 0}}, "train: batch must be >= 1"),
+    ({"metrics": {"probe_size": 0}}, "metrics: probe_size must be >= 1"),
+    ({"metrics": {"heatmap_dumps": -1}}, "metrics: heatmap_dumps must be >= 0"),
+    ({"attack": {"n_samples": 0}}, "attack: n_samples and compare_samples must be >= 1"),
+    ({"attack": {"compare_samples": 0}},
+     "attack: n_samples and compare_samples must be >= 1"),
+    ({"attack": {"delta_e_tol": 0}}, "attack: delta_e_tol must be > 0"),
+    ({"fl": {"partition": "dirichlet"}}, "fl: partition must be 'iid' or 'label_skew'"),
+    ({"fl": {"root_size": 0}}, "fl: root_size must be >= 1"),
+    ({"fl": {"pretrain_epochs": -1}}, "fl: pretrain_epochs must be >= 0"),
+    ({"train": [1]}, "train: expected an object, got list"),
+    ([{"dataset": {}}], "config root must be a JSON object"),
+]
+
+
+# each case's id is its section and index, then its message
+@pytest.mark.parametrize("doc, message", _CONFIG_ERRORS, ids=[
+    f"{next(iter(doc)) if isinstance(doc, dict) else 'root'}{i}-{message}"
+    for i, (doc, message) in enumerate(_CONFIG_ERRORS)])
 def test_cli_dataset_size_and_classes_out_of_range_are_config_errors(
-        tmp_path, capsys, dataset, message):
+        tmp_path, capsys, doc, message):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"dataset": dataset, "out": str(tmp_path / "out")}))
+    path.write_text(json.dumps(doc))
     for command in ("gen-data", "baseline"):
-        assert cli.main([command, "--config", str(path)]) == 2
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err

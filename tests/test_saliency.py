@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from chromafl import color as C
 from chromafl import models as M
 from chromafl import saliency as S
 
@@ -481,9 +482,10 @@ def test_grad_cam_values_in_unit_range():
 # ---------------------------------------------------------------- export
 
 def test_save_pgm_writes_header_and_payload(tmp_path):
+    # a saliency map is exported as a P5 PGM through color.write_ppm
     m = np.linspace(0, 1, 12).reshape(3, 4)
     path = tmp_path / "map.pgm"
-    S.save_pgm(path, m)
+    C.write_ppm(path, m)
     blob = path.read_bytes()
     assert blob.startswith(b"P5\n4 3\n255\n")
     assert len(blob) == len(b"P5\n4 3\n255\n") + 12
