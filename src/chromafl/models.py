@@ -66,14 +66,7 @@ class ModelSpec:
         names = [s.name for s in _ARCHS[self.arch]]
         if self.capture not in names:
             raise ValueError(f"capture stage {self.capture!r} not in {names}")
-        size = self.input_size
-        for st in _ARCHS[self.arch]:
-            if st.pool:
-                if size % 2:
-                    raise ValueError(
-                        f"input size {self.input_size} does not pool evenly at {st.name}")
-                size //= 2
-        if size < 1:
+        if self.feature_size(names[-1]) < 1:
             raise ValueError(f"input size {self.input_size} too small for {self.arch}")
 
     @property
@@ -81,10 +74,15 @@ class ModelSpec:
         return _ARCHS[self.arch]
 
     def feature_size(self, stage_name: str) -> int:
-        """Spatial side of a stage's output."""
+        """Spatial side of a stage's output.  The walk to it halves the side
+        at every pooling stage and raises ``ValueError`` at the first one
+        that gets an odd side, or when no stage has that name."""
         size = self.input_size
         for st in self.stages:
             if st.pool:
+                if size % 2:
+                    raise ValueError(
+                        f"input size {self.input_size} does not pool evenly at {st.name}")
                 size //= 2
             if st.name == stage_name:
                 return size
@@ -92,8 +90,7 @@ class ModelSpec:
 
     def flat_features(self) -> int:
         last = self.stages[-1]
-        side = self.feature_size(last.name)
-        return side * side * last.cout
+        return self.feature_size(last.name) ** 2 * last.cout
 
 
 def _weight_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
@@ -168,7 +165,9 @@ def _run_stages(spec: ModelSpec, params: list[T.Tensor], x: np.ndarray,
 
 
 def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None):
-    """Run the network; returns ``(logits, captured, tape)`` as tape tensors.
+    """Run the network on a batch ``x`` of shape (B, H, W, 3); returns
+    ``(logits, captured, tape)`` as tape tensors.  A single image is
+    passed as a batch of one (``x[None]``).
 
     ``captured`` is the final activation of ``spec.capture``, the stage
     that ``ModelSpec`` checked, and sits on the same tape as the logits, so
@@ -183,9 +182,8 @@ def forward(spec: ModelSpec, weights, x, tape: T.Tape | None = None):
     """
     ws = _check_weights(spec, weights)
     xb = np.asarray(x)
-    xb = xb[None] if xb.ndim == 3 else xb
     if xb.ndim != 4:
-        raise ValueError(f"images must be (H, W, 3) or (B, H, W, 3), got shape {xb.shape}")
+        raise ValueError(f"images must be (B, H, W, 3), got shape {xb.shape}")
     if xb.shape[1] != spec.input_size or xb.shape[2] != spec.input_size or xb.shape[3] != 3:
         raise ValueError(f"expected {spec.input_size}x{spec.input_size} RGB input, "
                          f"got shape {xb.shape[1:]}")

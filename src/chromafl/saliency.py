@@ -1,15 +1,22 @@
 """Saliency maps for the small CNNs and metrics for comparing them.
 
-All map producers return float64 arrays normalized to [0, 1] at input
-resolution; a map that comes out flat (all equal) normalizes to all zeros
-rather than dividing by zero.  This module is the one place that knows how
-a Grad-CAM is computed.  :func:`label_grads` is the one taped pass: a
-batch's labels and the class gradients at the capture stage, in the
-capture stage's dtype (float32 in the pipeline).  :func:`grad_cam_maps`
-widens those to float64 on entry and turns them into Grad-CAM maps, and
-:func:`predict_grad_cams` gives a batch's labels, Grad-CAM and Grad-CAM++
-maps from one such pass.  Metric functions accept single maps ``(H, W)`` or
-stacks ``(B, H, W)``; :func:`ssim` also scores one map against a stack.
+The map producers take a batch of images and return a float64 stack
+``(B, H, W)`` of maps normalized to [0, 1] at input resolution; a map that
+comes out flat (all equal) normalizes to all zeros rather than dividing by
+zero.  This module is the one place that knows how a Grad-CAM is computed.
+:func:`label_grads` is the one taped pass: a batch's labels and the class
+gradients at the capture stage, in the capture stage's dtype (float32 in
+the pipeline).  :func:`grad_cam_maps` widens those to float64 on entry and
+turns them into Grad-CAM maps, and :func:`predict_grad_cams` gives a
+batch's labels, Grad-CAM and Grad-CAM++ maps from one such pass.
+
+The metrics (:func:`ssim`, :func:`l1_distance`, :func:`peak_overlap`) take
+two arguments, each a single map ``(H, W)`` or a stack ``(B, H, W)``, of
+the same spatial shape.  Two stacks must be of the same length and are
+scored pair by pair; a single map against a stack is scored against every
+map of it, with the same bits as a stack of its copies laid out in memory
+like that stack.  Two single maps give a float, anything else one score per
+map pair.
 
 SSIM uses the standard 11x11 Gaussian window (sigma 1.5) with C1=(0.01)^2,
 C2=(0.03)^2 on a unit dynamic range, averaged over valid windows only.
@@ -30,7 +37,7 @@ SSIM_C2 = 0.03 ** 2
 
 # ---------------------------------------------------------------- helpers
 
-def _as_maps(x, name="map") -> tuple[np.ndarray, bool]:
+def _as_maps(x, name) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 2:
         return arr[None], True
@@ -39,35 +46,40 @@ def _as_maps(x, name="map") -> tuple[np.ndarray, bool]:
     raise ValueError(f"{name} must be (H, W) or (B, H, W), got shape {arr.shape}")
 
 
-def _unbatch(maps: np.ndarray, single: bool):
-    return maps[0] if single else maps
+def _map_pair(a, b) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Both metric arguments as float64 stacks, and whether both were single
+    maps.  A single map comes back as a stack of one, which broadcasts
+    against the other argument; two stacks must be of the same length."""
+    am, single_a = _as_maps(a, "first map")
+    bm, single_b = _as_maps(b, "second map")
+    if am.shape[1:] != bm.shape[1:] or not (
+            am.shape[0] == bm.shape[0] or single_a or single_b):
+        raise ValueError(f"map shapes differ: {am.shape} vs {bm.shape}")
+    return am, bm, single_a and single_b
 
 
-def normalize_map(m):
-    """Min-max normalize to [0, 1]; a flat map becomes all zeros."""
-    maps, single = _as_maps(m)
+def _normalize(maps: np.ndarray) -> np.ndarray:
+    """Min-max normalize each map of a (B, H, W) stack to [0, 1]; a flat
+    map becomes all zeros."""
     lo = maps.min(axis=(1, 2), keepdims=True)
     hi = maps.max(axis=(1, 2), keepdims=True)
     span = hi - lo
     flat = (span == 0.0)
-    out = np.where(flat, 0.0, (maps - lo) / np.where(flat, 1.0, span))
-    return _unbatch(out, single)
+    return np.where(flat, 0.0, (maps - lo) / np.where(flat, 1.0, span))
 
 
-def upsample_bilinear(m, out_h: int, out_w: int):
-    """Bilinear resize with half-pixel alignment and edge clamping.
+def _upsample(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize of a (B, h, w) stack with half-pixel alignment and
+    edge clamping.
 
     Each source row is resampled along W once, then pairs of those rows are
     blended down H: the same two-step formula per output cell as a
-    four-corner gather.  A stack comes back with the batch axis innermost
+    four-corner gather.  The stack comes back with the batch axis innermost
     (a transposed ``(out_h, out_w, B)`` array), because the reductions over
     its maps downstream (:func:`l1_distance`'s mean) sum in memory order, so
     the layout is part of their bits.
     """
-    maps, single = _as_maps(m)
     b, h, w = maps.shape
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output size must be positive")
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
@@ -79,7 +91,7 @@ def upsample_bilinear(m, out_h: int, out_w: int):
     src = maps.transpose(1, 2, 0)  # (h, w, B)
     rows = src[:, x0] * (1 - fx) + src[:, x1] * fx  # (h, out_w, B)
     out = rows[y0] * (1 - fy) + rows[y1] * fy
-    return _unbatch(out.transpose(2, 0, 1), single)
+    return out.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------- producers
@@ -87,7 +99,7 @@ def upsample_bilinear(m, out_h: int, out_w: int):
 def _weighted_cam(w_k: np.ndarray, acts: np.ndarray, size: int) -> np.ndarray:
     """ReLU of the channel-weighted activations, upsampled and normalized."""
     cam = np.maximum(np.einsum("bk,bhwk->bhw", w_k, acts), 0.0)
-    return normalize_map(upsample_bilinear(cam, size, size))
+    return _normalize(_upsample(cam, size, size))
 
 
 def label_grads(spec: M.ModelSpec, weights, xs, class_id=None):
@@ -178,11 +190,9 @@ def _tap_sum(taps, tmp: np.ndarray) -> np.ndarray:
 def ssim(a, b):
     """Mean local SSIM between two maps (unit dynamic range).
 
-    Either argument may be a single map ``(H, W)`` and the other a stack
-    ``(B, H, W)`` of the same spatial shape: the single map is scored
-    against every map of the stack, and its mean and E[a^2] are filtered
-    once.  ``ssim(stack, ref)``, ``ssim(ref, stack)`` and ``ssim(stack of
-    copies of ref, stack)`` give the same bits.
+    A single map against a stack has its mean and E[a^2] filtered once.
+    ``ssim(stack, ref)``, ``ssim(ref, stack)`` and ``ssim(stack of copies
+    of ref, stack)`` give the same bits.
 
     The Gaussian filter sums the kernel taps in order (see
     :func:`_gauss_filter_valid`), and each map's local scores are summed
@@ -190,11 +200,7 @@ def ssim(a, b):
     score depends on its values only: not on the arrays' memory layout, and
     not on the other maps of its stack.
     """
-    am, single_a = _as_maps(a, "first map")
-    bm, single_b = _as_maps(b, "second map")
-    if am.shape[1:] != bm.shape[1:] or not (
-            am.shape[0] == bm.shape[0] or single_a or single_b):
-        raise ValueError(f"map shapes differ: {am.shape} vs {bm.shape}")
+    am, bm, single = _map_pair(a, b)
     if am.shape[1] < SSIM_WINDOW or am.shape[2] < SSIM_WINDOW:
         raise ValueError(f"maps must be at least {SSIM_WINDOW}x{SSIM_WINDOW} for SSIM")
     at = am.transpose(1, 2, 0)  # (H, W, B) views: the filters run over stacks
@@ -209,17 +215,14 @@ def ssim(a, b):
     # (h, B, w): each row of local scores summed along w, then the row sums in order
     local = np.ascontiguousarray((num / den).transpose(0, 2, 1))
     s = np.cumsum(local.sum(axis=2), axis=0)[-1] / (local.shape[0] * local.shape[2])
-    return float(s[0]) if (single_a and single_b) else s
+    return float(s[0]) if single else s
 
 
 def l1_distance(a, b):
     """Mean absolute difference between two maps."""
-    am, single_a = _as_maps(a, "first map")
-    bm, single_b = _as_maps(b, "second map")
-    if am.shape != bm.shape:
-        raise ValueError(f"map shapes differ: {am.shape} vs {bm.shape}")
+    am, bm, single = _map_pair(a, b)
     d = np.abs(am - bm).mean(axis=(1, 2))
-    return float(d[0]) if (single_a and single_b) else d
+    return float(d[0]) if single else d
 
 
 def _topk_mask(maps: np.ndarray, k: int) -> np.ndarray:
@@ -233,14 +236,9 @@ def _topk_mask(maps: np.ndarray, k: int) -> np.ndarray:
     part.partition(k - 1, axis=1)
     kth = -part[:, k - 1, None, None]  # NaN only when fewer than K cells are numbers
     del part
-    if np.isnan(kth).any():
-        nan = np.isnan(maps)
-        above = np.where(np.isnan(kth), ~nan, maps > kth)
-        tied = np.where(np.isnan(kth), nan, maps == kth)
-    else:
-        above, tied = maps > kth, maps == kth
-    above = above.reshape(len(maps), -1)
-    tied = tied.reshape(len(maps), -1)
+    nan, kth_nan = np.isnan(maps), np.isnan(kth)
+    above = np.where(kth_nan, ~nan, maps > kth).reshape(len(maps), -1)
+    tied = np.where(kth_nan, nan, maps == kth).reshape(len(maps), -1)
     need = k - above.sum(axis=1, keepdims=True)
     return above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need))
 
@@ -248,13 +246,9 @@ def _topk_mask(maps: np.ndarray, k: int) -> np.ndarray:
 def peak_overlap(a, b, k_fraction: float = 0.1):
     """Percentage overlap of two maps' top-K cells (K = k_fraction of all).
 
-    Stacks ``(B, H, W)`` of equal shape give one percentage per map pair.
     Ties at the K-th value go to the cells first in row-major order.
     """
-    am, single_a = _as_maps(a, "first map")
-    bm, single_b = _as_maps(b, "second map")
-    if am.shape != bm.shape:
-        raise ValueError(f"map shapes differ: {am.shape} vs {bm.shape}")
+    am, bm, single = _map_pair(a, b)
     if not 0.0 < k_fraction < 1.0:
         raise ValueError(f"k_fraction must be in (0, 1), got {k_fraction}")
     n = am.shape[1] * am.shape[2]
@@ -264,4 +258,4 @@ def peak_overlap(a, b, k_fraction: float = 0.1):
     ta = _topk_mask(am, k)
     tb = _topk_mask(bm, k)
     pct = 100.0 * (ta & tb).sum(axis=1) / k
-    return float(pct[0]) if (single_a and single_b) else pct
+    return float(pct[0]) if single else pct

@@ -462,7 +462,7 @@ def save_weights(path, weights: Sequence[np.ndarray]) -> None:
         f.write(WEIGHTS_MAGIC)
         f.write(struct.pack("<II", WEIGHTS_VERSION, len(weights)))
         for t in weights:
-            arr = np.ascontiguousarray(t, dtype="<f4")
+            arr = np.asarray(t, dtype="<f4")  # tobytes() writes C order
             if arr.ndim == 0:
                 raise ValueError("cannot serialize rank-0 tensors")
             f.write(struct.pack("<I", arr.ndim))

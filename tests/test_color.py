@@ -131,6 +131,10 @@ def test_channel_rescale_rejects_out_of_range_alpha():
         C.channel_rescale(x, (0.4, 1.0, 1.0))
     with pytest.raises(ValueError, match=r"\[0.5, 1.5\]"):
         C.channel_rescale(x, (1.0, 1.6, 1.0))
+    with pytest.raises(ValueError, match=r"alpha must have three entries, got shape \(2,\)"):
+        C.channel_rescale(x, (1.0, 1.0))
+    with pytest.raises(ValueError, match=r"trailing RGB axis of size 3, got shape \(2, 2, 4\)"):
+        C.channel_rescale(np.zeros((2, 2, 4)), (1.0, 1.0, 1.0))
 
 
 def test_contrast_jitter_formula():
@@ -191,6 +195,8 @@ def test_saturation_scale_desaturates_to_gray():
     assert out[0, 0, 1] == pytest.approx(out[0, 0, 2], abs=1e-12)
     assert np.array_equal(C.saturation_scale(img, 1.0), np.clip(
         C.hsv_to_rgb(C._rgb_to_hsv64(img)), 0, 1))
+    with pytest.raises(ValueError, match="saturation factor must be non-negative, got -0.5"):
+        C.saturation_scale(img, -0.5)
 
 
 # ---------------------------------------------------------------- CIEDE2000

@@ -69,6 +69,20 @@ def test_cifar10_reader_rejects_bad_sizes_and_labels(tmp_path):
     empty_dir.mkdir()
     with pytest.raises(D.DataError, match="no .bin"):
         D.load_cifar10(empty_dir)
+    one = tmp_path / "one.bin"
+    one.write_bytes(bytes(3073))
+    with pytest.raises(D.DataError, match="limit must be >= 1, got 0"):
+        D.load_cifar10(one, limit=0)
+
+
+def test_cifar10_writer_rejects_bad_sizes_and_labels(tmp_path):
+    small = D.LabeledDataset(np.zeros((1, 16, 16, 3), np.float32), np.zeros(1, np.int64), 10)
+    with pytest.raises(D.DataError, match=r"32x32x3, got images \(16, 16, 3\)"):
+        D.write_cifar10(tmp_path / "small.bin", small)
+    eleven = D.LabeledDataset(np.zeros((1, 32, 32, 3), np.float32), np.full(1, 10), 11)
+    with pytest.raises(D.DataError, match=r"CIFAR-10 labels must be 0\.\.9"):
+        D.write_cifar10(tmp_path / "eleven.bin", eleven)
+    assert not (tmp_path / "small.bin").exists() and not (tmp_path / "eleven.bin").exists()
 
 
 def test_cifar10_decode_encode_roundtrip_is_byte_exact(tmp_path):
@@ -236,6 +250,9 @@ def test_shapes_validation():
         D.generate_shapes(10, classes=4, size=8)
     with pytest.raises(ValueError, match="sample"):
         D.generate_shapes(0, classes=4)
+    grid = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="no shape with id 10"):
+        D._shape_mask(10, grid, grid, 2.0, 2.0, 1.0)
 
 
 # ---------------------------------------------------------------- partition

@@ -73,6 +73,10 @@ def test_aggregator_validation():
         F.fedavg([(stacks[0], 0)])
     with pytest.raises(ValueError, match="every one"):
         F.trimmed_mean(stacks, 3)
+    with pytest.raises(ValueError, match="trim_k must be >= 0"):
+        F.trimmed_mean(stacks, -1)
+    with pytest.raises(ValueError, match="median needs at least one update"):
+        F.median([])
     bad = [stacks[0], [np.zeros((3, 2)), np.zeros((5,))]]
     with pytest.raises(ValueError, match="mismatched"):
         F.median(bad)

@@ -31,7 +31,7 @@ import chromafl.harness as H
 import chromafl.models as M
 import chromafl.saliency as S
 from chromafl.config import ConfigError, ExperimentConfig, load_config, override, parse_config
-from readers import load_weights, read_ppm
+from readers import digests, file_digest, load_weights, read_ppm
 
 F_FIELDS = F.RoundMetrics.FIELDS
 
@@ -290,11 +290,6 @@ def test_write_csv_roundtrip_and_timestamp_comment(tmp_path):
     header, rows = H.read_csv(path)
     assert header == ["a", "b"]
     assert rows == [["1", "0.500000000"], ["2", "nan"]]
-
-
-def strip_timestamp(path):
-    with open(path, "rb") as fh:
-        return b"".join(ln for ln in fh if not ln.startswith(b"#"))
 
 
 # ---------------------------------------------------------------- data prep
@@ -938,19 +933,6 @@ def test_robust_rejects_untrimmable_selection(tmp_path):
 # ---------------------------------------------------------------- repro
 
 
-def _report_bytes(out) -> dict[str, bytes]:
-    """Every file under ``out`` by relative path: CSVs without their
-    timestamp line, the image dumps and weights whole."""
-    files = {}
-    for root, _, names in os.walk(out):
-        for name in names:
-            path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                files[os.path.relpath(path, out)] = (
-                    strip_timestamp(path) if name.endswith(".csv") else fh.read())
-    return files
-
-
 def test_rerun_reproduces_csv_bytes_modulo_timestamp(tmp_path):
     reports = []
     for run in ("a", "b"):
@@ -959,10 +941,10 @@ def test_rerun_reproduces_csv_bytes_modulo_timestamp(tmp_path):
                         H.cmd_transfer, H.cmd_robust):
             command(cfg)
         H.cmd_inspect(cfg, sample_id=3)
-        reports.append(_report_bytes(tmp_path / run))
+        reports.append(dict(digests(tmp_path / run)))
     a, b = reports
     assert sorted(a) == sorted(b)
-    assert {os.path.dirname(name).split(os.sep)[0] for name in a} == {
+    assert {name.split("/")[0] for name in a} == {
         "baseline", "fl", "ablation", "compare", "transfer", "robust", "inspect"}
     assert {os.path.splitext(name)[1] for name in a} == {".csv", ".ppm", ".pgm", ".cdwt"}
     for name in a:
@@ -974,7 +956,7 @@ def test_different_seed_changes_report(tmp_path):
     cfg_b = dataclasses.replace(tiny_cfg(tmp_path / "b"), seed=1)
     rep_a = H.cmd_baseline(cfg_a)
     rep_b = H.cmd_baseline(cfg_b)
-    assert strip_timestamp(rep_a["samples_csv"]) != strip_timestamp(rep_b["samples_csv"])
+    assert file_digest(rep_a["samples_csv"]) != file_digest(rep_b["samples_csv"])
 
 
 # ---------------------------------------------------------------- cli
@@ -1582,7 +1564,7 @@ def test_a_rerun_leaves_no_file_of_an_earlier_run(tmp_path):
     run(tmp_path / "reused", 3, 0, 12)
     run(tmp_path / "reused", 1, 1, 3)
     run(tmp_path / "fresh", 1, 1, 3)
-    assert _report_bytes(tmp_path / "reused") == _report_bytes(tmp_path / "fresh")
+    assert digests(tmp_path / "reused") == digests(tmp_path / "fresh")
 
 
 def test_cli_gen_data_prints_its_summary_and_directory_once(tmp_path, capsys):

@@ -61,6 +61,10 @@ def test_spec_validation_errors():
         M.ModelSpec("ARCH_A", classes=1)
     with pytest.raises(ValueError, match="pool evenly"):
         M.ModelSpec("ARCH_A", input_size=30)
+    with pytest.raises(ValueError, match="input size 0 too small for ARCH_B"):
+        M.ModelSpec("ARCH_B", input_size=0)
+    with pytest.raises(ValueError, match="unknown stage 'conv9'"):
+        M.ModelSpec("ARCH_A").feature_size("conv9")
 
 
 def test_build_is_deterministic_and_seed_sensitive():
@@ -89,22 +93,24 @@ def test_forward_shapes_and_capture():
     assert np.array_equal(logits.data, logits1.data)
 
 
-def test_forward_single_image_is_batched_internally():
+def test_forward_takes_a_one_image_batch_and_rejects_an_unbatched_image():
     spec = M.ModelSpec("ARCH_B", input_size=32, classes=5)
     ws = M.build(spec, seed=3)
     x = np.random.default_rng(4).uniform(0, 1, size=(32, 32, 3)).astype(np.float32)
-    logits, captured, _ = M.forward(spec, ws, x)
+    logits, captured, _ = M.forward(spec, ws, x[None])
     assert logits.shape == (1, 5)
     assert captured.shape == (1, 8, 8, 32)
+    with pytest.raises(ValueError, match=r"\(B, H, W, 3\), got shape \(32, 32, 3\)"):
+        M.forward(spec, ws, x)
 
 
 def test_forward_rejects_bad_input_and_weights():
     spec = M.ModelSpec("ARCH_A", input_size=32, classes=10)
     ws = M.build(spec, seed=0)
     with pytest.raises(ValueError, match="32x32"):
-        M.forward(spec, ws, np.zeros((16, 16, 3), dtype=np.float32))
+        M.forward(spec, ws, np.zeros((1, 16, 16, 3), dtype=np.float32))
     with pytest.raises(ValueError, match="do not fit"):
-        M.forward(spec, ws[:-1], np.zeros((32, 32, 3), dtype=np.float32))
+        M.forward(spec, ws[:-1], np.zeros((1, 32, 32, 3), dtype=np.float32))
 
 
 def test_captured_tensor_is_differentiable_through_tape():
@@ -361,6 +367,9 @@ def test_train_validates_inputs():
                             labels=np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="empty"):
         M.train(spec, w0, empty, epochs=1)
+    flat = SimpleNamespace(images=data.images, labels=data.labels[:, None])
+    with pytest.raises(ValueError, match=r"labels must be \(8,\), got shape \(8, 1\)"):
+        M.train(spec, w0, flat, epochs=1)
 
 
 def test_agreement_of_model_with_itself_is_total():

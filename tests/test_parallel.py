@@ -16,6 +16,7 @@ import chromafl.federated as F
 import chromafl.models as M
 from chromafl import parallel as P
 from chromafl.config import parse_config
+from readers import digests
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -171,21 +172,6 @@ TINY = {
 }
 
 
-def _report_bytes(out) -> dict:
-    """Every file under ``out``: CSVs below their timestamp line, the rest whole."""
-    files = {}
-    for root, _, names in os.walk(out):
-        for name in names:
-            path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                data = fh.read()
-            if name.endswith(".csv"):
-                assert data.startswith(b"# timestamp:")
-                data = data.split(b"\n", 1)[1]
-            files[os.path.relpath(path, out)] = data
-    return files
-
-
 def test_fl_and_robust_reports_do_not_depend_on_workers_or_threads(tmp_path):
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY))
@@ -202,7 +188,7 @@ def test_fl_and_robust_reports_do_not_depend_on_workers_or_threads(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, str(config), str(out)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        reports[workers, threads] = _report_bytes(out)
+        reports[workers, threads] = dict(digests(out))
     want = reports[1, 1]
     assert {"fl/rounds.csv", "fl/global_weights.cdwt", "fl/heatmaps/round_02_probe_00.pgm",
             "robust/robust.csv"} <= set(want)

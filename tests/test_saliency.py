@@ -178,6 +178,11 @@ def test_ssim_rejects_small_or_mismatched_maps():
         S.ssim(np.zeros((8, 8)), np.zeros((8, 8)))
     with pytest.raises(ValueError, match="differ"):
         S.ssim(np.zeros((16, 16)), np.zeros((16, 12)))
+    for bad in (np.zeros(16), np.zeros((1, 1, 16, 16))):
+        with pytest.raises(ValueError, match=r"first map must be \(H, W\) or \(B, H, W\)"):
+            S.ssim(bad, np.zeros((16, 16)))
+        with pytest.raises(ValueError, match=r"second map must be \(H, W\) or \(B, H, W\)"):
+            S.l1_distance(np.zeros((16, 16)), bad)
 
 
 
@@ -185,7 +190,7 @@ def test_ssim_rejects_small_or_mismatched_maps():
 @pytest.mark.parametrize("hw", [(32, 32), (16, 20), (12, 13)])
 def test_ssim_matches_the_matmul_filter_bytes(batch, hw):
     rng = np.random.default_rng(batch * 100 + hw[1])
-    raw = S.normalize_map(S.upsample_bilinear(rng.uniform(0, 1, (batch, 8, 8)), *hw))
+    raw = S._normalize(S._upsample(rng.uniform(0, 1, (batch, 8, 8)), *hw))
     other = batch_innermost(np.clip(raw + rng.normal(0, 0.1, raw.shape), 0, 1))
     assert raw.strides[0] == 8  # the upsample hands back batch-innermost stacks
     assert S.ssim(raw, other).tobytes() == ssim_matmul(raw, other).tobytes()
@@ -287,20 +292,36 @@ def test_peak_overlap_stack_equals_the_per_map_loop():
     with pytest.raises(ValueError, match="differ"):
         S.peak_overlap(cases[0][0], cases[0][1][:3])
 
+
+@pytest.mark.parametrize("order", [np.ascontiguousarray, batch_innermost])
+def test_l1_and_peak_overlap_score_a_single_map_against_a_stack(order):
+    rng = np.random.default_rng(50)
+    stack = order(rng.integers(0, 4, size=(7, 12, 12)) / 3.0)  # with ties
+    ref = rng.uniform(0, 1, size=(12, 12))
+    # l1's mean sums in memory order, so the copies share the stack's layout
+    copies = order(np.broadcast_to(ref, stack.shape))
+    for metric in (S.l1_distance, S.peak_overlap):
+        want = metric(copies, stack)
+        assert want.shape == (7,)
+        assert metric(ref, stack).tobytes() == want.tobytes()
+        assert metric(stack, ref).tobytes() == metric(stack, copies).tobytes()
+        with pytest.raises(ValueError, match="differ"):
+            metric(stack[:3], stack[:2])
+
 # ---------------------------------------------------------------- resize
 
 def test_upsample_matches_bruteforce():
     rng = np.random.default_rng(35)
     for hw, out in [((8, 8), (32, 32)), ((5, 7), (13, 11)), ((4, 4), (9, 9))]:
         m = rng.uniform(0, 1, size=hw)
-        got = S.upsample_bilinear(m, *out)
+        got = S._upsample(m[None], *out)[0]
         assert np.abs(got - upsample_bruteforce(m, *out)).max() < 1e-12
 
 
 def test_upsample_same_size_is_identity():
     rng = np.random.default_rng(36)
     m = rng.uniform(0, 1, size=(8, 8))
-    assert np.array_equal(S.upsample_bilinear(m, 8, 8), m)
+    assert np.array_equal(S._upsample(m[None], 8, 8)[0], m)
 
 
 
@@ -310,16 +331,16 @@ def test_upsample_matches_the_four_gather_formula_in_bytes_and_layout(batch, src
     maps = np.random.default_rng(batch).uniform(0, 1, size=(batch,) + src)
     want = upsample_gather(maps, *out)
     for given in (maps, np.asfortranarray(maps), batch_innermost(maps)):
-        got = S.upsample_bilinear(given, *out)
+        got = S._upsample(given, *out)
         assert got.tobytes() == want.tobytes()
         assert layout(got) == layout(want)
 
 def test_normalize_map_range_and_flat_rule():
     rng = np.random.default_rng(37)
     m = rng.uniform(3, 9, size=(6, 6))
-    out = S.normalize_map(m)
+    out = S._normalize(m[None])[0]
     assert out.min() == 0.0 and out.max() == 1.0
-    assert np.array_equal(S.normalize_map(np.full((6, 6), 4.2)), np.zeros((6, 6)))
+    assert np.array_equal(S._normalize(np.full((1, 6, 6), 4.2))[0], np.zeros((6, 6)))
 
 
 # ---------------------------------------------------------------- CAM oracles

@@ -5,6 +5,8 @@ Every differentiable primitive is checked against central finite differences
 independently coded straight-line oracle built from plain loops.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +302,8 @@ def test_grad_wrt_rejects_unrecorded_target():
     stranger = T.Tensor(np.ones((1, 2)))
     with pytest.raises(ValueError, match="not recorded"):
         T.grad_wrt(tape, y, stranger)
+    with pytest.raises(ValueError, match="output tensor was not recorded on this tape"):
+        tape.gradients(T.Tensor(np.ones(())), [x])
 
 
 def test_gradients_reject_nonscalar_output():
@@ -543,6 +547,8 @@ def test_sgd_step_rejects_bad_lr_and_shapes():
         T.sgd_step([np.ones(2)], [np.ones(2)], lr=0.0)
     with pytest.raises(ValueError, match="mismatch"):
         T.sgd_step([np.ones(2)], [np.ones(3)], lr=0.1)
+    with pytest.raises(ValueError, match="weights and grads must have the same length"):
+        T.sgd_step([np.ones(2)], [], lr=0.1)
 
 
 # ---------------------------------------------------------------- weights io
@@ -563,3 +569,47 @@ def test_weights_roundtrip_is_bit_exact(tmp_path):
 def test_tensor_rejects_zero_size():
     with pytest.raises(ValueError):
         T.Tensor(np.zeros((0, 3)))
+
+
+def _t(*shape):
+    return T.Tensor(np.ones(shape))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _t(2).item(), r"item\(\) requires a scalar tensor"),
+    (lambda: T.conv2d(None, _t(4, 4, 3), _t(3, 3, 3, 2), _t(2)),
+     r"conv2d input must be \(B, H, W, C\), got shape \(4, 4, 3\)"),
+    (lambda: T.conv2d(None, _t(1, 4, 4, 3), _t(3, 3, 3), _t(2)),
+     r"conv2d weight must be \(kh, kw, Cin, Cout\), got shape \(3, 3, 3\)"),
+    (lambda: T.conv2d(None, _t(1, 4, 4, 3), _t(2, 3, 3, 2), _t(2)),
+     "conv2d kernel sides must be odd"),
+    (lambda: T.conv2d(None, _t(1, 4, 4, 3), _t(3, 3, 2, 2), _t(2)),
+     "conv2d channel mismatch: input has 3, weight expects 2"),
+    (lambda: T.conv2d(None, _t(1, 4, 4, 3), _t(3, 3, 3, 2), _t(3)),
+     r"conv2d bias must be \(2,\), got shape \(3,\)"),
+    (lambda: T.maxpool2(None, _t(4, 4, 3)),
+     r"maxpool2 input must be \(B, H, W, C\), got shape \(4, 4, 3\)"),
+    (lambda: T.maxpool2(None, _t(1, 3, 4, 1)), "maxpool2 needs even spatial dims, got 3x4"),
+    (lambda: T.dense(None, _t(4), _t(4, 2), _t(2)),
+     r"dense input must be batched, got shape \(4,\)"),
+    (lambda: T.dense(None, _t(1, 5), _t(4, 2), _t(2)),
+     r"dense shape mismatch: input flattens to 5, weight is \(4, 2\)"),
+    (lambda: T.dense(None, _t(1, 4), _t(4, 2), _t(3)),
+     r"dense bias must be \(2,\), got shape \(3,\)"),
+    (lambda: T.global_avg_pool(None, _t(4, 4, 3)),
+     r"global_avg_pool input must be \(B, H, W, C\), got shape \(4, 4, 3\)"),
+    (lambda: T.softmax_cross_entropy(None, _t(3), [0]),
+     r"softmax_cross_entropy expects \(B, classes\), got shape \(3,\)"),
+    (lambda: T.softmax_cross_entropy(None, _t(2, 3), [0]),
+     r"labels must be \(2,\), got shape \(1,\)"),
+    (lambda: T.softmax_cross_entropy(None, _t(2, 3), [0, 3]),
+     "labels out of range for the logits"),
+    (lambda: T.class_score(None, _t(3), 0),
+     r"class_score expects \(B, classes\), got shape \(3,\)"),
+    (lambda: T.class_score(None, _t(2, 3), [0, 3]), "class id out of range for the logits"),
+    (lambda: T.save_weights(os.devnull, [np.ones(2), np.float32(1.0)]),
+     "cannot serialize rank-0 tensors"),
+])
+def test_primitives_reject_malformed_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
