@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the harness commands; global flags select
-the config file, seed, output directory, and sample limit.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 numerical failure.
+Each subcommand in ``COMMANDS`` runs one harness command: ``x-y`` runs
+``harness.cmd_x_y``, which writes ``<out>/x_y/``.  Global flags select the
+config file, seed, output directory, and sample limit; ``inspect`` adds
+``--sample``.  Exit codes: 0 success, 2 configuration error, 3 data error,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,6 +14,19 @@ import os
 import sys
 
 from .parallel import apply_thread_env, worker_count
+
+
+# every subcommand with its help text, in the order ``--help`` lists them
+COMMANDS = {
+    "baseline": "attack a single trained model and report SSIM stats",
+    "fl": "federated attack run with a benign twin for reference",
+    "ablation": "single-operator grids vs the combined grid",
+    "compare": "grid attack vs random color skew at matched delta-E",
+    "transfer": "replay attacks crafted on one architecture on another",
+    "robust": "rerun the federated attack under every aggregator",
+    "gen-data": "dump the synthetic shapes dataset as PPM files",
+    "inspect": "dump image/heatmap pairs for one sample",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,29 +44,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chromafl",
         description="Color-space saliency attacks on federated image models")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("baseline", parents=[common],
-                   help="attack a single trained model and report SSIM stats")
-    sub.add_parser("fl", parents=[common],
-                   help="federated attack run with a benign twin for reference")
-    sub.add_parser("ablation", parents=[common],
-                   help="single-operator grids vs the combined grid")
-    sub.add_parser("compare", parents=[common],
-                   help="grid attack vs random color skew at matched delta-E")
-    sub.add_parser("transfer", parents=[common],
-                   help="replay attacks crafted on one architecture on another")
-    sub.add_parser("robust", parents=[common],
-                   help="rerun the federated attack under every aggregator")
-    sub.add_parser("gen-data", parents=[common],
-                   help="dump the synthetic shapes dataset as PPM files")
-    inspect = sub.add_parser("inspect", parents=[common],
-                             help="dump image/heatmap pairs for one sample")
-    inspect.add_argument("--sample", type=int, default=0, metavar="ID",
-                         help="test-set sample index (default 0)")
+    subs = {name: sub.add_parser(name, parents=[common], help=text)
+            for name, text in COMMANDS.items()}
+    subs["inspect"].add_argument("--sample", type=int, default=0, metavar="ID",
+                                 help="test-set sample index (default 0)")
     return parser
 
 
-def _print_report(command: str, report: dict) -> None:
-    if command == "inspect":
+def _print_report(report: dict) -> None:
+    if "line" in report:
         print(report["line"])
     elif "summary" in report:
         for key, value in report["summary"].items():
@@ -82,17 +83,13 @@ def main(argv=None) -> int:
         out_env = os.environ.get("CHROMAFL_OUT")
         out = args.out if args.out is not None else out_env
         cfg = override(cfg, seed=args.seed, out=out, limit=args.limit)
+        name = args.command.replace("-", "_")
         # checked before any work, as the reports are written after all of it
-        command_dir = os.path.join(cfg.out, args.command.replace("-", "_"))
-        existing = H.nearest_existing(command_dir)[0]
+        existing = H.nearest_existing(os.path.join(cfg.out, name))[0]
         if not os.path.isdir(existing):
             raise ConfigError(f"out: {existing} is not a directory")
-        dispatch = {"baseline": H.cmd_baseline, "fl": H.cmd_fl,
-                    "ablation": H.cmd_ablation, "compare": H.cmd_compare,
-                    "transfer": H.cmd_transfer, "robust": H.cmd_robust,
-                    "gen-data": H.cmd_gen_data,
-                    "inspect": lambda c: H.cmd_inspect(c, args.sample)}
-        report = dispatch[args.command](cfg)
+        extra = (args.sample,) if "sample" in args else ()
+        report = getattr(H, f"cmd_{name}")(cfg, *extra)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -103,7 +100,7 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    _print_report(args.command, report)
+    _print_report(report)
     return 0
 
 

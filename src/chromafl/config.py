@@ -4,6 +4,8 @@ Every key is optional (defaults reproduce the stock desk-scale setup) but
 unknown keys are hard errors, so a typo like "adversarail_ratio" aborts the
 run instead of silently configuring nothing.
 
+The top-level keys are ``ExperimentConfig``'s fields; a field whose default
+is a dataclass is a section, built from its JSON object in field order.
 The ``grid`` and ``fl`` sections are the library's own parameter objects,
 ``attack.GridSpec`` and ``federated.FLConfig``, so each setting has one
 definition and one set of checks.  Every section is built by ``_build``,
@@ -142,18 +144,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: {e}") from e
 
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "model": ModelConfig,
-    "transfer_model": ModelConfig,
-    "train": TrainConfig,
-    "fl": F.FLConfig,
-    "grid": A.GridSpec,
-    "metrics": MetricsConfig,
-    "attack": AttackSection,
-}
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -211,13 +201,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Turn a parsed JSON document into a validated ExperimentConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(doc) - set(_SECTIONS) - {"seed", "out"})
+    defaults = vars(ExperimentConfig())  # every field at its default, in field order
+    unknown = sorted(set(doc) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-    kwargs = {name: _build(cls, doc[name], name)
-              for name, cls in _SECTIONS.items() if name in doc}
-    kwargs |= {key: doc[key] for key in ("seed", "out") if key in doc}
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{
+        name: _build(type(default), doc[name], name)
+        if dataclasses.is_dataclass(default) else doc[name]
+        for name, default in defaults.items() if name in doc})
 
 
 def load_config(path: str | None) -> ExperimentConfig:

@@ -1,9 +1,12 @@
 """tools/default_reports.py, which runs every command and lists the reports."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+
+import chromafl.cli as cli
 
 TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
 
@@ -34,6 +37,13 @@ def test_lists_the_reports_of_all_eight_commands(tmp_path):
     assert dirs == {"baseline", "fl", "ablation", "compare", "transfer", "robust",
                     "gen_data", "inspect"}
     assert listing == _tool("report_digests.py", out).stdout
+
+
+def test_runs_the_commands_of_the_cli(monkeypatch):
+    # the tool keeps its own tuple: unreached_lines imports it before its
+    # trace starts, so it must not load chromafl first
+    monkeypatch.syspath_prepend(TOOLS)
+    assert importlib.import_module("default_reports").COMMANDS == tuple(cli.COMMANDS)
 
 
 def test_a_failing_command_is_named_and_nothing_is_listed(tmp_path):

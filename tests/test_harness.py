@@ -469,7 +469,7 @@ def test_fl_round_csv_shape_and_weights_artifact(tmp_path):
     header, rows = H.read_csv(rep["rounds_csv"])
     assert tuple(header) == F_FIELDS
     assert len(rows) == cfg.fl.rounds
-    loaded = load_weights(rep["weights_path"])
+    loaded = load_weights(os.path.join(rep["out_dir"], "global_weights.cdwt"))
     for a, b in zip(loaded, rep["weights"]):
         np.testing.assert_array_equal(a, b)
     assert os.path.exists(os.path.join(rep["out_dir"], "heatmaps",
@@ -605,8 +605,8 @@ def test_run_fl_streams_runs_a_shared_round_once(tmp_path, monkeypatch, case, pe
 def test_fl_reports_drift_fit_when_attacked(tmp_path):
     cfg = tiny_cfg(tmp_path)
     rep = H.cmd_fl(cfg)
-    assert np.isfinite(rep["alpha"])
-    assert np.isfinite(rep["r_squared"])
+    assert np.isfinite(rep["summary"]["alpha_hat"])
+    assert np.isfinite(rep["summary"]["r_squared"])
     header, rows = H.read_csv(rep["drift_csv"])
     assert header == ["round", "adv_ratio", "drift", "accuracy",
                       "twin_accuracy"]
@@ -793,7 +793,7 @@ def test_compare_matched_arm_equals_an_inline_skew_oracle(tmp_path, monkeypatch)
 def test_transfer_same_arch_is_preserved_and_cross_reported(tmp_path):
     cfg = tiny_cfg(tmp_path)
     rep = H.cmd_transfer(cfg)
-    same, cross = rep["same_arch"], rep["cross_arch"]
+    same, cross = rep["rows"]
     assert same[0] == "same_arch" and cross[0] == "cross_arch"
     assert same[2] == 100.0
     assert cross[2] <= 100.0
@@ -960,6 +960,29 @@ def test_different_seed_changes_report(tmp_path):
 
 
 # ---------------------------------------------------------------- cli
+
+
+def test_cli_every_command_runs_its_harness_command_and_only_inspect_takes_sample(capsys):
+    # subcommand x-y runs harness.cmd_x_y
+    assert all(callable(getattr(H, "cmd_" + c.replace("-", "_"))) for c in cli.COMMANDS)
+    assert cli.build_parser().parse_args(["inspect"]).sample == 0
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["baseline", "--sample", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --sample 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fl", "robust"])
+def test_cli_too_many_clients_claims_no_limit(tmp_path, capsys, command):
+    # the same words whether n_train comes from the config or from --limit
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"dataset": {"n_train": 5}}))
+    for flags in (["--config", str(small)], ["--limit", "5"]):
+        assert cli.main([command, "--out", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err == ("config error: fl.n_clients=10 exceeds "
+                                           "dataset.n_train=5: each client needs a "
+                                           "training image\n")
+    assert not (tmp_path / command).exists()
 
 
 def test_cli_baseline_exit_zero_and_output(tmp_path, capsys):

@@ -23,6 +23,8 @@ import sys
 from report_digests import digests
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# chromafl.cli.COMMANDS, spelled out so that unreached_lines can import this
+# module before its trace starts without loading chromafl
 COMMANDS = ("baseline", "fl", "ablation", "compare", "transfer", "robust",
             "gen-data", "inspect")
 
