@@ -109,7 +109,7 @@ class MetricsConfig:
 @dataclass(frozen=True)
 class AttackSection:
     n_samples: int = 64
-    compare_samples: int = 200
+    compare_samples: int = 120
     delta_e_tol: float = 2.0
 
     def __post_init__(self):

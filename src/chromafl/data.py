@@ -2,7 +2,7 @@
 
 Images are float32 in [0, 1], channel-last.  The CIFAR-10 reader consumes the
 standard binary batch layout (label byte followed by three 1024-byte color
-planes per record) and refuse anything structurally off.  The shapes
+planes per record) and refuses anything structurally off.  The shapes
 generator builds class-colored geometric figures whose foreground color is
 perceptually distinct from the background by construction: every
 foreground its draw box allows sits at least ~13.7 CIEDE2000 units from every

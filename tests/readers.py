@@ -1,23 +1,13 @@
 """Readers for the files the package writes, used by the tests to read
 reports back: binary P6 PPM images (``color.write_ppm``) and the ``.cdwt``
 weights container (``tensor.save_weights``).  They accept exactly what the
-writers produce and assert on anything else.  ``digests`` and
-``file_digest`` are ``tools/report_digests.py``'s, the one rule for which
-report bytes two runs must share."""
+writers produce and assert on anything else."""
 
-import importlib.util
-import os
 import struct
 
 import numpy as np
 
 from chromafl import tensor as T
-
-_TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "report_digests.py")
-_spec = importlib.util.spec_from_file_location("report_digests", _TOOL)
-_report_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_report_digests)
-digests, file_digest = _report_digests.digests, _report_digests.file_digest
 
 
 def read_ppm(path) -> np.ndarray:

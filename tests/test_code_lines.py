@@ -1,18 +1,12 @@
 """tools/code_lines.py, the code-line counter of the package sources."""
 
-import importlib.util
 import os
 import subprocess
 import sys
 
+import code_lines
+
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "code_lines.py")
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 SNIPPET = '''"""Module docstring,
@@ -39,7 +33,7 @@ class K:
 
 def test_counts_code_lines_without_docstrings_comments_or_blanks():
     # import, def (2 lines), the string assignment (2), return (2), class, x
-    assert _tool().code_lines(SNIPPET) == 9
+    assert code_lines.code_lines(SNIPPET) == 9
 
 
 def test_prints_each_module_and_the_total(tmp_path):

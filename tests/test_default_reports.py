@@ -1,24 +1,15 @@
 """tools/default_reports.py, which runs every command and lists the reports."""
 
-import importlib
-import json
 import os
 import subprocess
 import sys
 
-import chromafl.cli as cli
+import chromafl
+import default_reports
+from report_digests import digests
 
 TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
-
-TINY = {
-    "dataset": {"kind": "shapes", "n_train": 40, "n_test": 12, "classes": 4, "size": 16},
-    "train": {"epochs": 1},
-    "fl": {"n_clients": 4, "select_k": 3, "rounds": 1, "adv_ratio": 0.5},
-    "grid": {"hue": [0.0, 0.1], "alpha": [1.2], "per_channel": False,
-             "gamma": [1.0], "beta": [0.0], "composites": False},
-    "metrics": {"probe_size": 4, "heatmap_dumps": 1},
-    "attack": {"n_samples": 2, "compare_samples": 4},
-}
+TINY = os.path.join(os.path.dirname(__file__), "golden", "tiny.json")
 
 
 def _tool(name, *args):
@@ -27,10 +18,8 @@ def _tool(name, *args):
 
 
 def test_lists_the_reports_of_all_eight_commands(tmp_path):
-    config = tmp_path / "tiny.json"
-    config.write_text(json.dumps(TINY))
     out = tmp_path / "out"
-    done = _tool("default_reports.py", out, "--config", config)
+    done = _tool("default_reports.py", out, "--config", TINY)
     assert done.returncode == 0, done.stderr
     listing = done.stdout
     dirs = {line.split("  ", 1)[1].split("/", 1)[0] for line in listing.splitlines()}
@@ -39,11 +28,23 @@ def test_lists_the_reports_of_all_eight_commands(tmp_path):
     assert listing == _tool("report_digests.py", out).stdout
 
 
-def test_runs_the_commands_of_the_cli(monkeypatch):
-    # the tool keeps its own tuple: unreached_lines imports it before its
-    # trace starts, so it must not load chromafl first
-    monkeypatch.syspath_prepend(TOOLS)
-    assert importlib.import_module("default_reports").COMMANDS == tuple(cli.COMMANDS)
+def test_run_twice_in_one_process(tmp_path, monkeypatch):
+    # from a path without this checkout's src, as the tool starts, the first
+    # call adds it and the second neither adds it again nor writes other bytes
+    monkeypatch.setenv("CHROMAFL_THREADS", "1")
+    monkeypatch.setattr(sys, "path", [p for p in sys.path if p != default_reports.SRC])
+    outs = [str(tmp_path / name) for name in ("first", "second")]
+    for out in outs:
+        assert default_reports.run(out, ["--config", TINY]) is None
+    assert digests(outs[0]) == digests(outs[1])
+    assert sys.path.count(default_reports.SRC) == 1
+    assert chromafl.__file__.startswith(default_reports.SRC + os.sep)
+
+
+def test_arguments_the_cli_rejects_fail_the_first_command(tmp_path, monkeypatch):
+    # argparse exits instead of returning; run reports it like any failure
+    monkeypatch.setenv("CHROMAFL_THREADS", "1")
+    assert default_reports.run(str(tmp_path / "out"), ["--bogus"]) == ("baseline", 2)
 
 
 def test_a_failing_command_is_named_and_nothing_is_listed(tmp_path):

@@ -31,7 +31,8 @@ import chromafl.harness as H
 import chromafl.models as M
 import chromafl.saliency as S
 from chromafl.config import ConfigError, ExperimentConfig, load_config, override, parse_config
-from readers import digests, file_digest, load_weights, read_ppm
+from readers import load_weights, read_ppm
+from report_digests import digests, file_digest
 
 F_FIELDS = F.RoundMetrics.FIELDS
 
@@ -67,6 +68,8 @@ def test_defaults_config_is_valid():
     assert cfg.grid.max_candidates == 500
     assert isinstance(cfg.grid, A.GridSpec)
     assert isinstance(cfg.fl, F.FLConfig)
+    # the default compare set is the whole default test split, not a cut of 200
+    assert cfg.attack.compare_samples == cfg.dataset.n_test == 120
 
 
 def _readme_defaults() -> dict:

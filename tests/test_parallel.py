@@ -16,7 +16,7 @@ import chromafl.federated as F
 import chromafl.models as M
 from chromafl import parallel as P
 from chromafl.config import parse_config
-from readers import digests
+from report_digests import digests
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 

@@ -1,7 +1,6 @@
 """tools/unreached_lines.py, the listing of package lines no command runs."""
 
 import inspect
-import json
 import os
 import subprocess
 import sys
@@ -9,9 +8,9 @@ import sys
 import chromafl.harness as H
 import chromafl.parallel as P
 import chromafl.tensor as T
-from test_default_reports import TINY
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "unreached_lines.py")
+TINY = os.path.join(os.path.dirname(__file__), "golden", "tiny.json")
 
 
 def _tool(*args):
@@ -31,9 +30,7 @@ def _names(listing: list[tuple[str, int, str]], fn) -> bool:
 
 
 def test_lists_the_lines_no_command_runs_and_no_raise(tmp_path):
-    config = tmp_path / "tiny.json"
-    config.write_text(json.dumps(TINY))
-    done = _tool(tmp_path / "out", "--config", config)
+    done = _tool(tmp_path / "out", "--config", TINY)
     assert done.returncode == 0, done.stderr
     listing = []
     for line in done.stdout.splitlines():

@@ -1,11 +1,12 @@
 """Run every chromafl command into one directory and list the reports' digests.
 
 Checking that a change moves no report byte means running all eight
-commands on two checkouts and comparing what they wrote.  This runs
-``baseline``, ``fl``, ``ablation``, ``compare``, ``transfer``, ``robust``,
-``gen-data`` and ``inspect`` from this checkout's ``src``, each in a fresh
-``python -m chromafl.cli`` process with ``--out OUT_DIR`` and any extra
-arguments, then prints the :mod:`report_digests` listing of ``OUT_DIR``::
+commands on two checkouts and comparing what they wrote.  :func:`run` runs
+each command of ``chromafl.cli.COMMANDS`` (``baseline``, ``fl``,
+``ablation``, ``compare``, ``transfer``, ``robust``, ``gen-data`` and
+``inspect``) from this checkout's ``src``, in this process through
+``cli.main`` with ``--out OUT_DIR`` and any extra arguments, and the tool
+then prints the :mod:`report_digests` listing of ``OUT_DIR``::
 
     python3 tools/default_reports.py OUT_DIR [ARG ...]
 
@@ -16,36 +17,45 @@ on stderr and exits with 1, printing no listing.
 
 from __future__ import annotations
 
+import contextlib
 import os
-import subprocess
 import sys
 
 from report_digests import digests
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# chromafl.cli.COMMANDS, spelled out so that unreached_lines can import this
-# module before its trace starts without loading chromafl
-COMMANDS = ("baseline", "fl", "ablation", "compare", "transfer", "robust",
-            "gen-data", "inspect")
+SRC = os.path.join(ROOT, "src")
+
+
+def run(out: str, extra: list[str]) -> tuple[str, int] | None:
+    """Run each ``cli.COMMANDS`` entry with ``--out out`` and ``extra``,
+    stdout discarded; the first failing ``(command, exit code)``, or None.
+    ``chromafl`` is imported here, not when this module loads, so a caller
+    can start a trace before it."""
+    os.environ.setdefault("CHROMAFL_THREADS", "1")
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    from chromafl import cli
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        for command in cli.COMMANDS:
+            try:
+                code = cli.main([command, "--out", out, *extra])
+            except SystemExit as e:  # argparse rejected the arguments
+                code = e.code
+            if code:
+                return command, code
+    return None
 
 
 def main(argv: list[str]) -> int:
     if not argv:
         print("usage: default_reports.py OUT_DIR [ARG ...]", file=sys.stderr)
         return 2
-    out, extra = argv[0], argv[1:]
-    src = os.path.join(ROOT, "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    env.setdefault("CHROMAFL_THREADS", "1")
-    for command in COMMANDS:
-        done = subprocess.run([sys.executable, "-m", "chromafl.cli", command,
-                               "--out", out, *extra], env=env, stdout=subprocess.DEVNULL)
-        if done.returncode:
-            print(f"default_reports: {command} exited with {done.returncode}",
-                  file=sys.stderr)
-            return 1
-    for rel, digest in digests(out):
+    failed = run(argv[0], argv[1:])
+    if failed:
+        print("default_reports: {} exited with {}".format(*failed), file=sys.stderr)
+        return 1
+    for rel, digest in digests(argv[0]):
         print(f"{digest}  {rel}")
     return 0
 

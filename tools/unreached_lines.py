@@ -1,11 +1,10 @@
 """List the lines of the chromafl package that no command runs.
 
 Deleting code that no command can reach needs a listing of that code.
-This runs ``baseline``, ``fl``, ``ablation``, ``compare``, ``transfer``,
-``robust``, ``gen-data`` and ``inspect`` (``default_reports.COMMANDS``) in
-this process, through ``cli.main`` with ``--out OUT_DIR`` and any extra
-arguments, under a ``sys.settrace`` line trace started before the first
-``chromafl`` import::
+This runs every command of ``chromafl.cli.COMMANDS`` in this process, as
+``default_reports.run`` does (through ``cli.main`` with ``--out OUT_DIR``
+and any extra arguments), under a ``sys.settrace`` line trace started
+before the first ``chromafl`` import::
 
     python3 tools/unreached_lines.py OUT_DIR [ARG ...]
 
@@ -21,15 +20,14 @@ and exits with 1, printing no listing.
 from __future__ import annotations
 
 import ast
-import contextlib
 import glob
 import os
 import sys
 import types
 
-from default_reports import COMMANDS, ROOT
+from default_reports import SRC, run
 
-PACKAGE = os.path.join(ROOT, "src", "chromafl")
+PACKAGE = os.path.join(SRC, "chromafl")
 
 
 def _code_lines(code) -> set[int]:
@@ -65,9 +63,7 @@ def main(argv: list[str]) -> int:
     if not argv:
         print("usage: unreached_lines.py OUT_DIR [ARG ...]", file=sys.stderr)
         return 2
-    out, extra = argv[0], argv[1:]
     os.environ["CHROMAFL_WORKERS"] = "1"
-    os.environ.setdefault("CHROMAFL_THREADS", "1")
     ran: set[tuple[str, int]] = set()
 
     def trace_lines(frame, event, arg):
@@ -81,18 +77,14 @@ def main(argv: list[str]) -> int:
         ran.add((frame.f_code.co_filename, frame.f_lineno))
         return trace_lines
 
-    sys.path.insert(0, os.path.join(ROOT, "src"))
     sys.settrace(trace_calls)
     try:
-        from chromafl import cli
-        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
-            for command in COMMANDS:
-                code = cli.main([command, "--out", out, *extra])
-                if code:
-                    print(f"unreached_lines: {command} exited with {code}", file=sys.stderr)
-                    return 1
+        failed = run(argv[0], argv[1:])
     finally:
         sys.settrace(None)
+    if failed:
+        print("unreached_lines: {} exited with {}".format(*failed), file=sys.stderr)
+        return 1
     for line in unreached(ran):
         print(line)
     return 0
