@@ -42,14 +42,9 @@ Conventions:
   gradient tap by tap: each tap's column gradient is copied to one
   contiguous block, so each of the ``kh * kw`` ordered adds into the zeroed
   buffer runs over whole rows,
-* :func:`maxpool2` has two paths with the same bytes.  A float input with no
-  sign bit and no NaN (a ReLU output unless it holds NaN or ``-0.0``), found
-  by one unsigned ``max`` over the bits, takes the window maximum on
-  signed-integer views, where integer order is float order and equal values
-  have equal bits.  Any other input (negatives, ``-0.0``, NaN, integers)
-  selects each pair's winner with ``np.where`` on unsigned-integer views,
-  which copies the chosen bytes unchanged, signed zeros and NaN payloads
-  included, so a NaN reaches the output.
+* :func:`maxpool2` takes each window's maximum by ``np.maximum``, which
+  keeps the first NaN's bits; equal values other than signed zeros have
+  equal bits, so which of them wins a tie moves no byte.
 """
 
 from __future__ import annotations
@@ -283,13 +278,6 @@ def relu(tape: Tape | None, x: Tensor) -> Tensor:
     return out
 
 
-def _later_wins(first: np.ndarray, later: np.ndarray) -> np.ndarray:
-    """Where ``later`` replaces ``first`` as the running maximum: it must be
-    strictly larger, or NaN where ``first`` is not.  So ties (signed zeros
-    included) and NaNs go to the first element, as with ``argmax``."""
-    return ~(later <= first) & (first == first)
-
-
 def _window(v: np.ndarray) -> tuple[np.ndarray, ...]:
     """The four elements of each 2x2 window as strided views; element
     k = 2 * i + j sits at ``v[:, i::2, j::2]``."""
@@ -297,8 +285,9 @@ def _window(v: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def maxpool2(tape: Tape | None, x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties go to the first element in
-    row-major window order, and a NaN is the maximum of its window."""
+    """2x2 max pooling with stride 2.  A window holding a NaN outputs its
+    first NaN; the gradient goes to the first maximum in row-major window
+    order."""
     x = _as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
@@ -306,28 +295,16 @@ def maxpool2(tape: Tape | None, x: Tensor) -> Tensor:
     h, wdt = xd.shape[1:3]
     if h % 2 or wdt % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {h}x{wdt}")
-    bits = np.dtype(f"u{xd.dtype.itemsize}")
-    if xd.dtype.kind == "f" and xd.view(bits).max() <= np.array(np.inf, xd.dtype).view(bits):
-        # no sign bit and no NaN: signed-integer order is float order, and
-        # equal values have equal bits, so an integer maximum moves the
-        # chosen bytes unchanged
-        a, b, c, d = _window(xd.view(f"i{xd.dtype.itemsize}"))
-        ab, cd = np.maximum(a, b), np.maximum(c, d)
-        out = Tensor(np.maximum(ab, cd).view(xd.dtype))
-        if tape is not None:
-            top, bottom, lower = b > a, d > c, cd > ab
-    else:
-        a, b, c, d = _window(xd)
-        top, bottom = _later_wins(a, b), _later_wins(c, d)
-        ab = np.where(top, b.view(bits), a.view(bits))
-        cd = np.where(bottom, d.view(bits), c.view(bits))
-        lower = _later_wins(ab.view(xd.dtype), cd.view(xd.dtype))
-        out = Tensor(np.where(lower, cd, ab).view(xd.dtype))
+    a, b, c, d = _window(xd)
+    ab, cd = np.maximum(a, b), np.maximum(c, d)
+    out = Tensor(np.maximum(ab, cd))
     if tape is not None:
+        top, bottom, lower = b > a, d > c, cd > ab
         # idx = 2 + bottom where lower holds, else top
         idx = lower.view(np.int8) << 1
         idx |= (top ^ (lower & (top ^ bottom))).view(np.int8)
         shape, dtype = xd.shape, xd.dtype  # the backward does not pin x
+        bits = np.dtype(f"u{xd.dtype.itemsize}")
 
         def backward(g: np.ndarray):
             gbits = np.asarray(g, dtype=dtype).view(bits)

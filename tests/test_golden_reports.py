@@ -10,9 +10,10 @@ against the listings recorded in ``tests/golden/``.
   split for 2 rounds, and a per-channel, jitter and composite grid cut to
   30 candidates.  It runs on 2 workers, so the fork side of the maps runs;
   the other two run on 1;
-- ``benign``: ``tiny`` with no adversary and a grid of hue shifts of
-  ±0.02 only.  It reaches ``compare``'s bisection, ``fl``'s shared rounds
-  (``w_main = w_twin``) and its NaN drift fit.
+- ``benign``: ``tiny`` with no adversary, a grid of hue shifts of ±0.02
+  only, and ``attack.delta_e_tol`` 0.05.  It reaches ``compare``'s
+  bisection both ways (``hi = scale`` and ``lo = scale``), ``fl``'s shared
+  rounds (``w_main = w_twin``) and its NaN drift fit.
 
 The digests hold for the numpy and BLAS build named in the first line; on
 another build the failure message names both.  A change that moves report
@@ -23,14 +24,14 @@ bytes on purpose rewrites one golden listing with::
 and the diff of ``tests/golden/`` shows the moved files.
 
 At one worker, ``tools/unreached_lines.py`` on the three configs together
-leaves 207 lines of ``src/chromafl`` unrun (``raise`` lines not counted):
+leaves 199 lines of ``src/chromafl`` unrun (``raise`` lines not counted):
 
 - ``parallel`` 61: the fork side of the maps, which the tool pins off;
 - ``data`` 57: the CIFAR-10 reader and writer;
-- ``tensor`` 25: ``global_avg_pool``, ``maxpool2``'s general path and
-  ``Tensor`` conveniences;
-- ``harness`` 22: ``publish``'s rollback, the CIFAR split, ``read_csv``
-  and the bisection's ``lo = scale``;
+- ``harness`` 21: ``publish``'s rollback, the CIFAR split, ``read_csv``
+  and ``robust``'s rewrap of a rejected aggregator;
+- ``tensor`` 18: ``global_avg_pool``, ``Tensor`` conveniences and the
+  replay's skip of a node that no adjoint reached;
 - ``config`` 17: error exits, the ``--seed`` and ``--limit`` overrides and
   the CIFAR size rule;
 - ``cli`` 14: the error exits and ``__main__``;
