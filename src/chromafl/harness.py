@@ -18,7 +18,6 @@ import datetime
 import os
 import shutil
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -225,44 +224,13 @@ def cmd_baseline(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------- federated
 
 
-class _FLSetup(NamedTuple):
-    """What both streams of an ``fl`` run start from.  Only ``root`` depends
-    on the aggregators it is built for, so ``cmd_robust`` builds it once for
-    every aggregator."""
-
-    spec: M.ModelSpec
-    shards: list[D.LabeledDataset]
-    adversaries: frozenset[int]
-    root: D.LabeledDataset | None
-    test: D.LabeledDataset
-    probe: np.ndarray
-    w_init: list[np.ndarray]
-
-
-def _fl_setup(cfg: ExperimentConfig, aggregators) -> _FLSetup:
-    """Build the data splits, client shards, adversary ids, probe and initial
-    global; the server-root split only when one of ``aggregators`` is
-    FLTrust, the one aggregator that reads it."""
-    if cfg.fl.n_clients > cfg.dataset.n_train:
-        raise ConfigError(f"fl.n_clients={cfg.fl.n_clients} exceeds dataset.n_train="
-                          f"{cfg.dataset.n_train}: each client needs a training image")
-    train, test, *rest = prepare_data(
-        cfg, cfg.fl.root_size if F.FLTRUST in aggregators else 0)
-    root = rest[0] if rest else None
-    # warm-started after pretrain_epochs, shared bit for bit by both streams
-    spec, w_init = train_model(cfg, train, cfg.fl.pretrain_epochs)
-    roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
-    adversaries = frozenset(i for i, role in enumerate(roles) if role == F.ADVERSARIAL)
-    parts = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
-    shards = [train.subset(idx) for idx in parts]
-    probe = test.images[:cfg.metrics.probe_size]
-    return _FLSetup(spec, shards, adversaries, root, test, probe, w_init)
-
-
-def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
-    """Run the attacked stream and its benign twin round by round from
-    ``setup``, the ``_fl_setup`` of ``cfg`` or of a config that differs
-    from it only in ``fl.aggregator``, built for ``cfg``'s aggregator.
+def run_fl(cfg: ExperimentConfig, aggregators) -> dict[str, dict]:
+    """Run the attacked stream and its benign twin round by round under each
+    of ``aggregators``, in the order given, from one set of data splits,
+    client shards, adversary ids, probe and initial global; the server-root
+    split is built only when FLTrust, the one aggregator that reads it, is
+    among them.  Each aggregator maps to its final ``weights`` and
+    ``twin_weights``, its ``rounds`` and its ``heatmaps``.
 
     The twin is ``run_round`` with no adversaries: it shares the seed,
     shards, selection, and local-training streams, differing only in that
@@ -274,41 +242,60 @@ def run_fl_streams(cfg: ExperimentConfig, setup: _FLSetup) -> dict:
     once.  That is every round at adv_ratio = 0 and the leading
     adversary-free rounds of an attacked run; once the streams diverge,
     each runs its own rounds.
-    The result's ``heatmaps[t - 1]`` holds round t's Grad-CAMs of the first
+    ``heatmaps[t - 1]`` holds round t's Grad-CAMs of the first
     ``metrics.heatmap_dumps`` probe images on the attacked global, each for
     the twin's predicted class.
     """
-    spec, shards, adversaries, root, test, probe, w_init = setup
+    try:  # each aggregator's rules (trimmed_mean's trim_k) are FLConfig's checks
+        fls = [dataclasses.replace(cfg.fl, aggregator=agg) for agg in aggregators]
+    except ValueError as e:
+        raise ConfigError(f"fl: {e}") from e
+    if cfg.fl.n_clients > cfg.dataset.n_train:
+        raise ConfigError(f"fl.n_clients={cfg.fl.n_clients} exceeds dataset.n_train="
+                          f"{cfg.dataset.n_train}: each client needs a training image")
+    train, test, *rest = prepare_data(
+        cfg, cfg.fl.root_size if F.FLTRUST in aggregators else 0)
+    root = rest[0] if rest else None
+    # warm-started after pretrain_epochs, shared bit for bit by every stream
+    spec, w_init = train_model(cfg, train, cfg.fl.pretrain_epochs)
+    roles = F.assign_roles(cfg.fl.n_clients, cfg.fl.adv_ratio, cfg.seed)
+    adversaries = frozenset(i for i, role in enumerate(roles) if role == F.ADVERSARIAL)
+    parts = D.partition(train, cfg.fl.n_clients, cfg.fl.partition, seed=cfg.seed)
+    shards = [train.subset(idx) for idx in parts]
+    del train  # each shard is a copy, so the split need not outlive the rounds
+    probe = test.images[:cfg.metrics.probe_size]
     adv_share = len(adversaries) / len(shards)
-    w_twin = w_main = w_init
-    rounds: list[F.RoundMetrics] = []
-    heatmaps = []
-    for t in range(1, cfg.fl.rounds + 1):
-        same_start = w_main is w_twin
-        w_twin = F.run_round(spec, w_twin, shards, (), cfg.fl, cfg.grid,
-                             cfg.seed, t, server_root=root)
-        picked = F.select_clients(len(shards), cfg.fl.select_k, cfg.seed, t)
-        if same_start and adversaries.isdisjoint(picked):
-            w_main = w_twin
-        else:
-            w_main = F.run_round(spec, w_main, shards, adversaries, cfg.fl, cfg.grid,
+    runs = {}
+    for fl in fls:
+        w_twin = w_main = w_init
+        rounds: list[F.RoundMetrics] = []
+        heatmaps = []
+        for t in range(1, fl.rounds + 1):
+            same_start = w_main is w_twin
+            w_twin = F.run_round(spec, w_twin, shards, (), fl, cfg.grid,
                                  cfg.seed, t, server_root=root)
-        metrics, cams = F.compute_round_metrics(spec, w_twin, w_main, probe, test,
-                                                round_index=t, adv_ratio=adv_share)
-        rounds.append(metrics)
-        # copies and a del, so no round's full probe stack outlives the round
-        heatmaps.append([cam.copy() for cam in cams[:cfg.metrics.heatmap_dumps]])
-        del cams
-
-    return {"spec": spec, "weights": w_main, "twin_weights": w_twin,
-            "rounds": rounds, "heatmaps": heatmaps, "probe": probe, "test": test}
+            picked = F.select_clients(len(shards), fl.select_k, cfg.seed, t)
+            if same_start and adversaries.isdisjoint(picked):
+                w_main = w_twin
+            else:
+                w_main = F.run_round(spec, w_main, shards, adversaries, fl, cfg.grid,
+                                     cfg.seed, t, server_root=root)
+            metrics, cams = F.compute_round_metrics(spec, w_twin, w_main, probe, test,
+                                                    round_index=t, adv_ratio=adv_share)
+            rounds.append(metrics)
+            # copies and a del, so no round's full probe stack outlives the round
+            heatmaps.append([cam.copy() for cam in cams[:cfg.metrics.heatmap_dumps]])
+            del cams
+        runs[fl.aggregator] = {"weights": w_main, "twin_weights": w_twin,
+                               "rounds": rounds, "heatmaps": heatmaps}
+    return runs
 
 
 def cmd_fl(cfg: ExperimentConfig) -> dict:
     """Federated attack run plus its vanilla twin; per-round CSV reports,
     and the drift series and its slope fit derived from the rounds at the
     realized adversary share (``summary.csv`` echoes ``fl.adv_ratio``)."""
-    res = run_fl_streams(cfg, _fl_setup(cfg, [cfg.fl.aggregator]))
+    res = run_fl(cfg, [cfg.fl.aggregator])[cfg.fl.aggregator]
     drift = [(m.round, m.adv_ratio, 1.0 - m.ssim_gc_mean, m.accuracy,
               m.reference_accuracy) for m in res["rounds"]]
     series = [row[:3] for row in drift]
@@ -460,20 +447,10 @@ def cmd_transfer(cfg: ExperimentConfig) -> dict:
 
 def cmd_robust(cfg: ExperimentConfig) -> dict:
     """Rerun the federated attack under each aggregator with shared seeds."""
-    try:  # each aggregator's rules (trimmed_mean's trim_k) are FLConfig's checks
-        fls = [dataclasses.replace(cfg.fl, aggregator=agg) for agg in F.AGGREGATORS]
-    except ValueError as e:
-        raise ConfigError(f"fl: {e}") from e
-    setup = _fl_setup(cfg, F.AGGREGATORS)
-    rows = []
-    runs = {}
-    for fl in fls:
-        res = run_fl_streams(dataclasses.replace(cfg, fl=fl), setup)
-        final = res["rounds"][-1]
-        rows.append((fl.aggregator, final.accuracy, final.fidelity_pct,
-                     final.ssim_gc_mean, final.ssim_gcpp_mean,
-                     final.peak_pct_mean, final.l1_mean))
-        runs[fl.aggregator] = res
+    runs = run_fl(cfg, F.AGGREGATORS)
+    finals = {agg: res["rounds"][-1] for agg, res in runs.items()}
+    rows = [(agg, m.accuracy, m.fidelity_pct, m.ssim_gc_mean, m.ssim_gcpp_mean,
+             m.peak_pct_mean, m.l1_mean) for agg, m in finals.items()]
     files = {"robust.csv": (("aggregator", "accuracy", "fidelity_pct", "ssim_gc",
                              "ssim_gcpp", "peak_pct", "l1"), rows)}
     return {**publish(cfg, "robust", files), "rows": rows, "runs": runs}

@@ -24,12 +24,22 @@ bytes on purpose rewrites one golden listing with::
 and the diff of ``tests/golden/`` shows the moved files.
 
 At one worker, ``tools/unreached_lines.py`` on the three configs together
-leaves 199 lines of ``src/chromafl`` unrun (``raise`` lines not counted):
+leaves 199 lines of ``src/chromafl`` unrun (``raise`` lines not counted).
+The count is the lines common to the three sorted listings::
+
+    out=$(mktemp -d)
+    for n in tiny variant benign; do
+        python3 tools/unreached_lines.py "$out/$n" --config "tests/golden/$n.json" |
+            sort > "$out/$n.txt"
+    done
+    comm -12 "$out/tiny.txt" "$out/variant.txt" | comm -12 - "$out/benign.txt" | wc -l
+
+By module:
 
 - ``parallel`` 61: the fork side of the maps, which the tool pins off;
 - ``data`` 57: the CIFAR-10 reader and writer;
 - ``harness`` 21: ``publish``'s rollback, the CIFAR split, ``read_csv``
-  and ``robust``'s rewrap of a rejected aggregator;
+  and ``run_fl``'s rewrap of a rejected aggregator;
 - ``tensor`` 18: ``global_avg_pool``, ``Tensor`` conveniences and the
   replay's skip of a node that no adjoint reached;
 - ``config`` 17: error exits, the ``--seed`` and ``--limit`` overrides and
@@ -87,6 +97,7 @@ def test_reports_match_the_recorded_digests(name, tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    os.environ["CHROMAFL_WORKERS"] = WORKERS[sys.argv[1]]  # as the test checks it
     with tempfile.TemporaryDirectory() as tmp:
         lines = listing(sys.argv[1], os.path.join(tmp, "out"))
     with open(os.path.join(GOLDEN, f"{sys.argv[1]}.digests"), "w", encoding="utf-8") as fh:

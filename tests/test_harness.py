@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -379,9 +380,24 @@ def test_fl_without_fltrust_builds_no_root_split(tmp_path, monkeypatch):
     real = H.prepare_data
     monkeypatch.setattr(H, "prepare_data",
                         lambda c, root_size=0: sizes.append(root_size) or real(c, root_size))
-    assert H._fl_setup(cfg, [cfg.fl.aggregator]).root is None
-    assert len(H._fl_setup(cfg, F.AGGREGATORS).root) == cfg.fl.root_size
+    assert list(H.run_fl(cfg, [F.FEDAVG])) == [F.FEDAVG]
+    assert list(H.run_fl(cfg, [F.FEDAVG, F.FLTRUST])) == [F.FEDAVG, F.FLTRUST]
     assert sizes == [0, cfg.fl.root_size]
+
+
+def _first_round_start(cfg, monkeypatch) -> list[np.ndarray]:
+    """The weights the first ``run_round`` call of ``run_fl`` starts from;
+    the run stops there."""
+    class Started(Exception):
+        pass
+
+    def spy_round(spec, weights, *args, **kwargs):
+        raise Started(weights)
+
+    monkeypatch.setattr(F, "run_round", spy_round)
+    with pytest.raises(Started) as info:
+        H.run_fl(cfg, [cfg.fl.aggregator])
+    return info.value.args[0]
 
 
 def test_train_model_trains_only_for_positive_epochs(tmp_path, monkeypatch):
@@ -393,16 +409,16 @@ def test_train_model_trains_only_for_positive_epochs(tmp_path, monkeypatch):
     # lr and batch on the model stream's second seed
     warm = M.train(spec, built, train, 1, lr=cfg.train.lr, batch=cfg.train.batch,
                    seed=F._child_seed(cfg.seed, H._TAG_MODEL, 1))
-    pretrained = H._fl_setup(dataclasses.replace(
-        cfg, fl=dataclasses.replace(cfg.fl, pretrain_epochs=1)), [cfg.fl.aggregator])
-    assert [w.tobytes() for w in pretrained.w_init] == [w.tobytes() for w in warm]
+    pretrained = _first_round_start(dataclasses.replace(
+        cfg, fl=dataclasses.replace(cfg.fl, pretrain_epochs=1)), monkeypatch)
+    assert [w.tobytes() for w in pretrained] == [w.tobytes() for w in warm]
 
     trained = []
     monkeypatch.setattr(M, "train", lambda *a, **k: trained.append(a))
     got_spec, got = H.train_model(cfg, train, 0)
     assert got_spec == spec
     assert [w.tobytes() for w in got] == [w.tobytes() for w in built]
-    assert [w.tobytes() for w in H._fl_setup(cfg, [cfg.fl.aggregator]).w_init] == \
+    assert [w.tobytes() for w in _first_round_start(cfg, monkeypatch)] == \
         [w.tobytes() for w in built]
     assert trained == []
 
@@ -479,7 +495,8 @@ def test_fl_round_csv_shape_and_weights_artifact(tmp_path):
                                        "round_01_probe_00.pgm"))
     # the last round's dump is the final global's Grad-CAM of the probe image
     # for the final twin's label, as a single-image pass computes it
-    spec, probe = rep["spec"], rep["probe"]
+    spec = cfg.model.to_spec(cfg.dataset.size, cfg.dataset.classes)
+    probe = H.prepare_data(cfg)[1].images
     label = int(M.predict_labels(spec, rep["twin_weights"], probe[:1])[0])
     C.write_ppm(tmp_path / "expect.pgm",
                 S.predict_grad_cams(spec, rep["weights"], probe[:1], label)[1][0])
@@ -536,7 +553,7 @@ def _stream_cfg(tmp_path, case) -> ExperimentConfig:
 
 
 def _unshared_streams(cfg):
-    """Both streams of ``run_fl_streams`` rebuilt from ``run_round`` and
+    """Both streams of ``run_fl`` rebuilt from ``run_round`` and
     ``compute_round_metrics`` alone, each call on its own weight copies."""
     train, test, root = H.prepare_data(cfg, cfg.fl.root_size)
     spec = cfg.model.to_spec(cfg.dataset.size, cfg.dataset.classes)
@@ -566,7 +583,7 @@ def _unshared_streams(cfg):
 @pytest.mark.parametrize("case", ["benign", "diverging"])
 def test_shared_rounds_equal_the_unshared_streams_bit_for_bit(tmp_path, case):
     cfg = _stream_cfg(tmp_path, case)
-    got = H.run_fl_streams(cfg, H._fl_setup(cfg, [cfg.fl.aggregator]))
+    got = H.run_fl(cfg, [cfg.fl.aggregator])[cfg.fl.aggregator]
     want = _unshared_streams(cfg)
     for key in ("weights", "twin_weights"):
         assert [w.tobytes() for w in got[key]] == [w.tobytes() for w in want[key]]
@@ -583,7 +600,7 @@ def test_shared_rounds_equal_the_unshared_streams_bit_for_bit(tmp_path, case):
     ("attacked", [2, 2]),
     ("diverging", [1, 2, 2]),
 ])
-def test_run_fl_streams_runs_a_shared_round_once(tmp_path, monkeypatch, case, per_round):
+def test_run_fl_runs_a_shared_round_once(tmp_path, monkeypatch, case, per_round):
     # per round: run_round calls, and probe CAM passes in its metrics
     cfg = _stream_cfg(tmp_path, case)
     real_round, real_cams = F.run_round, S.predict_grad_cams
@@ -599,10 +616,34 @@ def test_run_fl_streams_runs_a_shared_round_once(tmp_path, monkeypatch, case, pe
 
     monkeypatch.setattr(F, "run_round", spy_round)
     monkeypatch.setattr(S, "predict_grad_cams", spy_cams)
-    H.run_fl_streams(cfg, H._fl_setup(cfg, [cfg.fl.aggregator]))
+    H.run_fl(cfg, [cfg.fl.aggregator])
     rounds = range(1, cfg.fl.rounds + 1)
     assert [rounds_run.count(t) for t in rounds] == per_round
     assert [cams_after.count(t) for t in rounds] == per_round
+
+
+def test_run_fl_frees_the_training_split_before_the_first_round(tmp_path, monkeypatch):
+    # every shard is a copy, so a train split kept past the sharding would
+    # only add its size to the peak RSS of the rounds
+    monkeypatch.setenv("CHROMAFL_WORKERS", "1")  # the spies run in this process
+    cfg = tiny_cfg(tmp_path)
+    real_prepare, real_round = H.prepare_data, F.run_round
+    train_images, alive = [], []
+
+    def spy_prepare(*args, **kwargs):
+        splits = real_prepare(*args, **kwargs)
+        train_images.append(weakref.ref(splits[0].images))
+        return splits
+
+    def spy_round(*args, **kwargs):
+        alive.append(train_images[0]() is not None)
+        return real_round(*args, **kwargs)
+
+    monkeypatch.setattr(H, "prepare_data", spy_prepare)
+    monkeypatch.setattr(F, "run_round", spy_round)
+    H.run_fl(cfg, [cfg.fl.aggregator])
+    assert len(train_images) == 1
+    assert alive and not any(alive)
 
 
 def test_fl_reports_drift_fit_when_attacked(tmp_path):
@@ -896,7 +937,7 @@ def test_robust_emits_one_row_per_aggregator(tmp_path):
     # standalone run of that aggregator bit for bit
     for agg in F.AGGREGATORS:
         sub = dataclasses.replace(cfg, fl=dataclasses.replace(cfg.fl, aggregator=agg))
-        want = H.run_fl_streams(sub, H._fl_setup(sub, [agg]))
+        want = H.run_fl(sub, [agg])[agg]
         assert rep["runs"][agg]["rounds"] == want["rounds"], agg
         for key in ("weights", "twin_weights"):
             assert [w.tobytes() for w in rep["runs"][agg][key]] == \
