@@ -289,49 +289,62 @@ def run_round(spec: M.ModelSpec, global_weights, shards: list[D.LabeledDataset],
 
 def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,
                           probe_images, test: D.LabeledDataset, round_index: int = 0,
-                          adv_ratio: float = 0.0) -> tuple[RoundMetrics, np.ndarray]:
+                          adv_ratio: float = 0.0,
+                          n_maps: int | None = None) -> tuple[RoundMetrics, np.ndarray]:
     """Compare the current global against a reference on fixed probe images.
 
     CAMs on both models target the reference model's predicted class per
     probe image, so the metric isolates explanation movement from label
-    movement.  When reference and current weights are bit-identical the
-    SSIM/peak/L1 columns come out exactly 1.0 / 100.0 / 0.0.
+    movement.  Each model runs once over the probe (labels, Grad-CAM and
+    Grad-CAM++ maps from one taped pass) and once over the test set, whose
+    predictions give both accuracy and fidelity.
 
-    Each model runs once over the probe (labels and CAMs from one taped
-    pass) and once over the test set, whose predictions give both accuracy
-    and fidelity.  When ``current_weights is reference_weights`` the model
-    runs once in all: the current maps and predictions are the reference's,
-    which a second run would reproduce bit for bit, and the comparison
-    metrics are still computed from them.  Returns the metrics and the
-    current model's probe Grad-CAMs, the maps scored against the reference's.
+    When ``current_weights is reference_weights`` (a round both streams
+    share), only what the report reads is computed: one test-set pass,
+    whose accuracy is also the reference accuracy, and no Grad-CAM++, SSIM,
+    peak overlap or L1.  The comparison columns take their identity values,
+    1.0 / 0.0 SSIM mean / std, 100.0 fidelity and peak overlap and 0.0 L1,
+    which are what scoring a finite stack against itself gives bit for bit.
+    The probe runs only when maps are asked for: one pass over the whole
+    probe, whose first rows give the maps, so a row's bits do not depend on
+    ``n_maps``.
+
+    Returns the metrics and the current model's Grad-CAMs of the first
+    ``n_maps`` probe images (all of them when ``None``, at most the probe's
+    length), each for the reference's predicted class, as a fresh
+    ``(n, H, W)`` array.
     """
     probe = np.asarray(probe_images)
-    ref_labels, gc_ref, gpp_ref = S.predict_grad_cams(spec, reference_weights, probe)
+    n = len(probe) if n_maps is None else min(n_maps, len(probe))
     ref_preds = M.predict_labels(spec, reference_weights, test.images)
     if current_weights is reference_weights:
-        gc_cur, gpp_cur, cur_preds = gc_ref, gpp_ref, ref_preds
+        cur_preds = ref_preds
+        scores = {"ssim_gc_mean": 1.0, "ssim_gc_std": 0.0, "ssim_gcpp_mean": 1.0,
+                  "ssim_gcpp_std": 0.0, "peak_pct_mean": 100.0, "l1_mean": 0.0}
+        if n:
+            _, g, acts = S.label_grads(spec, current_weights, probe)
+            gc_cur = S.grad_cam_maps(g[:n], acts[:n], spec.input_size)
+        else:
+            gc_cur = np.empty((0, spec.input_size, spec.input_size))
     else:
+        ref_labels, gc_ref, gpp_ref = S.predict_grad_cams(spec, reference_weights, probe)
         _, gc_cur, gpp_cur = S.predict_grad_cams(spec, current_weights, probe, ref_labels)
         cur_preds = M.predict_labels(spec, current_weights, test.images)
-
-    ssim_gc = S.ssim(gc_ref, gc_cur)
-    ssim_gpp = S.ssim(gpp_ref, gpp_cur)
-    peaks = S.peak_overlap(gc_ref, gc_cur)
-    l1 = S.l1_distance(gc_ref, gc_cur)
+        ssim_gc, ssim_gpp = S.ssim(gc_ref, gc_cur), S.ssim(gpp_ref, gpp_cur)
+        scores = {"ssim_gc_mean": float(ssim_gc.mean()), "ssim_gc_std": float(ssim_gc.std()),
+                  "ssim_gcpp_mean": float(ssim_gpp.mean()),
+                  "ssim_gcpp_std": float(ssim_gpp.std()),
+                  "peak_pct_mean": float(S.peak_overlap(gc_ref, gc_cur).mean()),
+                  "l1_mean": float(S.l1_distance(gc_ref, gc_cur).mean())}
 
     return RoundMetrics(
         round=round_index,
         adv_ratio=float(adv_ratio),
         accuracy=100.0 * M.hit_rate(cur_preds, test.labels),
         fidelity_pct=100.0 * M.hit_rate(ref_preds, cur_preds),
-        ssim_gc_mean=float(ssim_gc.mean()),
-        ssim_gc_std=float(ssim_gc.std()),
-        ssim_gcpp_mean=float(ssim_gpp.mean()),
-        ssim_gcpp_std=float(ssim_gpp.std()),
-        peak_pct_mean=float(peaks.mean()),
-        l1_mean=float(np.asarray(l1).mean()),
         reference_accuracy=100.0 * M.hit_rate(ref_preds, test.labels),
-    ), gc_cur
+        **scores,
+    ), gc_cur[:n].copy()
 
 
 def _drift_points(series) -> tuple[np.ndarray, np.ndarray]:

@@ -238,13 +238,14 @@ def run_fl(cfg: ExperimentConfig, aggregators) -> dict[str, dict]:
     same computation bit for bit.
     So a round that both streams start from the same global object and
     that selects no adversarial client is run once: the attacked global is
-    the twin's new global object, which ``compute_round_metrics`` then runs
-    once.  That is every round at adv_ratio = 0 and the leading
+    the twin's new global object.  Its metrics then compute only the test
+    accuracy, plus the Grad-CAMs of the heatmaps kept, and score no map
+    against itself.  That is every round at adv_ratio = 0 and the leading
     adversary-free rounds of an attacked run; once the streams diverge,
     each runs its own rounds.
-    ``heatmaps[t - 1]`` holds round t's Grad-CAMs of the first
-    ``metrics.heatmap_dumps`` probe images on the attacked global, each for
-    the twin's predicted class.
+    ``heatmaps[t - 1]`` is the (n, H, W) stack of round t's Grad-CAMs of
+    the first ``metrics.heatmap_dumps`` probe images on the attacked
+    global, each for the twin's predicted class.
     """
     try:  # each aggregator's rules (trimmed_mean's trim_k) are FLConfig's checks
         fls = [dataclasses.replace(cfg.fl, aggregator=agg) for agg in aggregators]
@@ -280,12 +281,11 @@ def run_fl(cfg: ExperimentConfig, aggregators) -> dict[str, dict]:
             else:
                 w_main = F.run_round(spec, w_main, shards, adversaries, fl, cfg.grid,
                                      cfg.seed, t, server_root=root)
-            metrics, cams = F.compute_round_metrics(spec, w_twin, w_main, probe, test,
-                                                    round_index=t, adv_ratio=adv_share)
+            metrics, cams = F.compute_round_metrics(
+                spec, w_twin, w_main, probe, test, round_index=t, adv_ratio=adv_share,
+                n_maps=cfg.metrics.heatmap_dumps)
             rounds.append(metrics)
-            # copies and a del, so no round's full probe stack outlives the round
-            heatmaps.append([cam.copy() for cam in cams[:cfg.metrics.heatmap_dumps]])
-            del cams
+            heatmaps.append(cams)
         runs[fl.aggregator] = {"weights": w_main, "twin_weights": w_twin,
                                "rounds": rounds, "heatmaps": heatmaps}
     return runs

@@ -379,6 +379,29 @@ def test_round_metrics_are_exact_for_identical_models(fl_setup):
     assert 0.0 <= m.accuracy <= 100.0
 
 
+@pytest.mark.parametrize("arch,capture", [("ARCH_A", "conv3"), ("ARCH_B", "conv2")])
+def test_shared_round_metrics_equal_the_computed_ones(fl_setup, arch, capture):
+    # weights passed twice as one object take the shared round's shortcut,
+    # which scores no map; a copy takes the computed path, whose columns
+    # and maps the shortcut must give bit for bit, at every n_maps
+    _, _, _, train = fl_setup
+    spec = M.ModelSpec(arch=arch, input_size=16, classes=4, capture=capture)
+    weights = M.train(spec, M.build(spec, seed=4), train, epochs=1, seed=4)
+    probe, test = train.images[:12], train.subset(range(20, 60))
+    for n_maps in (0, 1, len(probe), len(probe) + 3):
+        shared, shared_maps = F.compute_round_metrics(
+            spec, weights, weights, probe, test, round_index=3, adv_ratio=0.5,
+            n_maps=n_maps)
+        computed, computed_maps = F.compute_round_metrics(
+            spec, weights, [w.copy() for w in weights], probe, test, round_index=3,
+            adv_ratio=0.5, n_maps=n_maps)
+        assert repr(shared) == repr(computed)
+        assert shared_maps.tobytes() == computed_maps.tobytes()
+        for maps in (shared_maps, computed_maps):
+            assert maps.shape == (min(n_maps, len(probe)), 16, 16)
+            assert maps.flags.owndata
+
+
 def test_round_metrics_equal_the_separate_predict_and_cam_passes(fl_setup):
     # one forward per model and image set: the reference labels come from
     # its CAM pass, and each model's test predictions feed accuracy and

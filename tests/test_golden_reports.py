@@ -24,7 +24,7 @@ bytes on purpose rewrites one golden listing with::
 and the diff of ``tests/golden/`` shows the moved files.
 
 At one worker, ``tools/unreached_lines.py`` on the three configs together
-leaves 199 lines of ``src/chromafl`` unrun (``raise`` lines not counted).
+leaves 200 lines of ``src/chromafl`` unrun (``raise`` lines not counted).
 The count is the lines common to the three sorted listings::
 
     out=$(mktemp -d)
@@ -45,7 +45,8 @@ By module:
 - ``config`` 17: error exits, the ``--seed`` and ``--limit`` overrides and
   the CIFAR size rule;
 - ``cli`` 14: the error exits and ``__main__``;
-- ``federated`` 7: FLTrust's skipped rounds and R²'s zero-total branch;
+- ``federated`` 8: FLTrust's skipped rounds, R²'s zero-total branch and
+  the empty map stack of a shared round that keeps no heatmap;
 - ``color`` 2: the input clamp and ``apply``'s hue step;
 - ``__init__`` 2: the fallback when ``mallopt`` is missing.
 """

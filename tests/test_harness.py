@@ -601,25 +601,39 @@ def test_shared_rounds_equal_the_unshared_streams_bit_for_bit(tmp_path, case):
     ("diverging", [1, 2, 2]),
 ])
 def test_run_fl_runs_a_shared_round_once(tmp_path, monkeypatch, case, per_round):
-    # per round: run_round calls, and probe CAM passes in its metrics
-    cfg = _stream_cfg(tmp_path, case)
-    real_round, real_cams = F.run_round, S.predict_grad_cams
-    rounds_run, cams_after = [], []
+    # per round: run_round calls, and the probe passes of its metrics; a
+    # shared round (one run_round call) builds no Grad-CAM++ and scores no
+    # map, so it makes one Grad-CAM pass only when it keeps heatmaps, and a
+    # round run per stream makes two CAM passes
+    real_round = F.run_round
+    rounds_run, cams_after, grads_after = [], [], []
 
     def spy_round(*args, **kwargs):
         rounds_run.append(args[7])
         return real_round(*args, **kwargs)
 
-    def spy_cams(*args, **kwargs):
-        cams_after.append(rounds_run[-1])  # the round whose metrics these are
-        return real_cams(*args, **kwargs)
+    def spy(after, real):
+        def call(*args, **kwargs):
+            after.append(rounds_run[-1])  # the round whose metrics these are
+            return real(*args, **kwargs)
+        return call
 
     monkeypatch.setattr(F, "run_round", spy_round)
-    monkeypatch.setattr(S, "predict_grad_cams", spy_cams)
-    H.run_fl(cfg, [cfg.fl.aggregator])
+    # federated's own calls into saliency, not the attack's
+    monkeypatch.setattr(F, "S", SimpleNamespace(**{
+        **vars(S), "predict_grad_cams": spy(cams_after, S.predict_grad_cams),
+        "label_grads": spy(grads_after, S.label_grads)}))
+    cfg = _stream_cfg(tmp_path, case)
     rounds = range(1, cfg.fl.rounds + 1)
-    assert [rounds_run.count(t) for t in rounds] == per_round
-    assert [cams_after.count(t) for t in rounds] == per_round
+    for dumps in (1, 0):
+        for calls in (rounds_run, cams_after, grads_after):
+            calls.clear()
+        H.run_fl(dataclasses.replace(cfg, metrics=dataclasses.replace(
+            cfg.metrics, heatmap_dumps=dumps)), [cfg.fl.aggregator])
+        assert [rounds_run.count(t) for t in rounds] == per_round
+        assert [cams_after.count(t) for t in rounds] == [0 if n == 1 else 2 for n in per_round]
+        assert [grads_after.count(t) for t in rounds] == \
+            [1 if n == 1 and dumps else 0 for n in per_round]
 
 
 def test_run_fl_frees_the_training_split_before_the_first_round(tmp_path, monkeypatch):
