@@ -9,7 +9,7 @@ The package is organized bottom-up:
 * :mod:`chromafl.data` -- CIFAR-10 binary I/O, synthetic shapes, partitioning.
 * :mod:`chromafl.attack` -- grid-search color perturbation of training data.
 * :mod:`chromafl.federated` -- rounds, aggregators, saliency-drift metrics.
-* :mod:`chromafl.parallel` -- a fork map over independent work items.
+* :mod:`chromafl.parallel` -- a pool of forked workers over independent work items.
 * :mod:`chromafl.harness` / :mod:`chromafl.cli` -- experiment drivers.
 
 Importing any part of the package pins glibc's allocator thresholds (see

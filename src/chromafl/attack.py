@@ -19,6 +19,7 @@ comparable perceptual strength but with no model in the loop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -168,13 +169,20 @@ def _stacked(results) -> tuple[np.ndarray, list[AttackOutcome]]:
     return np.stack([x for x, _ in results]), [o for _, o in results]
 
 
-def poison_dataset(spec: M.ModelSpec, weights, dataset: D.LabeledDataset,
-                   grid: GridSpec) -> tuple[D.LabeledDataset, list[AttackOutcome]]:
-    """Run the grid attack over every image, in image blocks on the worker
-    map (:func:`parallel.fork_map`); labels pass through untouched."""
-    images, outcomes = _stacked(P.fork_map(
-        lambda x: cpm_perturb(spec, weights, x, grid), dataset.images))
+def poison_dataset(spec: M.ModelSpec, weights, dataset: D.LabeledDataset, grid: GridSpec,
+                   pool: P.Workers | None = None
+                   ) -> tuple[D.LabeledDataset, list[AttackOutcome]]:
+    """Run the grid attack over every image, in image blocks mapped over
+    ``pool`` (:class:`parallel.Workers`; serially here without one); labels
+    pass through untouched."""
+    images, outcomes = _stacked((pool or P.Workers()).map(
+        functools.partial(_perturb, spec, weights, grid), dataset.images))
     return D.LabeledDataset(images, dataset.labels.copy(), dataset.classes), outcomes
+
+
+def _perturb(spec: M.ModelSpec, weights, grid: GridSpec, x):
+    """:func:`cpm_perturb` with the image last, for a map."""
+    return cpm_perturb(spec, weights, x, grid)
 
 
 def summarize_outcomes(outcomes: list[AttackOutcome]) -> dict:

@@ -29,6 +29,7 @@ CAM)), each CAM taken for the reference model's predicted class.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -247,16 +248,19 @@ def assign_roles(n_clients: int, adv_ratio: float, seed: int) -> list[str]:
 
 def run_round(spec: M.ModelSpec, global_weights, shards: list[D.LabeledDataset],
               adversaries, fl: FLConfig, grid: A.GridSpec, seed: int, round_index: int,
-              server_root: D.LabeledDataset | None = None) -> list[np.ndarray]:
+              server_root: D.LabeledDataset | None = None,
+              pool: P.Workers | None = None) -> list[np.ndarray]:
     """One federated round; returns the new global weights.
 
     ``shards[cid]`` is client ``cid``'s dataset.  A selected client whose id
     is in ``adversaries`` re-poisons its shard with ``grid`` against the
     incoming global every round, so the attack tracks the model as it drifts.
-    The shards are poisoned first, each on the worker map; then the selected
-    clients' local trainings, and FLTrust's server update last, run on one
-    map (:func:`parallel.fork_map`).  None of them reads another's result,
-    so the new weights do not depend on the worker count.
+    The shards are poisoned first, each by one map over ``pool``
+    (:class:`parallel.Workers`); then the selected clients' local
+    trainings, and FLTrust's server update last, run as one more map, each
+    job with its shard and the global weights pickled to its worker.  None
+    of them reads another's result, so the new weights do not depend on the
+    worker count.  With no ``pool`` every map runs serially here.
     A non-finite aggregated weight raises ``FloatingPointError`` naming the
     round and the aggregator.
     """
@@ -267,12 +271,12 @@ def run_round(spec: M.ModelSpec, global_weights, shards: list[D.LabeledDataset],
     for cid in selected.tolist():
         shard = shards[cid]
         if cid in adversaries:
-            shard, _ = A.poison_dataset(spec, global_weights, shard, grid)
+            shard, _ = A.poison_dataset(spec, global_weights, shard, grid, pool=pool)
         jobs.append((shard, _child_seed(seed, _TAG_LOCAL, round_index, cid)))
     if fl.aggregator == FLTRUST:
         jobs.append((server_root, _child_seed(seed, _TAG_SERVER, round_index)))
-    trained = P.fork_map(lambda job: M.train(spec, global_weights, job[0], fl.local_epochs,
-                                             lr=fl.lr, batch=fl.batch, seed=job[1]), jobs)
+    trained = (pool or P.Workers()).map(
+        functools.partial(_train_job, spec, global_weights, fl), jobs)
     if fl.aggregator == FEDAVG:
         new = fedavg([(w_i, len(shard)) for w_i, (shard, _) in zip(trained, jobs)])
     elif fl.aggregator == TRIMMED_MEAN:
@@ -285,6 +289,13 @@ def run_round(spec: M.ModelSpec, global_weights, shards: list[D.LabeledDataset],
         raise FloatingPointError(
             f"round {round_index}: {fl.aggregator} aggregation gave non-finite weights")
     return new
+
+
+def _train_job(spec: M.ModelSpec, weights, fl: FLConfig, job) -> list[np.ndarray]:
+    """One local training of ``run_round``: ``job`` is (dataset, seed)."""
+    dataset, seed = job
+    return M.train(spec, weights, dataset, fl.local_epochs, lr=fl.lr, batch=fl.batch,
+                   seed=seed)
 
 
 def compute_round_metrics(spec: M.ModelSpec, reference_weights, current_weights,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import os
 import shutil
 from pathlib import Path
@@ -26,6 +27,7 @@ from . import color as C
 from . import data as D
 from . import federated as F
 from . import models as M
+from . import parallel as P
 from . import saliency as S
 from . import tensor as T
 from .config import SHAPES, ConfigError, ExperimentConfig
@@ -246,6 +248,13 @@ def run_fl(cfg: ExperimentConfig, aggregators) -> dict[str, dict]:
     ``heatmaps[t - 1]`` is the (n, H, W) stack of round t's Grad-CAMs of
     the first ``metrics.heatmap_dumps`` probe images on the attacked
     global, each for the twin's predicted class.
+
+    One :class:`parallel.Workers` pool, forked after the train split is
+    freed, serves the whole run: every round's trainings and poisoned
+    shards, then, after each aggregator's last round, that aggregator's
+    round metrics as one map over its rounds.  A shared round's item holds
+    one weights object twice, and it arrives so in the worker, so its
+    metrics still take the shared-round path.
     """
     try:  # each aggregator's rules (trimmed_mean's trim_k) are FLConfig's checks
         fls = [dataclasses.replace(cfg.fl, aggregator=agg) for agg in aggregators]
@@ -266,29 +275,36 @@ def run_fl(cfg: ExperimentConfig, aggregators) -> dict[str, dict]:
     del train  # each shard is a copy, so the split need not outlive the rounds
     probe = test.images[:cfg.metrics.probe_size]
     adv_share = len(adversaries) / len(shards)
+    metrics = functools.partial(_round_metrics, spec, probe, test, adv_share,
+                                cfg.metrics.heatmap_dumps)
     runs = {}
-    for fl in fls:
-        w_twin = w_main = w_init
-        rounds: list[F.RoundMetrics] = []
-        heatmaps = []
-        for t in range(1, fl.rounds + 1):
-            same_start = w_main is w_twin
-            w_twin = F.run_round(spec, w_twin, shards, (), fl, cfg.grid,
-                                 cfg.seed, t, server_root=root)
-            picked = F.select_clients(len(shards), fl.select_k, cfg.seed, t)
-            if same_start and adversaries.isdisjoint(picked):
-                w_main = w_twin
-            else:
-                w_main = F.run_round(spec, w_main, shards, adversaries, fl, cfg.grid,
-                                     cfg.seed, t, server_root=root)
-            metrics, cams = F.compute_round_metrics(
-                spec, w_twin, w_main, probe, test, round_index=t, adv_ratio=adv_share,
-                n_maps=cfg.metrics.heatmap_dumps)
-            rounds.append(metrics)
-            heatmaps.append(cams)
-        runs[fl.aggregator] = {"weights": w_main, "twin_weights": w_twin,
-                               "rounds": rounds, "heatmaps": heatmaps}
+    with P.Workers() as pool:
+        for fl in fls:
+            w_twin = w_main = w_init
+            streams = []  # (round, twin global, attacked global) after each round
+            for t in range(1, fl.rounds + 1):
+                same_start = w_main is w_twin
+                w_twin = F.run_round(spec, w_twin, shards, (), fl, cfg.grid,
+                                     cfg.seed, t, server_root=root, pool=pool)
+                picked = F.select_clients(len(shards), fl.select_k, cfg.seed, t)
+                if same_start and adversaries.isdisjoint(picked):
+                    w_main = w_twin
+                else:
+                    w_main = F.run_round(spec, w_main, shards, adversaries, fl, cfg.grid,
+                                         cfg.seed, t, server_root=root, pool=pool)
+                streams.append((t, w_twin, w_main))
+            rounds, heatmaps = zip(*pool.map(metrics, streams))
+            runs[fl.aggregator] = {"weights": w_main, "twin_weights": w_twin,
+                                   "rounds": list(rounds), "heatmaps": list(heatmaps)}
     return runs
+
+
+def _round_metrics(spec, probe, test, adv_ratio, n_maps, stream):
+    """``F.compute_round_metrics`` of one ``(round, twin global, attacked
+    global)`` triple of :func:`run_fl`, for a map."""
+    t, w_twin, w_main = stream
+    return F.compute_round_metrics(spec, w_twin, w_main, probe, test, round_index=t,
+                                   adv_ratio=adv_ratio, n_maps=n_maps)
 
 
 def cmd_fl(cfg: ExperimentConfig) -> dict:

@@ -2,7 +2,7 @@
 
 The suite runs with one BLAS thread, as the CLI does under
 ``CHROMAFL_THREADS=1`` and as the benchmark does, so ``worker_count()``
-gives one worker per usable CPU and the fork maps fork.  The pin must
+gives one worker per usable CPU and the worker pools fork.  The pin must
 happen before numpy loads: when numpy is already imported the environment
 is left alone, since two workers over a multi-threaded BLAS run slower
 than one.  A variable that is already set keeps its value.

@@ -304,7 +304,7 @@ def test_run_round_poisons_exactly_the_selected_adversaries(fl_setup, monkeypatc
     cfg = F.FLConfig(n_clients=4, select_k=3, local_epochs=0)
     poisoned = []
 
-    def spy_poison(spec_, weights_, dataset, grid):
+    def spy_poison(spec_, weights_, dataset, grid, pool=None):
         poisoned.append(next(cid for cid, s in enumerate(shards) if s is dataset))
         return dataset, []
 

@@ -8,7 +8,7 @@ against the listings recorded in ``tests/golden/``.
 - ``tiny``: every command at a small size;
 - ``variant``: ARCH_B captured at ``conv2``, FLTrust over a ``label_skew``
   split for 2 rounds, and a per-channel, jitter and composite grid cut to
-  30 candidates.  It runs on 2 workers, so the fork side of the maps runs;
+  30 candidates.  It runs on 2 workers, so the pool's worker side runs;
   the other two run on 1;
 - ``benign``: ``tiny`` with no adversary, a grid of hue shifts of ±0.02
   only, and ``attack.delta_e_tol`` 0.05.  It reaches ``compare``'s
@@ -24,7 +24,7 @@ bytes on purpose rewrites one golden listing with::
 and the diff of ``tests/golden/`` shows the moved files.
 
 At one worker, ``tools/unreached_lines.py`` on the three configs together
-leaves 200 lines of ``src/chromafl`` unrun (``raise`` lines not counted).
+leaves 240 lines of ``src/chromafl`` unrun (``raise`` lines not counted).
 The count is the lines common to the three sorted listings::
 
     out=$(mktemp -d)
@@ -36,7 +36,7 @@ The count is the lines common to the three sorted listings::
 
 By module:
 
-- ``parallel`` 61: the fork side of the maps, which the tool pins off;
+- ``parallel`` 101: the pool's forked side, which the tool pins off;
 - ``data`` 57: the CIFAR-10 reader and writer;
 - ``harness`` 21: ``publish``'s rollback, the CIFAR split, ``read_csv``
   and ``run_fl``'s rewrap of a rejected aggregator;

@@ -30,6 +30,7 @@ import chromafl.data as D
 import chromafl.federated as F
 import chromafl.harness as H
 import chromafl.models as M
+import chromafl.parallel as P
 import chromafl.saliency as S
 from chromafl.config import ConfigError, ExperimentConfig, load_config, override, parse_config
 from readers import load_weights, read_ppm
@@ -605,20 +606,26 @@ def test_run_fl_runs_a_shared_round_once(tmp_path, monkeypatch, case, per_round)
     # shared round (one run_round call) builds no Grad-CAM++ and scores no
     # map, so it makes one Grad-CAM pass only when it keeps heatmaps, and a
     # round run per stream makes two CAM passes
-    real_round = F.run_round
-    rounds_run, cams_after, grads_after = [], [], []
+    monkeypatch.setenv("CHROMAFL_WORKERS", "1")  # the spies count in this process
+    real_round, real_metrics = F.run_round, F.compute_round_metrics
+    rounds_run, metrics_of, cams_after, grads_after = [], [], [], []
 
     def spy_round(*args, **kwargs):
         rounds_run.append(args[7])
         return real_round(*args, **kwargs)
 
+    def spy_metrics(*args, round_index, **kwargs):
+        metrics_of.append(round_index)
+        return real_metrics(*args, round_index=round_index, **kwargs)
+
     def spy(after, real):
         def call(*args, **kwargs):
-            after.append(rounds_run[-1])  # the round whose metrics these are
+            after.append(metrics_of[-1])  # the round whose metrics these are
             return real(*args, **kwargs)
         return call
 
     monkeypatch.setattr(F, "run_round", spy_round)
+    monkeypatch.setattr(F, "compute_round_metrics", spy_metrics)
     # federated's own calls into saliency, not the attack's
     monkeypatch.setattr(F, "S", SimpleNamespace(**{
         **vars(S), "predict_grad_cams": spy(cams_after, S.predict_grad_cams),
@@ -626,11 +633,12 @@ def test_run_fl_runs_a_shared_round_once(tmp_path, monkeypatch, case, per_round)
     cfg = _stream_cfg(tmp_path, case)
     rounds = range(1, cfg.fl.rounds + 1)
     for dumps in (1, 0):
-        for calls in (rounds_run, cams_after, grads_after):
+        for calls in (rounds_run, metrics_of, cams_after, grads_after):
             calls.clear()
         H.run_fl(dataclasses.replace(cfg, metrics=dataclasses.replace(
             cfg.metrics, heatmap_dumps=dumps)), [cfg.fl.aggregator])
         assert [rounds_run.count(t) for t in rounds] == per_round
+        assert metrics_of == list(rounds)
         assert [cams_after.count(t) for t in rounds] == [0 if n == 1 else 2 for n in per_round]
         assert [grads_after.count(t) for t in rounds] == \
             [1 if n == 1 and dumps else 0 for n in per_round]
@@ -658,6 +666,34 @@ def test_run_fl_frees_the_training_split_before_the_first_round(tmp_path, monkey
     H.run_fl(cfg, [cfg.fl.aggregator])
     assert len(train_images) == 1
     assert alive and not any(alive)
+
+
+def test_run_fl_forks_its_workers_once(tmp_path, monkeypatch):
+    # one pool serves every round's trainings and poisoned shards, and the
+    # round metrics, however many of them the run has
+    monkeypatch.setenv("CHROMAFL_WORKERS", "2")
+    cfg = tiny_cfg(tmp_path, fl={"n_clients": 4, "select_k": 3, "rounds": 3,
+                                 "adv_ratio": 0.5, "aggregator": "fltrust", "root_size": 8})
+    real_fork, real_poison = os.fork, A.poison_dataset
+    forks, poisoned = [], []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    def spy_poison(*args, **kwargs):
+        poisoned.append(None)
+        return real_poison(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(A, "poison_dataset", spy_poison)
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    H.run_fl(cfg, [cfg.fl.aggregator])
+    assert len(poisoned) >= cfg.fl.rounds  # every round picks an adversary
+    assert len(forks) == P.worker_count() - 1 == 1
+    with pytest.raises(ChildProcessError):  # the worker is reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert mask is None or os.sched_getaffinity(0) == mask
 
 
 def test_fl_reports_drift_fit_when_attacked(tmp_path):

@@ -1,9 +1,13 @@
-"""The fork map: order, errors, reaping, nesting, the worker count, and
-report bytes that do not depend on how many workers ran a command."""
+"""The fork map (``Workers.map``, a map over forked workers): order,
+errors, reaping, nesting, pinning, the worker count, and report bytes that
+do not depend on how many workers ran a command."""
 
+import contextlib
 import errno
+import functools
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -38,20 +42,81 @@ def workers(monkeypatch):
 
 
 # ---------------------------------------------------------------- map
+# a map pickles its function, so the jobs below are module-level functions
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+def _pid(x):
+    return os.getpid()
+
+
+def _fail_at(failing, x):
+    if x in failing:
+        raise failing[x](f"item {x}")
+    return x
+
+
+def _interrupt_or_sleep(x):
+    if x == 0:
+        raise KeyboardInterrupt
+    time.sleep(60)
+
+
+def _exit_at_one(x):
+    if x == 1:
+        os._exit(1)
+    return x
+
+
+def _nested(x):
+    with P.Workers() as inner:
+        return os.getpid(), inner.map(_pid, range(4))
+
+
+def _unpicklable(x):
+    if x == 1:
+        raise Boom(lambda: None)  # an exception that cannot be pickled
+    return (lambda: None) if x == 3 else x  # a result that cannot be pickled
+
+
+def _mask(x):
+    return os.sched_getaffinity(0)
+
+
+def _shared(pair):
+    return pair[0] is pair[1]
 
 
 @pytest.mark.parametrize("n_workers, n_items", [(2, 7), (3, 7), (3, 9), (4, 2), (3, 1),
                                                 (2, 0)])
 def test_fork_map_keeps_input_order(workers, n_workers, n_items):
     workers(n_workers)
-    got = P.fork_map(lambda x: (x * x, os.getpid()), range(n_items))
+    with P.Workers() as pool:
+        got = pool.map(_square_and_pid, range(n_items))
     assert [v for v, _ in got] == [x * x for x in range(n_items)]
-    # contiguous blocks, one per worker, the first run by the caller
+    # contiguous blocks, one per process, the first run by the caller
     pids = [pid for _, pid in got]
     assert len(set(pids)) == min(n_workers, n_items)
     assert pids[:1] == [os.getpid()] * min(1, n_items)
     assert pids == sorted(pids, key=pids.index)
     assert_no_child_left()
+
+
+def test_workers_fork_once_for_every_map_of_the_block(workers):
+    workers(3)
+    with P.Workers() as pool:
+        maps = [pool.map(_pid, range(n)) for n in (6, 3, 9)]
+    assert set(maps[0]) == set(maps[1]) == set(maps[2])
+    assert len(set(maps[0])) == 3
+    assert_no_child_left()
+
+
+def test_a_map_outside_a_block_runs_in_the_caller(workers):
+    workers(3)
+    assert P.Workers().map(_pid, range(5)) == [os.getpid()] * 5
 
 
 @pytest.mark.parametrize("failing, raised", [
@@ -61,68 +126,131 @@ def test_fork_map_keeps_input_order(workers, n_workers, n_items):
 ])
 def test_fork_map_raises_the_lowest_index_failure(workers, failing, raised):
     workers(3)  # blocks [0, 1], [2, 3], [4, 5]
+    with P.Workers() as pool:
+        with pytest.raises(raised) as info:
+            pool.map(functools.partial(_fail_at, failing), range(6))
+        assert type(info.value) is raised
+        assert info.value.args == (f"item {min(failing)}",)
+        # a worker's failure leaves the pool whole; one in the caller's own
+        # block kills the workers, so the block's later maps run serially
+        pids = pool.map(_pid, range(6))
+        assert (len(set(pids)) == 1) == (min(failing) < 2)
+    assert_no_child_left()
 
-    def fn(x):
-        if x in failing:
-            raise failing[x](f"item {x}")
-        return x
 
-    with pytest.raises(raised) as info:
-        P.fork_map(fn, range(6))
-    assert type(info.value) is raised
-    assert info.value.args == (f"item {min(failing)}",)
+@pytest.mark.parametrize("items", [[0, 1], [0, 3]])  # an exception, a result
+def test_an_outcome_that_cannot_be_pickled_is_an_error(workers, items):
+    workers(2)  # the second item is the worker's
+    with P.Workers() as pool:
+        with pytest.raises(RuntimeError, match="outcome cannot be pickled"):
+            pool.map(_unpicklable, items)
     assert_no_child_left()
 
 
 def test_a_caller_interrupt_kills_the_workers(workers):
     workers(3)
-
-    def fn(x):
-        if x == 0:
-            raise KeyboardInterrupt
-        time.sleep(60)
-
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        P.fork_map(fn, range(3))
+        with P.Workers() as pool:
+            pool.map(_interrupt_or_sleep, range(3))
     assert time.monotonic() - start < 30
     assert_no_child_left()
 
 
 def test_a_worker_that_dies_without_results_is_an_error(workers):
     workers(2)
-    with pytest.raises(RuntimeError, match="without sending its results"):
-        P.fork_map(lambda x: os._exit(1) if x == 1 else x, range(2))
+    with P.Workers() as pool:
+        with pytest.raises(RuntimeError, match="without sending its results"):
+            pool.map(_exit_at_one, range(2))
+        assert pool.map(_pid, range(2)) == [os.getpid()] * 2  # the rest runs here
+    assert_no_child_left()
+
+
+def test_a_worker_killed_between_maps_is_an_error(workers):
+    workers(2)
+    with P.Workers() as pool:
+        os.kill(pool.map(_pid, range(2))[1], signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="without sending its results"):
+            pool.map(_pid, range(2))
     assert_no_child_left()
 
 
 def test_a_nested_map_in_a_worker_runs_serially(workers):
     workers(2)
     outer = os.getpid()
-    got = P.fork_map(lambda x: (os.getpid(), P.fork_map(lambda y: os.getpid(), range(4))),
-                     range(2))
-    (pid0, inner0), (pid1, inner1) = got
+    with P.Workers() as pool:
+        (pid0, inner0), (pid1, inner1) = pool.map(_nested, range(2))
     assert pid0 == outer and len(set(inner0)) == 2  # the caller's block may fork
     assert pid1 != outer and inner1 == [pid1] * 4
     assert_no_child_left()
 
 
-def test_a_pipe_that_cannot_be_made_runs_the_rest_in_the_caller(workers, monkeypatch):
-    workers(3)  # blocks [0, 1], [2, 3], [4, 5]; the second block's pipe fails
+def test_a_pipe_that_cannot_be_made_leaves_fewer_workers(workers, monkeypatch):
+    workers(3)  # two pipes per worker; the second worker's first pipe fails
     real_pipe, calls = os.pipe, []
 
-    def pipe_fails_second():
+    def pipe_fails_third():
         calls.append(None)
-        if len(calls) == 2:
+        if len(calls) == 3:
             raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
         return real_pipe()
 
-    monkeypatch.setattr(os, "pipe", pipe_fails_second)
-    got = P.fork_map(lambda x: (x * x, os.getpid()), range(6))
+    monkeypatch.setattr(os, "pipe", pipe_fails_third)
+    with P.Workers() as pool:
+        got = pool.map(_square_and_pid, range(6))
     assert [v for v, _ in got] == [x * x for x in range(6)]
-    pids = [pid for _, pid in got]
-    assert pids[:2] == pids[4:] == [os.getpid()] * 2 and os.getpid() not in pids[2:4]
-    assert len(calls) == 2
+    pids = [pid for _, pid in got]  # blocks [0, 1, 2] here and [3, 4, 5] on the worker
+    assert pids[:3] == [os.getpid()] * 3 and len(set(pids[3:])) == 1
+    assert os.getpid() not in pids[3:]
+    assert len(calls) == 3
+    assert_no_child_left()
+
+
+def test_a_shared_object_stays_shared_in_the_worker(workers):
+    workers(2)
+    a, b = [1.0], [1.0]
+    with P.Workers() as pool:
+        assert pool.map(_shared, [(a, b), (a, a), (b, b), (a, b)]) == \
+            [False, True, True, False]
+    assert_no_child_left()
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="no CPU affinity on this platform")
+
+
+@needs_affinity
+@pytest.mark.parametrize("fails", [False, True])
+def test_the_block_restores_the_callers_cpu_mask(workers, fails):
+    workers(2)
+    before = os.sched_getaffinity(0)
+    with contextlib.ExitStack() as stack:
+        if fails:
+            stack.enter_context(pytest.raises(Boom))
+        with P.Workers() as pool:
+            pool.map(_pid, range(4))
+            if fails:
+                raise Boom
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+
+
+@needs_affinity
+@pytest.mark.parametrize("extra", [0, 1])
+def test_each_process_is_pinned_to_its_own_cpus(workers, extra):
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("one usable CPU: no worker to pin")
+    n = min(len(cpus), 4) + extra  # with extra, the processes outnumber the CPUs
+    workers(n)
+    with P.Workers() as pool:
+        masks = pool.map(_mask, range(n))
+    if n > len(cpus):
+        assert masks == [cpus] * n
+    else:  # one CPU each when there are as many processes as CPUs
+        assert [len(m) for m in masks] == [len(cpus) // n] * n
+        assert len(set().union(*masks)) == sum(map(len, masks)) and set().union(*masks) <= cpus
+    assert os.sched_getaffinity(0) == cpus
     assert_no_child_left()
 
 
@@ -218,6 +346,7 @@ def test_an_error_in_a_worker_keeps_its_exit_code_and_message(
         return real_train(*args, seed=seed, **kwargs)
 
     monkeypatch.setattr(M, "train", failing_train)
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     seen = {}
     for n in (1, 2):
         monkeypatch.setenv("CHROMAFL_WORKERS", str(n))
@@ -230,3 +359,4 @@ def test_an_error_in_a_worker_keeps_its_exit_code_and_message(
     assert seen[1] == seen[2] == line + "\n"
     assert not (tmp_path / "out").exists()
     assert_no_child_left()
+    assert mask is None or os.sched_getaffinity(0) == mask

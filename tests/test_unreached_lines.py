@@ -39,7 +39,7 @@ def test_lists_the_lines_no_command_runs_and_no_raise(tmp_path):
     # global_avg_pool (criterion 1 is its only caller) and the forked
     # worker's side of the map
     assert _names(listing, T.global_avg_pool)
-    assert _names(listing, P._serve)
+    assert _names(listing, P._worker_loop)
     assert not _names(listing, H.cmd_baseline)
     assert not any(source.startswith("raise") for _, _, source in listing)
 
