@@ -8,10 +8,11 @@ zero, so the search can never make a sample infeasible: when nothing else
 survives the prediction check, the image passes through untouched with the
 fallback flag raised.  This module owns only the search: the grid, the
 feasibility rule and the argmin.  The labels, gradients and Grad-CAM maps
-come from :mod:`saliency` (``label_grads``, ``grad_cam_maps``).  Every
-command attacks its test images through ``attack_images``, and a federated
-adversary poisons its shard through ``poison_dataset``; both run
-``cpm_perturb`` once per image.
+come from :mod:`saliency` (``label_grads``, ``grad_cam_maps``).
+``attack_images`` is the one map over images: it runs ``cpm_perturb`` once
+per image, on a worker pool when given one.  Every command attacks its test
+images through it, and a federated adversary poisons its shard through
+``poison_dataset``, which is ``attack_images`` plus the dataset wrap.
 
 The random skew baseline draws a hue/saturation/per-channel recolor at
 comparable perceptual strength but with no model in the loop.
@@ -156,33 +157,28 @@ def cpm_perturb(spec: M.ModelSpec, weights, x, grid: GridSpec
     return out_img, outcome
 
 
-def attack_images(spec: M.ModelSpec, weights, images, grid: GridSpec
-                  ) -> tuple[np.ndarray, list[AttackOutcome]]:
-    """Run the grid attack on each image of an (N, H, W, 3) stack; returns the
-    perturbed stack and one outcome per image."""
-    return _stacked([cpm_perturb(spec, weights, x, grid) for x in images])
-
-
-def _stacked(results) -> tuple[np.ndarray, list[AttackOutcome]]:
-    """The perturbed stack and the outcomes of a list of per-image
-    ``cpm_perturb`` results."""
+def attack_images(spec: M.ModelSpec, weights, images, grid: GridSpec,
+                  pool: P.Workers | None = None) -> tuple[np.ndarray, list[AttackOutcome]]:
+    """Run the grid attack on each image of an (N, H, W, 3) stack, in image
+    blocks mapped over ``pool`` (:class:`parallel.Workers`; serially here
+    without one); returns the perturbed stack and one outcome per image."""
+    results = (pool or P.Workers()).map(functools.partial(_perturb, spec, weights, grid),
+                                        images)
     return np.stack([x for x, _ in results]), [o for _, o in results]
-
-
-def poison_dataset(spec: M.ModelSpec, weights, dataset: D.LabeledDataset, grid: GridSpec,
-                   pool: P.Workers | None = None
-                   ) -> tuple[D.LabeledDataset, list[AttackOutcome]]:
-    """Run the grid attack over every image, in image blocks mapped over
-    ``pool`` (:class:`parallel.Workers`; serially here without one); labels
-    pass through untouched."""
-    images, outcomes = _stacked((pool or P.Workers()).map(
-        functools.partial(_perturb, spec, weights, grid), dataset.images))
-    return D.LabeledDataset(images, dataset.labels.copy(), dataset.classes), outcomes
 
 
 def _perturb(spec: M.ModelSpec, weights, grid: GridSpec, x):
     """:func:`cpm_perturb` with the image last, for a map."""
     return cpm_perturb(spec, weights, x, grid)
+
+
+def poison_dataset(spec: M.ModelSpec, weights, dataset: D.LabeledDataset, grid: GridSpec,
+                   pool: P.Workers | None = None
+                   ) -> tuple[D.LabeledDataset, list[AttackOutcome]]:
+    """:func:`attack_images` over every image of ``dataset``; labels pass
+    through untouched."""
+    images, outcomes = attack_images(spec, weights, dataset.images, grid, pool)
+    return D.LabeledDataset(images, dataset.labels.copy(), dataset.classes), outcomes
 
 
 def summarize_outcomes(outcomes: list[AttackOutcome]) -> dict:

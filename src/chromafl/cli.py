@@ -64,13 +64,13 @@ def _print_report(report: dict) -> None:
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)  # so --help works whatever the environment
     try:
         worker_count()  # checked before any work, as the first map is deep in it
         apply_thread_env()
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    args = build_parser().parse_args(argv)
 
     import numpy as np
 

@@ -8,11 +8,14 @@ pipes.
 process: the caller runs the first block itself and sends each worker its
 block as one length-prefixed pickle of ``(fn, block)``; the worker sends
 back its results, or the exception its first failing item raised, the same
-way.  Results come back in input order.  Fork rather than spawn, because a
-worker then starts from the caller's memory: the data built before the
-block is shared copy-on-write, and nothing is imported again.  Forking once
-per block rather than once per map keeps the copy-on-write faults a fork
-puts on the caller off every later map.
+way.  Results come back in input order.  No map relies on memory shared
+with the caller: every item, and every argument bound into ``fn``, travels
+pickled with its block.  Fork rather than spawn, because what a worker does
+take from the fork is the caller's modules as they are when the block
+begins, including any function that a tracer such as perfbench's, or a
+test's monkeypatch, has replaced, and it imports nothing again.  Forking
+once per block rather than once per map keeps the copy-on-write faults a
+fork puts on the caller off every later map.
 
 What a map sends is pickled, so ``fn`` must pickle: a module-level function,
 or a ``functools.partial`` of one over picklable arguments.  A function is

@@ -6,6 +6,8 @@ independent per-sample loop (must agree on feasibility and scores within
 float-noise tolerance).
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from chromafl import attack as A
 from chromafl import color as C
 from chromafl import data as D
 from chromafl import models as M
+from chromafl import parallel as P
 from chromafl import saliency as S
 
 SMALL_GRID = A.GridSpec(hue=(0.0, 0.1, -0.1), alpha=(0.8, 1.0, 1.2),
@@ -307,6 +310,27 @@ def test_poison_dataset_preserves_labels_and_is_deterministic(trained):
     changed = sum(not np.array_equal(pois1.images[i], subset.images[i])
                   for i in range(10))
     assert changed >= 1
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def test_attack_images_on_a_pool_matches_the_serial_map_and_one_call_per_image(
+        trained, monkeypatch):
+    # the worker attacks the second block of images and sends it back
+    monkeypatch.setenv("CHROMAFL_WORKERS", "2")
+    spec, ws, data = trained
+    images = data.images[:5]
+    loop = [A.cpm_perturb(spec, ws, x, SMALL_GRID) for x in images]
+    serial, serial_outcomes = A.attack_images(spec, ws, images, SMALL_GRID)
+    with P.Workers() as pool:
+        assert pool.map(_pid, range(2))[1] != os.getpid()
+        pooled, pooled_outcomes = A.attack_images(spec, ws, images, SMALL_GRID, pool)
+    for got in (serial, pooled):
+        assert got.dtype == images.dtype
+        assert got.tobytes() == np.stack([img for img, _ in loop]).tobytes()
+    assert pooled_outcomes == serial_outcomes == [o for _, o in loop]
 
 
 def test_summarize_outcomes_shape(trained):

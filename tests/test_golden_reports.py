@@ -1,4 +1,4 @@
-"""The report bytes of all eight commands at three small configs, checked
+"""The report bytes of all eight commands at four small configs, checked
 against the listings recorded in ``tests/golden/``.
 
 ``tests/golden/<name>.json`` is a config, and ``<name>.digests`` is one
@@ -9,11 +9,16 @@ against the listings recorded in ``tests/golden/``.
 - ``variant``: ARCH_B captured at ``conv2``, FLTrust over a ``label_skew``
   split for 2 rounds, and a per-channel, jitter and composite grid cut to
   30 candidates.  It runs on 2 workers, so the pool's worker side runs;
-  the other two run on 1;
+  the other three run on 1;
 - ``benign``: ``tiny`` with no adversary, a grid of hue shifts of ±0.02
   only, and ``attack.delta_e_tol`` 0.05.  It reaches ``compare``'s
   bisection both ways (``hi = scale`` and ``lo = scale``), ``fl``'s shared
-  rounds (``w_main = w_twin``) and its NaN drift fit.
+  rounds (``w_main = w_twin``) and its NaN drift fit;
+- ``cifar``: ``tiny`` on a CIFAR-10 batch file of 32x32 images in 10
+  classes, with an 8-image FLTrust root, so the CIFAR reader and split
+  run.  :func:`write_data` writes the file from a seeded shapes set before
+  the commands run, and ``gen-data``, which writes shapes only, is left
+  out.
 
 The digests hold for the numpy and BLAS build named in the first line; on
 another build the failure message names both.  A change that moves report
@@ -23,27 +28,32 @@ bytes on purpose rewrites one golden listing with::
 
 and the diff of ``tests/golden/`` shows the moved files.
 
-At one worker, ``tools/unreached_lines.py`` on the three configs together
-leaves 240 lines of ``src/chromafl`` unrun (``raise`` lines not counted).
-The count is the lines common to the three sorted listings::
+At one worker, ``tools/unreached_lines.py`` on the four configs together
+leaves 212 lines of ``src/chromafl`` unrun (``raise`` lines not counted).
+The count is the lines common to the four sorted listings, made in one
+directory, where ``cifar``'s data file is written first::
 
-    out=$(mktemp -d)
-    for n in tiny variant benign; do
-        python3 tools/unreached_lines.py "$out/$n" --config "tests/golden/$n.json" |
-            sort > "$out/$n.txt"
+    root=$PWD; out=$(mktemp -d); cd "$out"
+    export PYTHONPATH="$root/tools:$root/tests"
+    python3 -c 'import test_golden_reports as g; g.write_data("cifar")'
+    for n in tiny variant benign cifar; do
+        python3 "$root/tools/unreached_lines.py" "$n" --config "$root/tests/golden/$n.json" |
+            sort > "$n.txt"
     done
-    comm -12 "$out/tiny.txt" "$out/variant.txt" | comm -12 - "$out/benign.txt" | wc -l
+    comm -12 tiny.txt variant.txt | comm -12 - benign.txt | comm -12 - cifar.txt | wc -l
 
 By module:
 
 - ``parallel`` 101: the pool's forked side, which the tool pins off;
-- ``data`` 57: the CIFAR-10 reader and writer;
-- ``harness`` 21: ``publish``'s rollback, the CIFAR split, ``read_csv``
-  and ``run_fl``'s rewrap of a rejected aggregator;
+- ``data`` 35: the CIFAR-10 writer (the data file is written before the
+  trace), the reader's directory branch and read error, the shapes of
+  classes 4 to 9, which no config draws itself, and ``label_skew``'s
+  stop when both dominant classes run out;
 - ``tensor`` 18: ``global_avg_pool``, ``Tensor`` conveniences and the
   replay's skip of a node that no adjoint reached;
-- ``config`` 17: error exits, the ``--seed`` and ``--limit`` overrides and
-  the CIFAR size rule;
+- ``harness`` 16: ``publish``'s rollback, the CIFAR split's short-file
+  error, ``read_csv`` and ``run_fl``'s rewrap of a rejected aggregator;
+- ``config`` 16: error exits and the ``--seed`` and ``--limit`` overrides;
 - ``cli`` 14: the error exits and ``__main__``;
 - ``federated`` 8: FLTrust's skipped rounds, R²'s zero-total branch and
   the empty map stack of a shared round that keeps no heatmap;
@@ -51,6 +61,7 @@ By module:
 - ``__init__`` 2: the fallback when ``mallopt`` is missing.
 """
 
+import json
 import os
 import sys
 import tempfile
@@ -61,7 +72,7 @@ import default_reports
 from report_digests import digests
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-WORKERS = {"tiny": "1", "variant": "2", "benign": "1"}
+WORKERS = {"tiny": "1", "variant": "2", "benign": "1", "cifar": "1"}
 
 
 def build() -> str:
@@ -71,9 +82,36 @@ def build() -> str:
     return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
 
 
+def write_data(name: str) -> None:
+    """At a ``cifar10`` config, write the batch file its ``dataset.path``
+    names, relative to the working directory: as many seeded shapes images
+    as its train, test and root splits take.  Nothing at another config."""
+    with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    ds = doc["dataset"]
+    if ds["kind"] != "cifar10":
+        return
+    if default_reports.SRC not in sys.path:
+        sys.path.insert(0, default_reports.SRC)
+    os.environ.setdefault("CHROMAFL_THREADS", "1")  # as default_reports.run pins it,
+    from chromafl import parallel as P
+    P.apply_thread_env()  # before numpy loads with chromafl.data
+    from chromafl import data as D
+    n = ds["n_train"] + ds["n_test"] + doc["fl"]["root_size"]
+    D.write_cifar10(ds["path"], D.generate_shapes(n, classes=10, size=32, seed=0))
+
+
 def listing(name: str, out: str) -> list[str]:
-    """The ``default_reports`` listing of every command run at ``name``."""
-    failed = default_reports.run(out, ["--config", os.path.join(GOLDEN, f"{name}.json")])
+    """The ``default_reports`` listing of every command run at ``name``,
+    from the parent directory of ``out`` (an absolute path), where
+    :func:`write_data` writes first."""
+    cwd = os.getcwd()
+    os.chdir(os.path.dirname(out))
+    try:
+        write_data(name)
+        failed = default_reports.run(out, ["--config", os.path.join(GOLDEN, f"{name}.json")])
+    finally:
+        os.chdir(cwd)
     assert failed is None, "{} exited with {}".format(*failed)
     return [f"{digest}  {rel}" for rel, digest in digests(out)]
 

@@ -288,6 +288,16 @@ def test_cli_rejects_a_worker_count_that_is_not_a_positive_integer(
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("var", ["CHROMAFL_WORKERS", "CHROMAFL_THREADS"])
+def test_cli_help_works_with_a_bad_worker_or_thread_count(capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "abc")
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: chromafl") and err == ""
+
+
 # ---------------------------------------------------------------- commands
 
 TINY = {
